@@ -239,6 +239,49 @@ def test_sampling_exhaustion_is_numerical_failure(capsys, monkeypatch, full_fami
     assert "numerical failure" in err
 
 
+# Exit code and stderr prefix for every exported error class, as the README's table says.
+EXIT_TABLE = [
+    (rdl.DimensionError, 1),
+    (rdl.UnitarityError, 1),
+    (rdl.HermiticityError, 1),
+    (rdl.NotAStateError, 1),
+    (rdl.EmptyFamilyError, 1),
+    (rdl.NotInSpanError, 1),
+    (ValueError, 1),
+    (OSError, 1),
+    (rdl.SingularSystemError, 2),
+    (rdl.SamplingExhaustedError, 2),
+    (rdl.IncompleteDomainError, 2),
+    (rdl.RdlError, 2),
+]
+
+
+@pytest.mark.parametrize("error, expected", EXIT_TABLE, ids=[e.__name__ for e, _ in EXIT_TABLE])
+def test_error_class_sets_exit_code(capsys, monkeypatch, full_family_file, error, expected):
+    def fail(*args):
+        raise error("planted failure")
+
+    monkeypatch.setattr(rdl.consistency, "_positivity_scaling", fail)
+    code, out, err = run(
+        capsys,
+        "analyze", "--family", full_family_file,
+        "--model", "swap", "--hull", "--seed", "1", "--trials", "3",
+    )
+    prefix = "input error" if expected == 1 else "numerical failure"
+    assert code == expected
+    assert out == ""
+    assert err == f"{prefix}: planted failure\n"
+
+
+def test_swap_demo_rejects_unequal_dims(capsys, tmp_path, rng):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(matrix_to_json(rdl.random_density_matrix(3, rng))))
+    code, out, err = run(capsys, "swap-demo", "--omega-e", str(path))
+    assert code == 1
+    assert out == ""
+    assert "input error: swap needs equal factor dimensions" in err
+
+
 def test_tol_override_env_wins(capsys, monkeypatch, full_family_file):
     monkeypatch.setenv("RDL_TOL_OVERRIDE", "1e-6")
     code, out, _ = run(

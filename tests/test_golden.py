@@ -1,0 +1,47 @@
+"""Golden CLI reports: stdout byte for byte, and the exit code.
+
+Each file under ``tests/golden/`` is the stdout of one command.  A report
+that changes on purpose is rewritten by running the command with stdout
+redirected to its file, and the cause is named with the change.  ``FAMILY``
+stands for a file holding ``full_two_qubit_family()``; no report names it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+import rdl
+from rdl.cli import main
+from rdl.serialize import family_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
+FAMILY = "FAMILY"
+
+CASES = {
+    "two-qubit-hull": (
+        ["two-qubit", "--omega", "1", "--t", "1.3", "--a11", "0.15", "--a21", "-0.1",
+         "--b11", "0.1,0,0.05", "--b21", "0,0.1,0", "--samples", "12", "--scale", "0.3",
+         "--seed", "7", "--hull", "--trials", "200"],
+        0,
+    ),
+    "analyze-full-dump": (
+        ["analyze", "--family", FAMILY, "--model", "two-qubit", "--omega", "1.5707963267948966",
+         "--t", "1", "--hull", "--seed", "5", "--trials", "20", "--dump-subspace"],
+        3,
+    ),
+    "analyze-full-swap": (["analyze", "--family", FAMILY, "--model", "swap"], 3),
+    "swap-demo": (["swap-demo"], 0),
+    "swap-demo-hull": (["swap-demo", "--hull", "--seed", "1", "--trials", "20"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name, tmp_path, capsys):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps(family_to_json(rdl.full_two_qubit_family())))
+    argv, expected_code = CASES[name]
+    code = main([str(family) if a == FAMILY else a for a in argv])
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.json").read_text()
