@@ -18,41 +18,25 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import check_hull_consistency, check_subspace_consistency
-from .errors import (
-    DimensionError,
-    EmptyFamilyError,
-    HermiticityError,
-    IncompleteDomainError,
-    NotAStateError,
-    NotInSpanError,
-    RdlError,
-    SamplingExhaustedError,
-    SingularSystemError,
-    UnitarityError,
-)
+from .errors import DimensionError, InputError, RdlError
 from .families import (
     StateFamily,
     constrained_two_qubit_family,
     extract_two_qubit_params,
+    product_family,
     sample_two_qubit_params,
 )
-from .maps import build_assignment, build_dynamical_map, decompose_signed_kraus, verdicts
-from .operators import frozen
+from .operators import max_norm, trace_distance
+from .pipeline import Analysis, analyze
 from .serialize import (
-    SCHEMA_ID,
-    consistency_report_to_json,
+    analysis_to_json,
     coefficients_to_json,
     dumps_report,
     family_from_json,
-    kraus_to_json,
     matrix_from_json,
     matrix_to_json,
-    subspace_to_json,
-    superoperator_to_json,
-    verdicts_to_json,
 )
-from .subspace import build_subspace
+from .subspace import greedy_independent
 from .two_qubit import (
     LinearityCoefficients,
     ModelParams,
@@ -61,20 +45,13 @@ from .two_qubit import (
     model_unitary,
     pauli_eigenstates,
     solve_linearity_coefficients,
-    swap_experiment,
     swap_unitary,
 )
-
-_DEFAULT_OMEGA_E = frozen(np.eye(2, dtype=complex) / 2)
-
-
-class _CliInputError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliInputError(message)
+        raise InputError(message)
 
 
 def _build_parser() -> _Parser:
@@ -96,6 +73,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     pa = sub.add_parser("analyze", parents=[common], help="full pipeline on a family file")
+    pa.set_defaults(run=_cmd_analyze)
     pa.add_argument("--family", required=True, metavar="FILE", help="state family JSON")
     pa.add_argument("--unitary", metavar="FILE", help="propagator as a complex-matrix JSON")
     pa.add_argument("--model", choices=["two-qubit", "swap"], help="built-in propagator")
@@ -104,6 +82,7 @@ def _build_parser() -> _Parser:
     pa.add_argument("--dump-subspace", action="store_true", help="embed the subspace bases")
 
     pt = sub.add_parser("two-qubit", parents=[common], help="constrained-family case study")
+    pt.set_defaults(run=_cmd_two_qubit)
     pt.add_argument("--omega", type=float, default=1.0)
     pt.add_argument("--t", type=float, default=1.0)
     pt.add_argument("--a11", type=float, default=0.0)
@@ -115,6 +94,7 @@ def _build_parser() -> _Parser:
     pt.add_argument("--members", default=None, metavar="FILE", help="use this family instead of sampling")
 
     ps = sub.add_parser("swap-demo", parents=[common], help="product family under the swap propagator")
+    ps.set_defaults(run=_cmd_swap_demo)
     ps.add_argument("--states", default=None, metavar="FILE", help="JSON list of system states")
     ps.add_argument("--omega-e", dest="omega_e", default=None, metavar="FILE", help="environment state JSON")
     return parser
@@ -131,118 +111,72 @@ def _tolerances(args) -> ToleranceConfig:
         try:
             value = float(override)
         except ValueError:
-            raise _CliInputError(f"RDL_TOL_OVERRIDE must be a number, got {override!r}") from None
+            raise InputError(f"RDL_TOL_OVERRIDE must be a number, got {override!r}") from None
         tols = tols.override_all(value)
     return tols
 
 
 def _load_json(path: str):
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as err:
-        raise _CliInputError(f"cannot read {path}: {err}") from None
-    return json.loads(text)
+        raise InputError(f"cannot read {path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise InputError(
+            f"malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"
+        ) from None
 
 
 def _parse_triple(text: str, flag: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _CliInputError(f"{flag} needs three comma-separated numbers, got {text!r}")
+        raise InputError(f"{flag} needs three comma-separated numbers, got {text!r}")
     try:
         return np.array([float(p) for p in parts])
     except ValueError:
-        raise _CliInputError(f"{flag} needs numeric entries, got {text!r}") from None
+        raise InputError(f"{flag} needs numeric entries, got {text!r}") from None
 
 
 def _resolve_unitary(args, family: StateFamily):
     sources = [s for s in (args.unitary, args.model) if s is not None]
     if len(sources) != 1:
-        raise _CliInputError("exactly one propagator source is required: --unitary FILE or --model")
+        raise InputError("exactly one propagator source is required: --unitary FILE or --model")
     if args.unitary is not None:
         u = matrix_from_json(_load_json(args.unitary), what="propagator")
         return u, {"kind": "file"}
     if args.model == "two-qubit":
         if args.omega is None or args.t is None:
-            raise _CliInputError("--model two-qubit requires --omega and --t")
+            raise InputError("--model two-qubit requires --omega and --t")
         if (family.dims.d_s, family.dims.d_e) != (2, 2):
-            raise _CliInputError("--model two-qubit needs a 2x2 system-environment family")
+            raise InputError("--model two-qubit needs a 2x2 system-environment family")
         u = model_unitary(ModelParams(omega=args.omega, t=args.t))
         return u, {"kind": "two-qubit", "omega": args.omega, "t": args.t}
     if family.dims.d_s != family.dims.d_e:
-        raise _CliInputError(
+        raise InputError(
             f"--model swap needs equal dimensions, family has d_s={family.dims.d_s}, d_e={family.dims.d_e}"
         )
     return swap_unitary(family.dims.d_s), {"kind": "swap"}
 
 
-def _run_pipeline(family: StateFamily, u: np.ndarray, args, tols: ToleranceConfig):
-    sub = build_subspace(family, tols.rank)
-    rep = check_subspace_consistency(sub, u, tols.consistency, tols)
-    hull = None
-    if args.hull:
-        if args.seed is None:
-            raise _CliInputError("--hull samples states and therefore requires --seed")
-        hull = check_hull_consistency(
-            family, u, args.seed, tols.consistency, args.trials, tols.rank, tols
-        )
-    superop = build_dynamical_map(build_assignment(sub), u, consistency=rep, tols=tols)
-    kraus = decompose_signed_kraus(superop, tols.herm)
-    v = verdicts(superop, tols.psd)
-    return sub, rep, hull, superop, kraus, v
+def _analyze(args, family: StateFamily, u: np.ndarray, tols: ToleranceConfig) -> Analysis:
+    """:func:`analyze`, with the hull check when ``--hull`` asks for it."""
+    if args.hull and args.seed is None:
+        raise InputError("--hull samples states and therefore requires --seed")
+    hull_seed = args.seed if args.hull else None
+    return analyze(family, u, tols, hull_seed=hull_seed, hull_trials=args.trials)
 
 
-def _base_report(command, family, sub, rep, hull, superop, kraus, v, tols, rejected=None, dump=False):
-    consistent = bool(rep.consistent and (hull is None or hull.consistent))
-    return {
-        "schema": SCHEMA_ID,
-        "command": command,
-        "dims": {"d_s": family.dims.d_s, "d_e": family.dims.d_e},
-        "family": {"label": family.label, "members": len(family), "rejected": rejected},
-        "subspace": {
-            "span_dim": sub.span_dim,
-            "reduced_dim": sub.reduced_dim,
-            "kernel_dim": sub.kernel_dim,
-            "detail": subspace_to_json(sub) if dump else None,
-        },
-        "consistency": consistency_report_to_json(rep),
-        "hull_consistency": None if hull is None else consistency_report_to_json(hull),
-        "consistent": consistent,
-        "map": superoperator_to_json(superop),
-        "kraus": kraus_to_json(kraus),
-        "verdicts": verdicts_to_json(v),
-        "tolerances": {"rank": tols.rank, "consistency": tols.consistency},
-    }
-
-
-def _cmd_analyze(args):
-    tols = _tolerances(args)
+def _cmd_analyze(args, tols: ToleranceConfig):
     family = family_from_json(_load_json(args.family), tols)
     u, source = _resolve_unitary(args, family)
-    sub, rep, hull, superop, kraus, v = _run_pipeline(family, u, args, tols)
-    report = _base_report(
-        "analyze", family, sub, rep, hull, superop, kraus, v, tols, dump=args.dump_subspace
+    report = analysis_to_json(
+        _analyze(args, family, u, tols), "analyze", dump_subspace=args.dump_subspace
     )
     report["unitary_source"] = source
-    return report, (0 if report["consistent"] else 3)
+    return report
 
 
-def _independent_records(records, tol_rank: float):
-    """First four records whose augmented vectors (1, alpha) are independent."""
-    chosen = []
-    rows = []
-    for rec in records:
-        row = np.concatenate(([1.0], np.asarray(rec[0], dtype=float)))
-        candidate = np.vstack(rows + [row]) if rows else row[None, :]
-        if np.linalg.svd(candidate, compute_uv=False)[-1] > tol_rank:
-            chosen.append(rec)
-            rows.append(row)
-        if len(chosen) == 4:
-            return chosen
-    return None
-
-
-def _cmd_two_qubit(args):
-    tols = _tolerances(args)
+def _cmd_two_qubit(args, tols: ToleranceConfig):
     model = ModelParams(omega=args.omega, t=args.t)
     u = model_unitary(model)
     planted = None
@@ -250,12 +184,12 @@ def _cmd_two_qubit(args):
     if args.members is not None:
         family = family_from_json(_load_json(args.members), tols)
         if (family.dims.d_s, family.dims.d_e) != (2, 2):
-            raise _CliInputError("--members must hold a 2x2 system-environment family")
+            raise InputError("--members must hold a 2x2 system-environment family")
     else:
         if args.seed is None:
-            raise _CliInputError("sampling members requires --seed")
+            raise InputError("sampling members requires --seed")
         if args.samples < 1:
-            raise _CliInputError(f"--samples must be at least 1, got {args.samples}")
+            raise InputError(f"--samples must be at least 1, got {args.samples}")
         b11 = _parse_triple(args.b11, "--b11")
         b21 = _parse_triple(args.b21, "--b21")
         rng = np.random.default_rng(args.seed)
@@ -267,19 +201,20 @@ def _cmd_two_qubit(args):
         planted = LinearityCoefficients(a11=args.a11, b11=b11, a21=args.a21, b21=b21)
 
     member_params = [extract_two_qubit_params(m, tols) for m in family.members]
-    records = [(p.alpha, p.gamma[0, 0], p.gamma[1, 0]) for p in member_params]
-    chosen = _independent_records(records, tols.rank)
-    if chosen is None:
-        raise _CliInputError(
+    # The affine law is fitted through the first four members whose (1, alpha) are independent.
+    kept = greedy_independent(
+        [np.concatenate(([1.0], p.alpha)) for p in member_params], tols.rank, 4
+    )
+    if len(kept) < 4:
+        raise InputError(
             "fewer than 4 members with independent Bloch vectors; cannot fit the affine law"
         )
-    coeffs = solve_linearity_coefficients(chosen)
+    fit = [member_params[i] for i in kept]
+    coeffs = solve_linearity_coefficients([(p.alpha, p.gamma[0, 0], p.gamma[1, 0]) for p in fit])
     residuals = linearity_residuals(family, coeffs)
 
-    sub, rep, hull, superop, kraus, v = _run_pipeline(family, u, args, tols)
-    report = _base_report(
-        "two-qubit", family, sub, rep, hull, superop, kraus, v, tols, rejected=rejected_count
-    )
+    report = analysis_to_json(_analyze(args, family, u, tols), "two-qubit")
+    report["family"]["rejected"] = rejected_count
     report["model"] = {"omega": model.omega, "t": model.t}
     report["coefficients_planted"] = None if planted is None else coefficients_to_json(planted)
     report["coefficients_solved"] = coefficients_to_json(coeffs)
@@ -296,64 +231,45 @@ def _cmd_two_qubit(args):
         }
         for p in member_params
     ]
-    return report, (0 if report["consistent"] else 3)
+    return report
 
 
-def _cmd_swap_demo(args):
-    tols = _tolerances(args)
+def _cmd_swap_demo(args, tols: ToleranceConfig):
     if args.states is not None:
         obj = _load_json(args.states)
         if not isinstance(obj, list) or not obj:
-            raise _CliInputError("--states must hold a non-empty JSON list of matrices")
+            raise InputError("--states must hold a non-empty JSON list of matrices")
         states = [matrix_from_json(m, what=f"system state {i}") for i, m in enumerate(obj)]
     else:
         states = list(pauli_eigenstates())
     omega_e = (
         matrix_from_json(_load_json(args.omega_e), what="environment state")
         if args.omega_e is not None
-        else np.array(_DEFAULT_OMEGA_E)
+        else np.eye(2, dtype=complex) / 2
     )
-    exp = swap_experiment(states, omega_e, tols, tols.consistency)
-    family_size = len(states)
-    hull = None
-    if args.hull:
-        if args.seed is None:
-            raise _CliInputError("--hull samples states and therefore requires --seed")
-        from .families import product_family
+    family = product_family(states, omega_e, label="product family under swap", tol=tols)
+    d_s, d_e = family.dims.d_s, family.dims.d_e
+    if d_s != d_e:
+        raise DimensionError(f"swap needs equal factor dimensions, got {d_s} and {d_e}")
+    analysis = _analyze(args, family, swap_unitary(d_s), tols)
 
-        fam = product_family(states, omega_e, tol=tols)
-        u = swap_unitary(fam.dims.d_s)
-        hull = check_hull_consistency(
-            fam, u, args.seed, tols.consistency, args.trials, tols.rank, tols
-        )
-    sub = exp.subspace
-    report = {
-        "schema": SCHEMA_ID,
-        "command": "swap-demo",
-        "dims": {"d_s": sub.dims.d_s, "d_e": sub.dims.d_e},
-        "family": {"label": "product family under swap", "members": family_size, "rejected": None},
-        "subspace": {
-            "span_dim": sub.span_dim,
-            "reduced_dim": sub.reduced_dim,
-            "kernel_dim": sub.kernel_dim,
-            "detail": None,
-        },
-        "consistency": consistency_report_to_json(exp.consistency),
-        "hull_consistency": None if hull is None else consistency_report_to_json(hull),
-        "consistent": bool(
-            exp.consistency.consistent and (hull is None or hull.consistent)
-        ),
-        "map": superoperator_to_json(exp.superoperator),
-        "kraus": kraus_to_json(exp.kraus),
-        "verdicts": verdicts_to_json(exp.map_verdicts),
-        "tolerances": {"rank": tols.rank, "consistency": tols.consistency},
-        "pairs": [
-            {"before": p.before, "after": p.after, "increased": p.increased} for p in exp.pairs
-        ],
-        "constant_output_deviation": exp.constant_output_deviation,
-        "omega_e": matrix_to_json(omega_e),
-    }
-    return report, (0 if report["consistent"] else 3)
+    # With one environment state the kernel is empty and the map sends every
+    # reduced state to omega_e: a constant, completely positive map.
+    apply = analysis.superoperator.apply
+    reduced = family.reduced()
+    images = [apply(r) for r in reduced]
+    pairs = []
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            before = trace_distance(reduced[i], reduced[j])
+            after = trace_distance(images[i], images[j])
+            increased = after > before + tols.psd
+            pairs.append({"before": before, "after": after, "increased": increased})
+    report = analysis_to_json(analysis, "swap-demo")
+    report["pairs"] = pairs
+    report["constant_output_deviation"] = float(max(max_norm(im - omega_e) for im in images))
+    report["omega_e"] = matrix_to_json(omega_e)
+    return report
 
 
 def _summary_lines(report: dict) -> list[str]:
@@ -394,58 +310,27 @@ def _summary_lines(report: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliInputError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 1
-    try:
-        if args.command == "analyze":
-            report, code = _cmd_analyze(args)
-        elif args.command == "two-qubit":
-            report, code = _cmd_two_qubit(args)
-        else:
-            report, code = _cmd_swap_demo(args)
-    except _CliInputError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as err:
-        print(
-            f"input error: malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}",
-            file=sys.stderr,
-        )
-        return 1
-    except (SingularSystemError, SamplingExhaustedError, IncompleteDomainError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
-    except (
-        DimensionError,
-        UnitarityError,
-        HermiticityError,
-        NotAStateError,
-        EmptyFamilyError,
-        NotInSpanError,
-        ValueError,
-        OSError,
-    ) as err:
+        args = _build_parser().parse_args(argv)
+        report = args.run(args, _tolerances(args))
+        text = dumps_report(report)
+        sys.stdout.write(text)
+        if args.out is not None:
+            try:
+                Path(args.out).write_text(text)
+            except OSError as err:
+                raise InputError(f"cannot write {args.out}: {err}") from None
+    except (InputError, ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 1
     except RdlError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
 
-    text = dumps_report(report)
-    sys.stdout.write(text)
-    if args.out is not None:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as err:
-            print(f"input error: cannot write {args.out}: {err}", file=sys.stderr)
-            return 1
+    code = 0 if report["consistent"] else 3
     for line in _summary_lines(report):
         print(line, file=sys.stderr)
-    print(f"exit status: {0 if code == 0 else code}", file=sys.stderr)
+    print(f"exit status: {code}", file=sys.stderr)
     return code
 
 

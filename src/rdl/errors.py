@@ -2,22 +2,29 @@
 
 
 class RdlError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Errors that are not an :class:`InputError` are numerical failures.
+    """
 
 
-class DimensionError(RdlError):
+class InputError(RdlError):
+    """The caller's input is at fault: shapes, states, propagators, files or flags."""
+
+
+class DimensionError(InputError):
     """Operands have incompatible, non-square, or otherwise wrong shapes."""
 
 
-class UnitarityError(RdlError):
+class UnitarityError(InputError):
     """A matrix that should be unitary is not, within tolerance."""
 
 
-class HermiticityError(RdlError):
+class HermiticityError(InputError):
     """A matrix that should be Hermitian is not, within tolerance."""
 
 
-class NotAStateError(RdlError):
+class NotAStateError(InputError):
     """A matrix fails the density-matrix checks (Hermitian, unit trace, positive).
 
     ``min_eigenvalue`` carries the offending eigenvalue when positivity is what
@@ -29,11 +36,11 @@ class NotAStateError(RdlError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class EmptyFamilyError(RdlError):
+class EmptyFamilyError(InputError):
     """A state family ended up with no members."""
 
 
-class NotInSpanError(RdlError):
+class NotInSpanError(InputError):
     """An operator lies outside the span it was asked to be expanded in."""
 
     def __init__(self, message: str, residual: float | None = None):

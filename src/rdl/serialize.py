@@ -15,8 +15,8 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
 from .families import StateFamily, TwoQubitParams
-from .maps import MapVerdicts, SignedKraus, Superoperator
 from .operators import BipartiteDims
+from .pipeline import Analysis
 from .subspace import Subspace
 from .two_qubit import LinearityCoefficients
 
@@ -122,29 +122,6 @@ def consistency_report_to_json(rep: ConsistencyReport) -> dict:
     }
 
 
-def superoperator_to_json(s: Superoperator) -> dict:
-    return {
-        "d_s": s.d_s,
-        "matrix": matrix_to_json(s.matrix),
-        "choi": matrix_to_json(s.choi),
-        "extension": s.extension,
-        "consistency_certified": s.consistency_certified,
-    }
-
-
-def kraus_to_json(k: SignedKraus) -> dict:
-    return {"terms": [{"e": e, "op": matrix_to_json(op)} for e, op in k.terms]}
-
-
-def verdicts_to_json(v: MapVerdicts) -> dict:
-    return {
-        "hermitian_preserving": v.hermitian_preserving,
-        "trace_preserving": v.trace_preserving,
-        "completely_positive": v.completely_positive,
-        "choi_min_eigenvalue": v.choi_min_eigenvalue,
-    }
-
-
 def subspace_to_json(sub: Subspace) -> dict:
     return {
         "d_s": sub.dims.d_s,
@@ -165,6 +142,44 @@ def coefficients_to_json(c: LinearityCoefficients) -> dict:
         "b11": [float(v) for v in c.b11],
         "a21": c.a21,
         "b21": [float(v) for v in c.b21],
+    }
+
+
+def analysis_to_json(a: Analysis, command: str, dump_subspace: bool = False) -> dict:
+    """The report fields every command shares; commands add their own keys.
+
+    The tolerances are the ones the subspace and the kernel test ran with.
+    """
+    sub = a.subspace
+    return {
+        "schema": SCHEMA_ID,
+        "command": command,
+        "dims": {"d_s": sub.dims.d_s, "d_e": sub.dims.d_e},
+        "family": {"label": a.family.label, "members": len(a.family), "rejected": None},
+        "subspace": {
+            "span_dim": sub.span_dim,
+            "reduced_dim": sub.reduced_dim,
+            "kernel_dim": sub.kernel_dim,
+            "detail": subspace_to_json(sub) if dump_subspace else None,
+        },
+        "consistency": consistency_report_to_json(a.consistency),
+        "hull_consistency": None if a.hull is None else consistency_report_to_json(a.hull),
+        "consistent": a.consistent,
+        "map": {
+            "d_s": a.superoperator.d_s,
+            "matrix": matrix_to_json(a.superoperator.matrix),
+            "choi": matrix_to_json(a.superoperator.choi),
+            "extension": a.superoperator.extension,
+            "consistency_certified": a.superoperator.consistency_certified,
+        },
+        "kraus": {"terms": [{"e": e, "op": matrix_to_json(op)} for e, op in a.kraus.terms]},
+        "verdicts": {
+            "hermitian_preserving": a.verdicts.hermitian_preserving,
+            "trace_preserving": a.verdicts.trace_preserving,
+            "completely_positive": a.verdicts.completely_positive,
+            "choi_min_eigenvalue": a.verdicts.choi_min_eigenvalue,
+        },
+        "tolerances": {"rank": sub.tol_rank, "consistency": a.consistency.tolerance},
     }
 
 

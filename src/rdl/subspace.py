@@ -93,24 +93,41 @@ class Subspace:
         )
 
 
+def greedy_independent(rows, tol: float, limit: int) -> list[int]:
+    """Indices of the rows that, scanned in order, each grow the rank of the pile.
+
+    A row joins when stacking it keeps the smallest singular value of the
+    pile above ``tol``; the scan stops once ``limit`` rows have joined.
+    """
+    kept, pile = [], []
+    for idx, row in enumerate(rows):
+        if np.linalg.svd(np.vstack(pile + [row]), compute_uv=False)[-1] > tol:
+            kept.append(idx)
+            pile.append(row)
+            if len(kept) == limit:
+                break
+    return kept
+
+
 def _select_pairs(ops, dims: BipartiteDims, tol_rank: float):
-    """Greedy scan, in input order, for reduced operators that grow the rank."""
-    pairs = []
-    kept_rows = []
+    """Greedy scan, in input order, for reduced operators that grow the rank.
+
+    Reduced operators enter the scan as unit-normalized coordinates; those
+    with norm within ``tol_rank`` are skipped.
+    """
+    candidates, rows = [], []
     for op in ops:
         red = partial_trace_env(op, dims)
         c = basis_coords(red, dims.d_s).real
         n = np.linalg.norm(c)
-        if n <= tol_rank:
-            continue
-        row = c / n
-        candidate = np.vstack(kept_rows + [row]) if kept_rows else row[None, :]
-        if np.linalg.svd(candidate, compute_uv=False)[-1] > tol_rank:
-            pairs.append((frozen(red), frozen(np.asarray(op, dtype=complex))))
-            kept_rows.append(row)
-        if len(pairs) == dims.d_s * dims.d_s:
-            break
-    return tuple(pairs)
+        if n > tol_rank:
+            candidates.append((red, op))
+            rows.append(c / n)
+    kept = greedy_independent(rows, tol_rank, dims.d_s * dims.d_s)
+    return tuple(
+        (frozen(candidates[i][0]), frozen(np.asarray(candidates[i][1], dtype=complex)))
+        for i in kept
+    )
 
 
 def select_independent(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank):

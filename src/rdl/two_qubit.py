@@ -1,4 +1,4 @@
-"""Closed-form two-qubit model, the linearity-coefficient solve, and swap demos.
+"""Closed-form two-qubit model, the linearity-coefficient solve, and the swap propagator.
 
 The model couples the system's third Pauli axis to the environment's first:
 H = (omega/2) s3 (x) s1, so the propagator is
@@ -21,29 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import ConsistencyReport, check_subspace_consistency
 from .errors import DimensionError, SingularSystemError
-from .families import StateFamily, extract_two_qubit_params, product_family
-from .maps import (
-    MapVerdicts,
-    SignedKraus,
-    Superoperator,
-    build_assignment,
-    build_dynamical_map,
-    decompose_signed_kraus,
-    verdicts,
-)
-from .operators import (
-    PAULIS,
-    SIGMA_X,
-    SIGMA_Z,
-    frozen,
-    max_norm,
-    tensor,
-    trace_distance,
-)
-from .subspace import Subspace, build_subspace
+from .families import StateFamily, extract_two_qubit_params
+from .operators import PAULIS, SIGMA_X, SIGMA_Z, frozen, tensor
 
 _CONDITION_LIMIT = 1e12
 
@@ -166,111 +146,6 @@ def linearity_residuals(family: StateFamily, coeffs: LinearityCoefficients) -> n
         pred11, pred21 = coeffs.predict(p.alpha)
         out[idx] = (p.gamma[0, 0] - pred11, p.gamma[1, 0] - pred21)
     return out
-
-
-@dataclass(frozen=True)
-class PairDistance:
-    before: float
-    after: float
-    increased: bool
-
-
-@dataclass(frozen=True, eq=False)
-class ExperimentReport:
-    """Everything one experiment produces: verdicts, map, and probe distances."""
-
-    consistency: ConsistencyReport
-    subspace: Subspace
-    superoperator: Superoperator
-    kraus: SignedKraus
-    map_verdicts: MapVerdicts
-    pairs: tuple[PairDistance, ...]
-    constant_output_deviation: float | None = None
-
-
-def _distance_pairs(states, superop: Superoperator, tol: float) -> tuple[PairDistance, ...]:
-    out = []
-    images = [superop.apply(s) for s in states]
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            before = trace_distance(states[i], states[j])
-            after = trace_distance(images[i], images[j])
-            out.append(PairDistance(before, after, increased=after > before + tol))
-    return tuple(out)
-
-
-def swap_experiment(
-    states_s,
-    omega_e: np.ndarray,
-    tols: ToleranceConfig = DEFAULT_TOL,
-    tol_consistency: float | None = None,
-) -> ExperimentReport:
-    """Product family {rho (x) omega} under the swap propagator.
-
-    The kernel of a one-environment-state product family is empty, so the
-    check passes trivially; the induced map sends everything to the fixed
-    environment state, which is completely positive, and no pair of probe
-    states can move apart.
-    """
-    fam = product_family(states_s, omega_e, tol=tols)
-    if fam.dims.d_s != fam.dims.d_e:
-        raise DimensionError(
-            f"swap needs equal factor dimensions, got {fam.dims.d_s} and {fam.dims.d_e}"
-        )
-    u = swap_unitary(fam.dims.d_s)
-    sub = build_subspace(fam, tols.rank)
-    report = check_subspace_consistency(sub, u, tol_consistency, tols)
-    superop = build_dynamical_map(build_assignment(sub), u, consistency=report, tols=tols)
-    kraus = decompose_signed_kraus(superop, tols.herm)
-    v = verdicts(superop, tols.psd)
-    omega = np.asarray(omega_e, dtype=complex)
-    reduced = fam.reduced()
-    deviation = max(max_norm(superop.apply(r) - omega) for r in reduced)
-    pairs = _distance_pairs(reduced, superop, tols.psd)
-    return ExperimentReport(
-        consistency=report,
-        subspace=sub,
-        superoperator=superop,
-        kraus=kraus,
-        map_verdicts=v,
-        pairs=pairs,
-        constant_output_deviation=float(deviation),
-    )
-
-
-def custom_subspace_experiment(
-    subspace: Subspace,
-    u: np.ndarray,
-    probe_pairs,
-    tols: ToleranceConfig = DEFAULT_TOL,
-    tol_consistency: float | None = None,
-) -> ExperimentReport:
-    """Run the full pipeline on a caller-supplied subspace.
-
-    ``probe_pairs`` is a sequence of (rho, sigma) system-state pairs, each of
-    which must lie in the reduced span (NotInSpanError otherwise).  Distance
-    growth between probe images is flagged per pair; it can only occur when
-    the map fails complete positivity.
-    """
-    report = check_subspace_consistency(subspace, u, tol_consistency, tols)
-    superop = build_dynamical_map(build_assignment(subspace), u, consistency=report, tols=tols)
-    kraus = decompose_signed_kraus(superop, tols.herm)
-    v = verdicts(superop, tols.psd)
-    pairs = []
-    for rho, sigma in probe_pairs:
-        subspace.expand_reduced(np.asarray(rho, dtype=complex))
-        subspace.expand_reduced(np.asarray(sigma, dtype=complex))
-        before = trace_distance(rho, sigma, tols)
-        after = trace_distance(superop.apply(rho), superop.apply(sigma), tols)
-        pairs.append(PairDistance(before, after, increased=after > before + tols.psd))
-    return ExperimentReport(
-        consistency=report,
-        subspace=subspace,
-        superoperator=superop,
-        kraus=kraus,
-        map_verdicts=v,
-        pairs=tuple(pairs),
-    )
 
 
 def pauli_eigenstates() -> tuple[np.ndarray, ...]:

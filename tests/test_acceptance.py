@@ -219,21 +219,30 @@ def test_criterion_6_signed_kraus_reconstructs_every_map():
 def test_criterion_7_swap_model_is_constant_and_completely_positive():
     """Swap with a fixed environment: CP map, constant output, contracting pairs."""
     omega = 0.5 * (np.eye(2, dtype=complex) + 0.3 * rdl.SIGMA_X + 0.2 * rdl.SIGMA_Z)
-    exp = rdl.swap_experiment(list(rdl.pauli_eigenstates()), omega)
-    increased = [p for p in exp.pairs if p.increased]
+    fam = rdl.product_family(list(rdl.pauli_eigenstates()), omega)
+    a = rdl.analyze(fam, rdl.swap_unitary(2))
+    reduced = fam.reduced()
+    images = [a.superoperator.apply(r) for r in reduced]
+    deviation = max(rdl.max_norm(im - omega) for im in images)
+    pairs = [(i, j) for i in range(len(reduced)) for j in range(i + 1, len(reduced))]
+    increased = [
+        (i, j)
+        for i, j in pairs
+        if rdl.trace_distance(images[i], images[j])
+        > rdl.trace_distance(reduced[i], reduced[j]) + rdl.DEFAULT_TOL.psd
+    ]
     ok = (
-        exp.map_verdicts.choi_min_eigenvalue >= -1e-10
-        and exp.map_verdicts.completely_positive
-        and exp.constant_output_deviation <= 1e-12
-        and len(exp.pairs) == 15
+        a.verdicts.choi_min_eigenvalue >= -1e-10
+        and a.verdicts.completely_positive
+        and deviation <= 1e-12
+        and len(pairs) == 15
         and not increased
     )
     _criterion(
         7,
         ok,
-        f"min Choi eigenvalue {exp.map_verdicts.choi_min_eigenvalue:.3e}, "
-        f"output deviation {exp.constant_output_deviation:.3e}, "
-        f"{len(exp.pairs)} pairs, {len(increased)} grew",
+        f"min Choi eigenvalue {a.verdicts.choi_min_eigenvalue:.3e}, "
+        f"output deviation {deviation:.3e}, {len(pairs)} pairs, {len(increased)} grew",
     )
 
 

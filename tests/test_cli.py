@@ -247,6 +247,7 @@ EXIT_TABLE = [
     (rdl.NotAStateError, 1),
     (rdl.EmptyFamilyError, 1),
     (rdl.NotInSpanError, 1),
+    (rdl.InputError, 1),
     (ValueError, 1),
     (OSError, 1),
     (rdl.SingularSystemError, 2),

@@ -179,13 +179,13 @@ def test_cp_map_never_grows_trace_distance(rng):
     """Complete positivity plus trace preservation forces contractivity."""
     omega = rdl.random_density_matrix(2, rng)
     states = [rdl.random_density_matrix(2, rng) for _ in range(4)]
-    exp = rdl.swap_experiment(states, omega)
-    assert exp.map_verdicts.completely_positive
+    a = rdl.analyze(rdl.product_family(states, omega), rdl.swap_unitary(2))
+    assert a.verdicts.completely_positive
     probes = [rdl.random_density_matrix(2, rng) for _ in range(6)]
     for i in range(len(probes)):
         for j in range(i + 1, len(probes)):
             before = rdl.trace_distance(probes[i], probes[j])
             after = rdl.trace_distance(
-                exp.superoperator.apply(probes[i]), exp.superoperator.apply(probes[j])
+                a.superoperator.apply(probes[i]), a.superoperator.apply(probes[j])
             )
             assert after <= before + 1e-10

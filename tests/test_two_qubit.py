@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import rdl
-from rdl.errors import NotInSpanError, SingularSystemError
+from rdl.errors import SingularSystemError
 
 from test_consistency import constrained_family
 
@@ -118,43 +118,32 @@ def test_linearity_residuals_vanish_on_constrained_family():
     assert np.abs(rdl.linearity_residuals(fam, wrong)).max() > 0.1
 
 
-def test_swap_experiment_is_constant_cp_map(rng):
+def test_swap_experiment_is_constant_cp_map():
     omega = 0.5 * (np.eye(2, dtype=complex) + 0.3 * rdl.SIGMA_Z)
-    exp = rdl.swap_experiment(list(rdl.pauli_eigenstates()), omega)
-    assert exp.consistency.consistent
-    assert exp.subspace.kernel_dim == 0
-    assert exp.constant_output_deviation < 1e-12
-    assert exp.map_verdicts.completely_positive
-    assert exp.map_verdicts.trace_preserving
-    assert np.abs(exp.superoperator.choi - rdl.tensor(np.eye(2), omega)).max() < 1e-10
-    assert len(exp.pairs) == 15
-    for pair in exp.pairs:
-        assert not pair.increased
-        assert pair.after <= pair.before + 1e-12
+    fam = rdl.product_family(list(rdl.pauli_eigenstates()), omega)
+    a = rdl.analyze(fam, rdl.swap_unitary(2))
+    assert a.consistent
+    assert a.subspace.kernel_dim == 0
+    reduced = fam.reduced()
+    images = [a.superoperator.apply(r) for r in reduced]
+    assert max(rdl.max_norm(im - omega) for im in images) < 1e-12
+    assert a.verdicts.completely_positive
+    assert a.verdicts.trace_preserving
+    assert np.abs(a.superoperator.choi - rdl.tensor(np.eye(2), omega)).max() < 1e-10
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            before = rdl.trace_distance(reduced[i], reduced[j])
+            assert rdl.trace_distance(images[i], images[j]) <= before + 1e-12
 
 
-def test_swap_experiment_rejects_unequal_dims(rng):
-    omega3 = rdl.random_density_matrix(3, rng)
-    with pytest.raises(rdl.DimensionError):
-        rdl.swap_experiment([rdl.random_density_matrix(2, rng)], omega3)
-
-
-def test_custom_experiment_runs_on_full_span():
+def test_analyze_runs_on_full_span():
+    """An inconsistent family still gets a map on the full reduced span, uncertified."""
     fam = rdl.full_two_qubit_family()
-    sub = rdl.build_subspace(fam)
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    probes = [(np.eye(2, dtype=complex) / 2, (np.eye(2) + 0.8 * rdl.SIGMA_X).astype(complex) / 2)]
-    exp = rdl.custom_subspace_experiment(sub, u, probes)
-    assert not exp.consistency.consistent
-    assert len(exp.pairs) == 1
-
-
-def test_custom_experiment_rejects_probes_outside_span():
-    omega = np.diag([0.8, 0.2]).astype(complex)
-    fam = rdl.product_family(
-        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)], omega
-    )
-    sub = rdl.build_subspace(fam)
-    probes = [((np.eye(2) + 0.5 * rdl.SIGMA_X).astype(complex) / 2, np.eye(2, dtype=complex) / 2)]
-    with pytest.raises(NotInSpanError):
-        rdl.custom_subspace_experiment(sub, rdl.swap_unitary(2), probes)
+    a = rdl.analyze(fam, u)
+    assert not a.consistent
+    assert a.subspace.reduced_dim == 4
+    assert not a.superoperator.consistency_certified
+    for probe in (np.eye(2) / 2, (np.eye(2) + 0.8 * rdl.SIGMA_X) / 2):
+        probe = probe.astype(complex)
+        assert rdl.max_norm(a.kraus.reconstruct(probe) - a.superoperator.apply(probe)) < 1e-12
