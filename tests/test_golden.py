@@ -4,6 +4,8 @@ Each file under ``tests/golden/`` is the stdout of one command.  A report
 that changes on purpose is rewritten by running the command with stdout
 redirected to its file, and the cause is named with the change.  ``FAMILY``
 stands for a file holding ``full_two_qubit_family()``; no report names it.
+``inputs/`` holds a 3x2 family of 14 random full-rank states and a random
+6x6 unitary, so the coordinate order at d = 3 and d = 6 is pinned too.
 """
 
 import json
@@ -16,6 +18,7 @@ from rdl.cli import main
 from rdl.serialize import family_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 FAMILY = "FAMILY"
 
 CASES = {
@@ -31,6 +34,12 @@ CASES = {
         3,
     ),
     "analyze-full-swap": (["analyze", "--family", FAMILY, "--model", "swap"], 3),
+    "analyze-3x2-dump": (
+        ["analyze", "--family", str(INPUTS / "family-3x2.json"),
+         "--unitary", str(INPUTS / "unitary-3x2.json"), "--dump-subspace",
+         "--hull", "--seed", "3", "--trials", "20"],
+        3,
+    ),
     "swap-demo": (["swap-demo"], 0),
     "swap-demo-hull": (["swap-demo", "--hull", "--seed", "1", "--trials", "20"], 0),
 }
