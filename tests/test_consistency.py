@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdl
 import rdl.consistency
-from rdl.errors import DimensionError, SamplingExhaustedError
+from rdl.errors import DimensionError, SamplingExhaustedError, UnitarityError
+from oracles import conjugate_loops, ptrace_env_loops, random_unitary
 
 
 def constrained_family(seed=7, n=12, scale=0.3):
@@ -64,6 +67,30 @@ def test_consistency_dimension_check():
     sub = rdl.build_subspace(rdl.full_two_qubit_family())
     with pytest.raises(DimensionError):
         rdl.check_subspace_consistency(sub, np.eye(6, dtype=complex))
+
+
+ENTRIES = {
+    "kernel": lambda fam, u: rdl.check_subspace_consistency(rdl.build_subspace(fam), u),
+    "pairwise": lambda fam, u: rdl.check_pairwise_consistency(fam, u),
+    "hull": lambda fam, u: rdl.check_hull_consistency(fam, u, seed=0, trials=5),
+    "map": lambda fam, u: rdl.build_dynamical_map(
+        rdl.build_assignment(rdl.build_subspace(fam)), u
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize(
+    "u, error, message",
+    [
+        (2 * np.eye(4), UnitarityError, "propagator is not unitary"),
+        (np.eye(6), DimensionError, "propagator side 6 does not match joint dimension 4"),
+    ],
+    ids=["non-unitary", "wrong-size"],
+)
+def test_entry_rejects_bad_propagator(entry, u, error, message):
+    with pytest.raises(error, match=message):
+        ENTRIES[entry](rdl.full_two_qubit_family(), u)
 
 
 def equal_marginal_pair_family():
@@ -152,3 +179,57 @@ def test_hull_rejects_zero_trials():
     fam = rdl.full_two_qubit_family()
     with pytest.raises(ValueError):
         rdl.check_hull_consistency(fam, np.eye(4, dtype=complex), seed=0, trials=0)
+
+
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3]),
+    n_sys=st.integers(1, 3),
+    n_env=st.integers(1, 3),
+    n_joint=st.integers(0, 3),
+    entangling=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, entangling, seed):
+    """Kernel and pairwise checks against index-loop evaluations, past the 2x2 case.
+
+    Product members that share a system factor give equal-marginal pairs;
+    random joint members widen the span and the kernel.
+    """
+    rng = np.random.default_rng(seed)
+    dims = rdl.BipartiteDims(d_s, d_e)
+    systems = [rdl.random_density_matrix(d_s, rng) for _ in range(n_sys)]
+    envs = [rdl.random_density_matrix(d_e, rng) for _ in range(n_env)]
+    members = [rdl.tensor(r, w) for r in systems for w in envs]
+    members += [rdl.random_density_matrix(dims.joint, rng) for _ in range(n_joint)]
+    fam = rdl.StateFamily(dims=dims, members=tuple(members))
+    if entangling:
+        u = random_unitary(dims.joint, rng)
+    else:
+        u = rdl.tensor(random_unitary(d_s, rng), random_unitary(d_e, rng))
+    tols = rdl.DEFAULT_TOL
+
+    def evolved_marginal(x):
+        return ptrace_env_loops(conjugate_loops(u, x), d_s, d_e)
+
+    sub = rdl.build_subspace(fam)
+    rep = rdl.check_subspace_consistency(sub, u)
+    viol = [rdl.max_norm(evolved_marginal(y)) for y in sub.kernel_basis]
+    worst = max(viol, default=0.0)
+    assert abs(rep.max_violation - worst) <= 1e-12
+    if worst > tols.consistency:
+        assert np.array_equal(rep.witness, sub.kernel_basis[int(np.argmax(viol))])
+    else:
+        assert rep.witness is None
+
+    red = [ptrace_env_loops(m, d_s, d_e) for m in members]
+    out = [evolved_marginal(m) for m in members]
+    tested, worst = 0, 0.0
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if rdl.max_norm(red[i] - red[j]) <= tols.rank:
+                tested += 1
+                worst = max(worst, rdl.max_norm(out[i] - out[j]))
+    pw = rdl.check_pairwise_consistency(fam, u)
+    assert pw.pairs_tested == tested
+    assert abs(pw.max_violation - worst) <= 1e-12

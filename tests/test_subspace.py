@@ -115,6 +115,11 @@ def test_build_from_operators_rejects_empty_and_zero():
         rdl.build_subspace_from_operators([np.zeros((4, 4))], dims)
 
 
+def test_build_from_operators_names_the_misshapen_operator():
+    with pytest.raises(DimensionError, match="operator 1 has shape"):
+        rdl.build_subspace_from_operators([np.eye(4), np.eye(3)], rdl.BipartiteDims(2, 2))
+
+
 def test_product_family_with_one_environment_state_has_empty_kernel(rng):
     omega = rdl.random_density_matrix(2, rng)
     states = [rdl.random_density_matrix(2, rng) for _ in range(4)]
