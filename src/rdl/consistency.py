@@ -14,16 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionError, SamplingExhaustedError
+from .errors import SamplingExhaustedError
 from .families import StateFamily
-from .operators import (
-    adjoint_action,
-    frozen,
-    hs_norm,
-    max_norm,
-    partial_trace_env,
-    require_unitary,
-)
+from .operators import _require_propagator, frozen, hs_norm, max_norm, partial_trace_env
 from .subspace import Subspace, build_subspace
 
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
@@ -52,92 +45,75 @@ class ConsistencyReport:
     marginal: bool = False
 
 
-def _report(max_violation, tol, witness=None, pairs_tested=None) -> ConsistencyReport:
+def _report(violations, tol, witness_of=None, pairs_tested=None) -> ConsistencyReport:
+    """Verdict on the worst of ``violations``.
+
+    A failing verdict carries ``witness_of(k)`` for the first index k that
+    reaches the worst violation.  No violations at all is a vacuous check.
+    """
+    violations = np.asarray(violations, dtype=float)
+    max_violation = float(violations.max(initial=0.0))
     consistent = max_violation <= tol
     marginal = (not consistent) and max_violation <= _MARGINAL_FACTOR * tol
     return ConsistencyReport(
         consistent=consistent,
-        max_violation=float(max_violation),
+        max_violation=max_violation,
         tolerance=float(tol),
-        witness=None if witness is None else frozen(witness),
+        witness=None
+        if consistent or not violations.size
+        else frozen(witness_of(int(np.argmax(violations)))),
         pairs_tested=pairs_tested,
         marginal=marginal,
     )
 
 
-def _violation(u: np.ndarray, y: np.ndarray, dims, tols: ToleranceConfig) -> float:
-    return max_norm(partial_trace_env(adjoint_action(u, y, tols), dims))
+def _evolved_marginals(u: np.ndarray, x: np.ndarray, dims) -> np.ndarray:
+    """Tr_E(U X U^dag) for each joint operator in the stack ``x``."""
+    return partial_trace_env(u @ x @ u.conj().T, dims)
 
 
 def check_subspace_consistency(
     subspace: Subspace,
     u: np.ndarray,
-    tol: float | None = None,
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> ConsistencyReport:
     """Kernel test: does conjugation by ``u`` preserve vanishing marginals?
 
     Evaluates the evolved partial trace of every kernel basis element and
-    reports the worst max-norm.  An empty kernel passes trivially.
+    reports the worst max-norm against ``tols.consistency``.  An empty kernel
+    passes trivially.
     """
-    if tol is None:
-        tol = tols.consistency
-    u = require_unitary(u, tols.unitary, "propagator")
-    if u.shape[0] != subspace.dims.joint:
-        raise DimensionError(
-            f"propagator side {u.shape[0]} does not match joint dimension {subspace.dims.joint}"
-        )
-    worst = 0.0
-    witness = None
-    for y in subspace.kernel_basis:
-        v = _violation(u, y, subspace.dims, tols)
-        if v > worst:
-            worst = v
-            witness = y
-    if worst <= tol:
-        witness = None
-    return _report(worst, tol, witness)
+    u = _require_propagator(u, subspace.dims, tols)
+    kernel = np.array(subspace.kernel_basis).reshape(-1, *u.shape)  # (0, d_j, d_j) when empty
+    viol = np.abs(_evolved_marginals(u, kernel, subspace.dims)).max(axis=(1, 2))
+    return _report(viol, tols.consistency, lambda k: kernel[k])
 
 
 def check_pairwise_consistency(
     family: StateFamily,
     u: np.ndarray,
-    tol: float | None = None,
-    match_tol: float | None = None,
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> ConsistencyReport:
     """Compare evolved marginals across member pairs that share a marginal.
 
-    Pairs whose reduced states agree within ``match_tol`` are evolved and
-    compared within ``tol``.  With no matching pairs the verdict is vacuous:
-    consistent with pairs_tested = 0.
+    Pairs whose reduced states agree within ``tols.rank`` are evolved and
+    compared within ``tols.consistency``.  With no matching pairs the verdict
+    is vacuous: consistent with pairs_tested = 0.
     """
-    if tol is None:
-        tol = tols.consistency
-    if match_tol is None:
-        match_tol = tols.rank
-    u = require_unitary(u, tols.unitary, "propagator")
-    if u.shape[0] != family.dims.joint:
-        raise DimensionError(
-            f"propagator side {u.shape[0]} does not match joint dimension {family.dims.joint}"
-        )
-    reduced = family.reduced()
-    evolved = [partial_trace_env(adjoint_action(u, m, tols), family.dims) for m in family.members]
-    worst = 0.0
-    witness = None
-    tested = 0
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if max_norm(reduced[i] - reduced[j]) > match_tol:
-                continue
-            tested += 1
-            v = max_norm(evolved[i] - evolved[j])
-            if v > worst:
-                worst = v
-                witness = family.members[i] - family.members[j]
-    if worst <= tol:
-        witness = None
-    return _report(worst, tol, witness, pairs_tested=tested)
+    u = _require_propagator(u, family.dims, tols)
+    members = np.array(family.members)
+    reduced = partial_trace_env(members, family.dims)
+    evolved = _evolved_marginals(u, members, family.dims)
+    # One row of pairs at a time: all pairs at once would hold n^2 d_s^2 entries.
+    pairs, viol = [], []
+    for i in range(len(members) - 1):
+        dist = np.abs(reduced[i + 1 :] - reduced[i]).max(axis=(1, 2))
+        match = i + 1 + np.flatnonzero(dist <= tols.rank)
+        pairs += [(i, j) for j in match]
+        viol.extend(np.abs(evolved[match] - evolved[i]).max(axis=(1, 2)))
+    return _report(
+        viol, tols.consistency, lambda k: members[pairs[k][0]] - members[pairs[k][1]], len(pairs)
+    )
 
 
 def _positivity_scaling(sigma: np.ndarray, y: np.ndarray, psd_tol: float) -> float | None:
@@ -162,9 +138,7 @@ def check_hull_consistency(
     family: StateFamily,
     u: np.ndarray,
     seed: int,
-    tol: float | None = None,
     trials: int = 100,
-    tol_rank: float | None = None,
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> ConsistencyReport:
     """Sampled equal-marginal state pairs instead of the kernel basis.
@@ -178,26 +152,16 @@ def check_hull_consistency(
     Requires an explicit ``seed``.  Raises SamplingExhaustedError when the
     kernel is nonempty but no trial admits a positivity-preserving scaling.
     """
-    if tol is None:
-        tol = tols.consistency
-    if tol_rank is None:
-        tol_rank = tols.rank
-    u = require_unitary(u, tols.unitary, "propagator")
-    if u.shape[0] != family.dims.joint:
-        raise DimensionError(
-            f"propagator side {u.shape[0]} does not match joint dimension {family.dims.joint}"
-        )
+    u = _require_propagator(u, family.dims, tols)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    sub = build_subspace(family, tol_rank)
+    sub = build_subspace(family, tols.rank)
     if sub.kernel_dim == 0:
-        return _report(0.0, tol, pairs_tested=0)
+        return _report([], tols.consistency, pairs_tested=0)
 
     rng = np.random.default_rng(seed)
     members = family.members
-    worst = 0.0
-    witness = None
-    tested = 0
+    violations, steps = [], []
     for _ in range(trials):
         weights = rng.exponential(size=len(members))
         weights /= weights.sum()
@@ -205,25 +169,17 @@ def check_hull_consistency(
         coeffs = rng.normal(size=sub.kernel_dim)
         y = sum(c * k for c, k in zip(coeffs, sub.kernel_basis))
         n = hs_norm(y)
-        if n <= tol_rank:
+        if n <= tols.rank:
             continue
         y = y / n
         eps = _positivity_scaling(sigma, y, tols.psd)
         if eps is None:
             continue
-        perturbed = sigma + eps * y
-        v = max_norm(
-            partial_trace_env(adjoint_action(u, perturbed, tols), family.dims)
-            - partial_trace_env(adjoint_action(u, sigma, tols), family.dims)
-        )
-        tested += 1
-        if v > worst:
-            worst = v
-            witness = eps * y
-    if tested == 0:
+        out = _evolved_marginals(u, np.array([sigma + eps * y, sigma]), family.dims)
+        violations.append(max_norm(out[0] - out[1]))
+        steps.append(eps * y)
+    if not violations:
         raise SamplingExhaustedError(
             f"no positivity-preserving perturbation found in {trials} trials"
         )
-    if worst <= tol:
-        witness = None
-    return _report(worst, tol, witness, pairs_tested=tested)
+    return _report(violations, tols.consistency, steps.__getitem__, len(violations))

@@ -25,13 +25,12 @@ from .consistency import ConsistencyReport
 from .errors import DimensionError, HermiticityError, IncompleteDomainError, RdlError
 from .operators import (
     BipartiteDims,
-    adjoint_action,
+    _require_propagator,
     basis_coords,
     from_basis_coords,
     frozen,
     max_norm,
     partial_trace_env,
-    require_unitary,
 )
 from .subspace import Subspace
 
@@ -97,14 +96,9 @@ class MapVerdicts:
 
 
 def _choi_from_matrix(matrix: np.ndarray, d_s: int) -> np.ndarray:
-    choi = np.zeros((d_s * d_s, d_s * d_s), dtype=complex)
-    for j in range(d_s):
-        for k in range(d_s):
-            unit = np.zeros((d_s, d_s), dtype=complex)
-            unit[j, k] = 1.0
-            out = from_basis_coords(matrix @ basis_coords(unit, d_s), d_s)
-            choi[j * d_s : (j + 1) * d_s, k * d_s : (k + 1) * d_s] = out
-    return choi
+    units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)  # unit j * d_s + k is |j><k|
+    outs = from_basis_coords(np.array([matrix @ c for c in basis_coords(units, d_s)]), d_s)
+    return outs.reshape(d_s, d_s, d_s, d_s).transpose(0, 2, 1, 3).reshape(d_s * d_s, d_s * d_s)
 
 
 def build_dynamical_map(
@@ -127,18 +121,14 @@ def build_dynamical_map(
     sub = assignment.subspace
     d_s = sub.dims.d_s
     dim = d_s * d_s
-    u = require_unitary(u, tols.unitary, "propagator")
-    if u.shape[0] != sub.dims.joint:
-        raise DimensionError(
-            f"propagator side {u.shape[0]} does not match joint dimension {sub.dims.joint}"
-        )
+    u = _require_propagator(u, sub.dims, tols)
     if extension == "none" and sub.reduced_dim < dim:
         raise IncompleteDomainError(
             f"reduced span has dimension {sub.reduced_dim} < {dim}; "
             'an explicit extension is required (use extension="zero")'
         )
 
-    red_rows = np.array([basis_coords(red, d_s).real for red, _ in sub.pairs])
+    red_rows = basis_coords(np.array([red for red, _ in sub.pairs]), d_s).real
     _, svals, vt = np.linalg.svd(red_rows, full_matrices=False)
     rank = int(np.sum(svals > sub.tol_rank))
     if rank != sub.reduced_dim:
@@ -146,16 +136,11 @@ def build_dynamical_map(
     ortho = vt[:rank]
     projector = ortho.T @ ortho
 
-    cols = []
-    for k in range(dim):
-        pc = projector[:, k]
-        if np.linalg.norm(pc) <= 1e-15:
-            cols.append(np.zeros(dim, dtype=complex))
-            continue
-        lifted = assignment.apply(from_basis_coords(pc.astype(complex), d_s))
-        out = partial_trace_env(adjoint_action(u, lifted, tols), sub.dims)
-        cols.append(basis_coords(out, d_s))
-    matrix = np.column_stack(cols)
+    live = [k for k in range(dim) if np.linalg.norm(projector[:, k]) > 1e-15]
+    inputs = from_basis_coords(projector.T[live].astype(complex), d_s)
+    lifted = np.array([assignment.apply(x) for x in inputs])
+    matrix = np.zeros((dim, dim), dtype=complex)
+    matrix[:, live] = basis_coords(partial_trace_env(u @ lifted @ u.conj().T, sub.dims), d_s).T
 
     return Superoperator(
         d_s=d_s,

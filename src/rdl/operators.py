@@ -72,11 +72,6 @@ def _require_square(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     return x
 
 
-def is_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm) -> bool:
-    x = np.asarray(x)
-    return x.ndim == 2 and x.shape[0] == x.shape[1] and max_norm(x - x.conj().T) <= tol
-
-
 def require_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm, what: str = "matrix") -> np.ndarray:
     x = _require_square(x, what)
     dev = max_norm(x - x.conj().T)
@@ -85,18 +80,21 @@ def require_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm, what: str = 
     return x
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary) -> bool:
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return max_norm(u.conj().T @ u - np.eye(u.shape[0])) <= tol
-
-
 def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary, what: str = "matrix") -> np.ndarray:
     u = _require_square(u, what)
     dev = max_norm(u.conj().T @ u - np.eye(u.shape[0]))
     if dev > tol:
         raise UnitarityError(f"{what} is not unitary: max |U^dag U - I| = {dev:.3e} > {tol:.3e}")
+    return u
+
+
+def _require_propagator(u: np.ndarray, dims: BipartiteDims, tols: ToleranceConfig) -> np.ndarray:
+    """``u`` validated once as a unitary on the joint space of ``dims``."""
+    u = require_unitary(u, tols.unitary, "propagator")
+    if u.shape[0] != dims.joint:
+        raise DimensionError(
+            f"propagator side {u.shape[0]} does not match joint dimension {dims.joint}"
+        )
     return u
 
 
@@ -137,18 +135,22 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace_env(x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Trace out the environment factor of a joint operator.
+def _require_stack(x: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+    """``x`` as a complex array whose trailing axes are ``shape``."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape[x.ndim - len(shape):] != shape:
+        raise DimensionError(f"{what} has shape {x.shape}, expected trailing axes {shape}")
+    return x
 
-    Y[i, j] = sum_k X[(i * d_e + k), (j * d_e + k)].
+
+def partial_trace_env(x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Trace out the environment factor of a joint operator, or of a stack of them.
+
+    Y[..., i, j] = sum_k X[..., (i * d_e + k), (j * d_e + k)].
     """
-    x = _require_square(x, "joint operator")
-    if x.shape[0] != dims.joint:
-        raise DimensionError(
-            f"joint operator has side {x.shape[0]}, expected d_s * d_e = {dims.joint}"
-        )
-    x4 = x.reshape(dims.d_s, dims.d_e, dims.d_s, dims.d_e)
-    return np.einsum("ikjk->ij", x4)
+    x = _require_stack(x, (dims.joint, dims.joint), "joint operator")
+    x4 = x.reshape(x.shape[:-2] + (dims.d_s, dims.d_e, dims.d_s, dims.d_e))
+    return np.einsum("...ikjk->...ij", x4)
 
 
 def adjoint_action(u: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -192,27 +194,63 @@ def hermitian_basis(d: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_stack(d: int) -> np.ndarray:
-    return frozen(np.stack(hermitian_basis(d)))
+def _coord_map(d: int):
+    """Where hermitian_basis(d) coordinates live in a d x d matrix.
+
+    Returns the strict lower and upper triangles, both in basis order (one
+    off-diagonal pair per entry), and the d x d diagonal weight table: row 0
+    holds the identity element, row l the l-th diagonal element.  The weights
+    multiply by 1 / sqrt(l (l + 1)), as the basis's own complex division does,
+    so coordinates agree with tr(B_k x) to the last bit.
+    """
+    lower = tuple(frozen(i) for i in np.tril_indices(d, -1))
+    upper = lower[::-1]
+    weights = np.tril(np.ones((d, d)), -1) - np.diag(np.arange(d))
+    weights[0] = 1 / np.sqrt(d)
+    for ell in range(1, d):
+        weights[ell] *= 1 / np.sqrt(ell * (ell + 1))
+    return lower, upper, frozen(weights)
+
+
+# Entries of the off-diagonal basis pairs, written as hermitian_basis writes them.
+_SYM = 1 / np.sqrt(2)
+_ANTI_UP, _ANTI_LOW = -1j / np.sqrt(2), 1j / np.sqrt(2)
 
 
 def basis_coords(x: np.ndarray, d: int) -> np.ndarray:
     """Coordinates of ``x`` in hermitian_basis(d): c_k = tr(B_k x).
 
-    Hermitian input gives real coordinates (up to roundoff).
+    ``x`` is one d x d operator or a stack of them, shape (..., d, d); the
+    result has shape (..., d^2).  Hermitian input gives real coordinates (up
+    to roundoff).
     """
-    x = _require_square(x, "operator")
-    if x.shape[0] != d:
-        raise DimensionError(f"operator has side {x.shape[0]}, expected {d}")
-    return np.einsum("kij,ji->k", _basis_stack(d), x)
+    x = _require_stack(x, (d, d), "operator")
+    lower, upper, weights = _coord_map(d)
+    diag = np.zeros(x.shape[:-2] + (d,), dtype=complex)
+    for i in range(d):
+        diag = diag + weights[:, i] * x[..., i, i, None]
+    low, up = x[..., lower[0], lower[1]], x[..., upper[0], upper[1]]
+    # Each sum runs from +0.0 in the index order of tr(B_k x), so even signed zeros agree with it.
+    sym = 0.0 + _SYM * low + _SYM * up
+    anti = 0.0 + _ANTI_UP * low + _ANTI_LOW * up
+    return np.concatenate([diag[..., :1], sym, anti, diag[..., 1:]], axis=-1)
 
 
 def from_basis_coords(c: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`basis_coords`."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (d * d,):
-        raise DimensionError(f"coordinate vector has shape {c.shape}, expected ({d * d},)")
-    return np.einsum("k,kij->ij", c, _basis_stack(d))
+    """Inverse of :func:`basis_coords`, for one coordinate vector or a stack of them."""
+    c = _require_stack(c, (d * d,), "coordinate vector")
+    lower, upper, weights = _coord_map(d)
+    n = len(lower[0])
+    sym, anti = c[..., 1 : 1 + n], c[..., 1 + n : 1 + 2 * n]
+    diag_c = np.concatenate([c[..., :1], c[..., 1 + 2 * n :]], axis=-1)
+    x = np.zeros(c.shape[:-1] + (d, d), dtype=complex)
+    x[..., upper[0], upper[1]] = 0.0 + sym * _SYM + anti * _ANTI_UP
+    x[..., lower[0], lower[1]] = 0.0 + sym * _SYM + anti * _ANTI_LOW
+    diag = np.zeros(c.shape[:-1] + (d,), dtype=complex)
+    for ell in range(d):
+        diag = diag + diag_c[..., ell, None] * weights[ell]
+    x[..., range(d), range(d)] = diag
+    return x
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -58,12 +58,10 @@ def analyze(
     ``hull_trials`` equal-marginal state pairs from that seed.
     """
     sub = build_subspace(family, tols.rank)
-    report = check_subspace_consistency(sub, u, tols.consistency, tols)
+    report = check_subspace_consistency(sub, u, tols)
     hull = None
     if hull_seed is not None:
-        hull = check_hull_consistency(
-            family, u, hull_seed, tols.consistency, hull_trials, tols.rank, tols
-        )
+        hull = check_hull_consistency(family, u, hull_seed, hull_trials, tols)
     superop = build_dynamical_map(build_assignment(sub), u, consistency=report, tols=tols)
     return Analysis(
         family=family,

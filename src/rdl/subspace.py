@@ -77,9 +77,8 @@ class Subspace:
         d_s = self.dims.d_s
         if x.shape != (d_s, d_s):
             raise DimensionError(f"expected a {d_s}x{d_s} operator, got shape {x.shape}")
-        cols = np.column_stack([basis_coords(red, d_s) for red, _ in self.pairs])
-        b = basis_coords(x, d_s)
-        d, *_ = np.linalg.lstsq(cols, b, rcond=None)
+        cols = basis_coords(np.array([red for red, _ in self.pairs]), d_s).T
+        d, *_ = np.linalg.lstsq(cols, basis_coords(x, d_s), rcond=None)
         recon = sum(di * red for di, (red, _) in zip(d, self.pairs))
         remainder = x - recon
         residual = max_norm(remainder)
@@ -115,19 +114,16 @@ def _select_pairs(ops, dims: BipartiteDims, tol_rank: float):
     Reduced operators enter the scan as unit-normalized coordinates; those
     with norm within ``tol_rank`` are skipped.
     """
+    ops = np.asarray(ops, dtype=complex)
+    reds = partial_trace_env(ops, dims)
     candidates, rows = [], []
-    for op in ops:
-        red = partial_trace_env(op, dims)
-        c = basis_coords(red, dims.d_s).real
+    for idx, c in enumerate(basis_coords(reds, dims.d_s).real):
         n = np.linalg.norm(c)
         if n > tol_rank:
-            candidates.append((red, op))
+            candidates.append(idx)
             rows.append(c / n)
     kept = greedy_independent(rows, tol_rank, dims.d_s * dims.d_s)
-    return tuple(
-        (frozen(candidates[i][0]), frozen(np.asarray(candidates[i][1], dtype=complex)))
-        for i in kept
-    )
+    return tuple((frozen(reds[candidates[i]]), frozen(ops[candidates[i]])) for i in kept)
 
 
 def select_independent(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank):
@@ -158,9 +154,10 @@ def build_subspace_from_operators(
         if op.shape != (d_j, d_j):
             raise DimensionError(f"operator {idx} has shape {op.shape}, expected ({d_j}, {d_j})")
 
+    ops = np.array(ops)
+
     rows = []
-    for op in ops:
-        c = basis_coords(op, d_j).real
+    for c in basis_coords(ops, d_j).real:
         n = np.linalg.norm(c)
         if n > 0:
             rows.append(c / n)
@@ -168,18 +165,17 @@ def build_subspace_from_operators(
         raise DimensionError("all supplied operators are zero")
     _, svals, vt = np.linalg.svd(np.array(rows), full_matrices=False)
     r = int(np.sum(svals > tol_rank))
-    span_basis = tuple(frozen(from_basis_coords(vt[i].astype(complex), d_j)) for i in range(r))
+    span = from_basis_coords(vt[:r].astype(complex), d_j)
 
     pairs = _select_pairs(ops, dims, tol_rank)
 
     # Kernel: combinations of span elements annihilated by the partial trace.
-    t = np.array([basis_coords(partial_trace_env(e, dims), dims.d_s).real for e in span_basis])
+    t = basis_coords(partial_trace_env(span, dims), dims.d_s).real
     u, svals_t, _ = np.linalg.svd(t, full_matrices=True)
     rank_t = int(np.sum(svals_t > tol_rank))
-    kernel_basis = tuple(
-        frozen(sum(u[i, j] * span_basis[i] for i in range(r)))
-        for j in range(rank_t, r)
-    )
+    kernel = np.zeros((r - rank_t, d_j, d_j), dtype=complex)
+    for i in range(r):
+        kernel += u[i, rank_t:r, None, None] * span[i]
 
     if rank_t != len(pairs):
         raise RdlError(
@@ -190,9 +186,9 @@ def build_subspace_from_operators(
 
     return Subspace(
         dims=dims,
-        span_basis=span_basis,
+        span_basis=tuple(frozen(e) for e in span),
         pairs=pairs,
-        kernel_basis=kernel_basis,
+        kernel_basis=tuple(frozen(k) for k in kernel),
         tol_rank=tol_rank,
     )
 

@@ -63,7 +63,7 @@ def test_criterion_2_constrained_family_is_consistent_and_predictive():
     assert len(fam) == 12 and not rejected  # seed chosen so every draw survives
     u = rdl.model_unitary(rdl.ModelParams(omega=1.3, t=1.0))
     sub = rdl.build_subspace(fam)
-    rep = rdl.check_subspace_consistency(sub, u, tol=1e-8)
+    rep = rdl.check_subspace_consistency(sub, u)
     sop = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
 
     heldout, _ = constrained_family(seed=1007, n=60, scale=0.3)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import rdl
 import rdl.consistency
+from rdl import DEFAULT_TOL
 from rdl.errors import DimensionError, SamplingExhaustedError, UnitarityError
 from oracles import conjugate_loops, ptrace_env_loops, random_unitary
 
@@ -48,11 +51,11 @@ def test_marginal_flag_tracks_tolerance_band():
     sub = rdl.build_subspace(fam)
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
     v = rdl.check_subspace_consistency(sub, u).max_violation
-    in_band = rdl.check_subspace_consistency(sub, u, tol=v / 5)
+    in_band = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=v / 5))
     assert not in_band.consistent and in_band.marginal
-    far_out = rdl.check_subspace_consistency(sub, u, tol=v / 50)
+    far_out = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=v / 50))
     assert not far_out.consistent and not far_out.marginal
-    passed = rdl.check_subspace_consistency(sub, u, tol=2 * v)
+    passed = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=2 * v))
     assert passed.consistent and not passed.marginal
 
 

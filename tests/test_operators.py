@@ -102,6 +102,60 @@ def test_basis_coords_roundtrip(rng):
         assert np.abs(rdl.from_basis_coords(c, d) - x).max() < 1e-13
 
 
+def _contraction_coords(x, d):
+    """Coordinates by contracting against the stacked basis, one operator at a time."""
+    return np.einsum("kij,ji->k", np.stack(rdl.hermitian_basis(d)), x)
+
+
+def _contraction_inverse(c, d):
+    return np.einsum("k,kij->ij", c, np.stack(rdl.hermitian_basis(d)))
+
+
+def _bit_equal(a, b):
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 12])
+def test_coords_match_basis_contraction_bit_for_bit(d, rng):
+    general = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    hermitian = general + np.swapaxes(general, -1, -2).conj()
+    signed_zeros = -np.eye(d, dtype=complex)[None]  # off-diagonal entries are -0 - 0j
+    for stack in (general, hermitian, signed_zeros):
+        ref = np.array([_contraction_coords(x, d) for x in stack])
+        assert _bit_equal(rdl.basis_coords(stack, d), ref)
+        assert _bit_equal(rdl.basis_coords(stack[0], d), ref[0])
+        for coords in (ref, ref.real.astype(complex), -ref):
+            back = np.array([_contraction_inverse(c, d) for c in coords])
+            assert _bit_equal(rdl.from_basis_coords(coords, d), back)
+            assert _bit_equal(rdl.from_basis_coords(coords[0], d), back[0])
+
+
+def test_coords_reject_wrong_trailing_shape():
+    with pytest.raises(DimensionError):
+        rdl.basis_coords(np.zeros((4, 3, 3)), 2)
+    with pytest.raises(DimensionError):
+        rdl.basis_coords(np.zeros((4, 2, 3)), 2)
+    with pytest.raises(DimensionError):
+        rdl.basis_coords(np.zeros(4), 2)
+    with pytest.raises(DimensionError):
+        rdl.from_basis_coords(np.zeros((3, 9)), 2)
+
+
+def test_partial_trace_of_stack_matches_loops(rng):
+    xs = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+    got = rdl.partial_trace_env(xs, rdl.BipartiteDims(3, 2))
+    assert got.shape == (4, 3, 3)
+    for g, x in zip(got, xs):
+        assert np.abs(g - ptrace_env_loops(x, 3, 2)).max() < 1e-13
+    with pytest.raises(DimensionError):
+        rdl.partial_trace_env(xs, rdl.BipartiteDims(2, 2))
+
+
 def test_coords_of_hermitian_are_real(rng):
     h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = h + h.conj().T
