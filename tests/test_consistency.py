@@ -66,12 +66,6 @@ def test_identity_propagator_is_always_consistent():
     assert rep.max_violation < 1e-12
 
 
-def test_consistency_dimension_check():
-    sub = rdl.build_subspace(rdl.full_two_qubit_family())
-    with pytest.raises(DimensionError):
-        rdl.check_subspace_consistency(sub, np.eye(6, dtype=complex))
-
-
 ENTRIES = {
     "kernel": lambda fam, u: rdl.check_subspace_consistency(rdl.build_subspace(fam), u),
     "pairwise": lambda fam, u: rdl.check_pairwise_consistency(fam, u),
