@@ -1,0 +1,104 @@
+"""Rerun the golden CLI cases and say how each report moved, float by float.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden_delta.py           # report only
+    PYTHONPATH=src python tests/golden_delta.py --write   # also rewrite float-only changes
+
+For every case in ``test_golden.CASES`` it prints the exit code against the
+expected one, each difference that is not a float (keys, bools, ints,
+strings, list lengths, a type change), and the number of floats that changed
+with the largest |delta|.  ``--write`` rewrites a golden only when its exit
+code matches and every difference is a float, so a change in a verdict, a
+dimension or a count is never written over.  Exits 1 when any case has a
+wrong exit code or a non-float difference.  The file name keeps pytest from
+collecting it.
+"""
+
+import argparse
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import rdl
+from rdl.cli import main
+from rdl.serialize import family_to_json
+from test_golden import CASES, FAMILY, GOLDEN
+
+_MISSING = "<missing>"
+
+
+def leaf_differences(old, new, path="$"):
+    """Yield (path, old, new) for every leaf where two parsed JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from leaf_differences(
+                old.get(key, _MISSING), new.get(key, _MISSING), f"{path}.{key}"
+            )
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            yield f"{path}.length", len(old), len(new)
+        else:
+            for i, (a, b) in enumerate(zip(old, new)):
+                yield from leaf_differences(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        if not (isinstance(old, float) and old != old and new != new):  # NaN on both sides
+            yield path, old, new
+
+
+def run_case(argv, family_file):
+    """Exit code and stdout of one CLI run, with stderr dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([str(family_file) if a == FAMILY else a for a in argv])
+    return code, out.getvalue()
+
+
+def compare(name, argv, expected_code, family_file, write):
+    """Print one case's delta; True when it has no exit-code or non-float difference."""
+    golden = GOLDEN / f"{name}.json"
+    code, text = run_case(argv, family_file)
+    old = golden.read_text()
+    if text == old:
+        print(f"{name}: exit {code} (expected {expected_code}); byte-identical")
+        return code == expected_code
+    floats, other = [], []
+    for path, a, b in leaf_differences(json.loads(old), json.loads(text)):
+        if type(a) is float and type(b) is float:
+            floats.append(abs(b - a))
+        else:
+            other.append((path, a, b))
+    print(
+        f"{name}: exit {code} (expected {expected_code}); "
+        f"{len(floats)} floats changed, max |delta| {max(floats, default=0.0):.3e}; "
+        f"{len(other)} other differences"
+    )
+    for path, a, b in other:
+        print(f"  {path}: {a!r} -> {b!r}")
+    clean = code == expected_code and not other
+    if write and clean:
+        golden.write_text(text)
+        print(f"  rewrote {golden}")
+    return clean
+
+
+def run(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--write", action="store_true", help="rewrite goldens whose only differences are floats"
+    )
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        family_file = Path(tmp) / "family.json"
+        family_file.write_text(json.dumps(family_to_json(rdl.full_two_qubit_family())))
+        clean = [
+            compare(name, *CASES[name], family_file, args.write) for name in sorted(CASES)
+        ]
+    return 0 if all(clean) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(run())
