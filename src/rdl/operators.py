@@ -75,7 +75,7 @@ def _require_square(x: np.ndarray, what: str = "matrix") -> np.ndarray:
 def require_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm, what: str = "matrix") -> np.ndarray:
     x = _require_square(x, what)
     dev = max_norm(x - x.conj().T)
-    if dev > tol:
+    if not dev <= tol:  # written so that a NaN deviation fails too
         raise HermiticityError(f"{what} is not Hermitian: max |X - X^dag| = {dev:.3e} > {tol:.3e}")
     return x
 
@@ -83,7 +83,7 @@ def require_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm, what: str = 
 def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary, what: str = "matrix") -> np.ndarray:
     u = _require_square(u, what)
     dev = max_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if dev > tol:
+    if not dev <= tol:  # written so that a NaN deviation fails too
         raise UnitarityError(f"{what} is not unitary: max |U^dag U - I| = {dev:.3e} > {tol:.3e}")
     return u
 
@@ -107,15 +107,16 @@ def require_density(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: s
     """Validate that ``rho`` is a density matrix within tolerance.
 
     Checks Hermiticity, unit trace, and positive semidefiniteness, raising
-    HermiticityError or NotAStateError accordingly.  Returns the validated
-    array as complex ndarray.
+    HermiticityError or NotAStateError accordingly; every comparison is
+    written so that NaN fails it.  Returns the validated array as complex
+    ndarray.
     """
     rho = require_hermitian(rho, tol.herm, what)
     tr_dev = abs(np.trace(rho) - 1.0)
-    if tr_dev > tol.trace:
+    if not tr_dev <= tol.trace:
         raise NotAStateError(f"{what} has trace {complex(np.trace(rho)):.6g}, expected 1")
     lo = min_eigenvalue(rho)
-    if lo < -tol.psd:
+    if not lo >= -tol.psd:
         raise NotAStateError(
             f"{what} is not positive semidefinite: min eigenvalue {lo:.3e}",
             min_eigenvalue=lo,

@@ -179,10 +179,11 @@ def test_invalid_state_in_family(capsys, tmp_path):
 
 def test_nonunitary_propagator_file(capsys, tmp_path, full_family_file):
     upath = tmp_path / "u.json"
-    upath.write_text(json.dumps(matrix_to_json(2 * np.eye(4, dtype=complex))))
-    code, _, err = run(capsys, "analyze", "--family", full_family_file, "--unitary", str(upath))
-    assert code == 1
-    assert "not unitary" in err
+    for u in (2 * np.eye(4), np.diag([np.nan, 1, 1, 1])):
+        upath.write_text(json.dumps(matrix_to_json(u.astype(complex))))
+        code, _, err = run(capsys, "analyze", "--family", full_family_file, "--unitary", str(upath))
+        assert code == 1
+        assert "propagator is not unitary" in err
 
 
 def test_both_unitary_sources_rejected(capsys, tmp_path, full_family_file):

@@ -82,8 +82,9 @@ ENTRIES = {
     [
         (2 * np.eye(4), UnitarityError, "propagator is not unitary"),
         (np.eye(6), DimensionError, "propagator side 6 does not match joint dimension 4"),
+        (np.diag([np.nan, 1, 1, 1]), UnitarityError, "propagator is not unitary"),
     ],
-    ids=["non-unitary", "wrong-size"],
+    ids=["non-unitary", "wrong-size", "nan"],
 )
 def test_entry_rejects_bad_propagator(entry, u, error, message):
     with pytest.raises(error, match=message):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdl
-from rdl.errors import DimensionError, EmptyFamilyError, NotAStateError
+from rdl.errors import DimensionError, EmptyFamilyError, HermiticityError, NotAStateError
 
 
 def test_assemble_maximally_mixed():
@@ -57,6 +57,8 @@ def test_state_family_validation():
         rdl.StateFamily(dims=dims, members=(np.eye(2) / 2,))
     with pytest.raises(NotAStateError):
         rdl.StateFamily(dims=dims, members=(np.eye(4),))
+    with pytest.raises((HermiticityError, NotAStateError)):
+        rdl.StateFamily(dims=dims, members=(np.diag([np.nan, 0.5, 0.25, 0.25]),))
     fam = rdl.StateFamily(dims=dims, members=(np.eye(4) / 4,), label="one")
     assert len(fam) == 1
     assert np.abs(fam.reduced()[0] - np.eye(2) / 2).max() < 1e-15

@@ -190,6 +190,11 @@ def test_require_density_rejects_bad_inputs():
         rdl.require_density(np.diag([1.5, -0.5]).astype(complex))
     assert exc.value.min_eigenvalue is not None
     assert exc.value.min_eigenvalue < -0.4
+    # NaN fails every comparison, so it cannot slip through a check as "not too large"
+    with pytest.raises(HermiticityError):
+        rdl.require_density(np.diag([np.nan, 0.5]).astype(complex))
+    with pytest.raises(HermiticityError):
+        rdl.require_hermitian(np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
 
 def test_require_unitary_accepts_phase(rng):
@@ -197,6 +202,8 @@ def test_require_unitary_accepts_phase(rng):
     rdl.require_unitary(u)
     with pytest.raises(UnitarityError):
         rdl.require_unitary(1.01 * u)
+    with pytest.raises(UnitarityError, match="= nan"):
+        rdl.require_unitary(np.where(np.eye(3) > 0, np.nan, u))
 
 
 def test_frozen_arrays_are_read_only():
