@@ -160,14 +160,16 @@ def check_hull_consistency(
         return _report([], tols.consistency, pairs_tested=0)
 
     rng = np.random.default_rng(seed)
-    members = family.members
+    d_j = family.dims.joint
+    members = np.array(family.members).reshape(-1, d_j * d_j)
+    kernel = np.array(sub.kernel_basis).reshape(-1, d_j * d_j)
     violations, steps = [], []
     for _ in range(trials):
         weights = rng.exponential(size=len(members))
         weights /= weights.sum()
-        sigma = sum(w * m for w, m in zip(weights, members))
+        sigma = (weights @ members).reshape(d_j, d_j)
         coeffs = rng.normal(size=sub.kernel_dim)
-        y = sum(c * k for c, k in zip(coeffs, sub.kernel_basis))
+        y = (coeffs @ kernel).reshape(d_j, d_j)
         n = hs_norm(y)
         if n <= tols.rank:
             continue

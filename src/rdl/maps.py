@@ -54,8 +54,9 @@ class AssignmentMap:
         return self.subspace.pairs
 
     def apply(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
+        """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction."""
         exp = self.subspace.expand_reduced(x, tol)
-        return sum(di * joint for di, (_, joint) in zip(exp.coefficients, self.pairs))
+        return np.tensordot(exp.coefficients, np.array([joint for _, joint in self.pairs]), axes=1)
 
 
 def build_assignment(subspace: Subspace) -> AssignmentMap:
@@ -97,7 +98,7 @@ class MapVerdicts:
 
 def _choi_from_matrix(matrix: np.ndarray, d_s: int) -> np.ndarray:
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)  # unit j * d_s + k is |j><k|
-    outs = from_basis_coords(np.array([matrix @ c for c in basis_coords(units, d_s)]), d_s)
+    outs = from_basis_coords((matrix @ basis_coords(units, d_s).T).T, d_s)
     return outs.reshape(d_s, d_s, d_s, d_s).transpose(0, 2, 1, 3).reshape(d_s * d_s, d_s * d_s)
 
 
@@ -110,8 +111,9 @@ def build_dynamical_map(
 ) -> Superoperator:
     """Superoperator of reduce after conjugate after assign.
 
-    Built column by column: each Hermitian basis element is projected onto
-    the reduced span, lifted, conjugated by ``u``, and partial-traced.  With
+    Every column at once: each Hermitian basis element is projected onto the
+    reduced span, and the live projections are lifted in one least-squares
+    solve, conjugated by ``u``, and partial-traced as one stack.  With
     ``extension="zero"`` the orthogonal complement of the span maps to zero;
     ``extension="none"`` demands the span be the full operator space and
     raises IncompleteDomainError otherwise.
@@ -138,7 +140,7 @@ def build_dynamical_map(
 
     live = [k for k in range(dim) if np.linalg.norm(projector[:, k]) > 1e-15]
     inputs = from_basis_coords(projector.T[live].astype(complex), d_s)
-    lifted = np.array([assignment.apply(x) for x in inputs])
+    lifted = assignment.apply(inputs)
     matrix = np.zeros((dim, dim), dtype=complex)
     matrix[:, live] = basis_coords(partial_trace_env(u @ lifted @ u.conj().T, sub.dims), d_s).T
 

@@ -27,11 +27,14 @@ from .operators import (
 
 @dataclass(frozen=True, eq=False)
 class ReducedExpansion:
-    """Least-squares expansion of a system operator over the independent reduced states."""
+    """Least-squares expansion of system operators over the independent reduced states.
 
-    coefficients: np.ndarray  # complex, one per independent pair
-    remainder: np.ndarray  # x - sum_i d_i rho_s_i
-    residual: float  # max-norm of the remainder
+    Every field carries the stack shape of the expanded input.
+    """
+
+    coefficients: np.ndarray  # complex, (..., reduced_dim): one per independent pair
+    remainder: np.ndarray  # x - sum_i d_i rho_s_i, (..., d_s, d_s)
+    residual: np.ndarray  # max-norm of each remainder, shape (...)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,31 +67,35 @@ class Subspace:
         return len(self.kernel_basis)
 
     def expand_reduced(self, x: np.ndarray, tol: float | None = None) -> ReducedExpansion:
-        """Expand a d_s x d_s operator over the independent reduced states.
+        """Expand a d_s x d_s operator, or a stack of them, over the independent reduced states.
 
         Solves the least-squares problem min || x - sum_i d_i rho_s_i || in
-        Hilbert-Schmidt norm; complex coefficients are allowed.  Raises
-        NotInSpanError when the max-norm residual exceeds ``tol`` (defaults
-        to the subspace's rank tolerance).
+        Hilbert-Schmidt norm for every operator of ``x``, shape (..., d_s, d_s),
+        as one solve with many right-hand sides; complex coefficients are
+        allowed.  Raises NotInSpanError, carrying the worst residual, when any
+        operator's max-norm residual exceeds ``tol`` (defaults to the
+        subspace's rank tolerance).
         """
         if tol is None:
             tol = self.tol_rank
         x = np.asarray(x, dtype=complex)
         d_s = self.dims.d_s
-        if x.shape != (d_s, d_s):
-            raise DimensionError(f"expected a {d_s}x{d_s} operator, got shape {x.shape}")
-        cols = basis_coords(np.array([red for red, _ in self.pairs]), d_s).T
-        d, *_ = np.linalg.lstsq(cols, basis_coords(x, d_s), rcond=None)
-        recon = sum(di * red for di, (red, _) in zip(d, self.pairs))
-        remainder = x - recon
-        residual = max_norm(remainder)
-        if residual > tol:
+        if x.shape[-2:] != (d_s, d_s):
+            raise DimensionError(f"expected {d_s}x{d_s} operators, got shape {x.shape}")
+        reds = np.array([red for red, _ in self.pairs])
+        rhs = basis_coords(x, d_s).reshape(-1, d_s * d_s).T
+        d, *_ = np.linalg.lstsq(basis_coords(reds, d_s).T, rhs, rcond=None)
+        d = d.T.reshape(x.shape[:-2] + (len(reds),))
+        remainder = x - np.tensordot(d, reds, axes=1)
+        residual = np.abs(remainder).max(axis=(-2, -1))
+        worst = max_norm(residual)
+        if worst > tol:
             raise NotInSpanError(
-                f"operator lies outside the reduced span: residual {residual:.3e} > {tol:.3e}",
-                residual=residual,
+                f"operator lies outside the reduced span: residual {worst:.3e} > {tol:.3e}",
+                residual=worst,
             )
         return ReducedExpansion(
-            coefficients=frozen(d), remainder=frozen(remainder), residual=residual
+            coefficients=frozen(d), remainder=frozen(remainder), residual=frozen(residual)
         )
 
 
@@ -171,18 +178,15 @@ def build_subspace_from_operators(
 
     # Kernel: combinations of span elements annihilated by the partial trace.
     t = basis_coords(partial_trace_env(span, dims), dims.d_s).real
-    u, svals_t, _ = np.linalg.svd(t, full_matrices=True)
+    u_t, svals_t, _ = np.linalg.svd(t, full_matrices=True)
     rank_t = int(np.sum(svals_t > tol_rank))
-    kernel = np.zeros((r - rank_t, d_j, d_j), dtype=complex)
-    for i in range(r):
-        kernel += u[i, rank_t:r, None, None] * span[i]
-
     if rank_t != len(pairs):
         raise RdlError(
             f"rank bookkeeping disagrees: partial-trace image has rank {rank_t} "
             f"but the greedy scan found {len(pairs)} independent reduced operators; "
             f"the input sits too close to the rank tolerance {tol_rank:.1e}"
         )
+    kernel = from_basis_coords((u_t[:r, rank_t:r].T @ vt[:r]).astype(complex), d_j)
 
     return Subspace(
         dims=dims,

@@ -50,6 +50,20 @@ def conjugate_loops(u, x):
     return out
 
 
+def kernel_by_accumulation(span, u_t, rank_t, r):
+    """Kernel basis summed over the span one element at a time.
+
+    Element k is sum_i u_t[i, rank_t + k] span[i] over the first r span
+    elements, where u_t is the left factor of the SVD of the span's
+    partial-trace coordinates and rank_t the rank of that image.
+    """
+    span = np.asarray(span)
+    kernel = np.zeros((r - rank_t,) + span.shape[1:], dtype=complex)
+    for i in range(r):
+        kernel += u_t[i, rank_t:r, None, None] * span[i]
+    return kernel
+
+
 def trace_norm_svd(x):
     """Trace norm via singular values; independent of the eigvalsh route."""
     return float(np.linalg.svd(np.asarray(x), compute_uv=False).sum())

@@ -7,7 +7,7 @@ import rdl
 from rdl.errors import DimensionError, HermiticityError, IncompleteDomainError
 from rdl.maps import Superoperator, _choi_from_matrix
 
-from oracles import choi_by_application
+from oracles import choi_by_application, conjugate_loops, ptrace_env_loops, random_unitary
 from test_consistency import constrained_family
 
 
@@ -55,6 +55,28 @@ def test_choi_assembly_matches_application_oracle():
     sop = transpose_superoperator()
     oracle = choi_by_application(lambda e: e.T, 2)
     assert np.abs(sop.choi - oracle).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "d_s, d_e, n", [(3, 2, 14), (3, 2, 5), (2, 3, 6)], ids=["3x2", "3x2-partial", "2x3"]
+)
+def test_map_matches_application_oracle(d_s, d_e, n, rng):
+    """The batched map against reduce after conjugate after assign, one |j><k| at a time."""
+    dims = rdl.BipartiteDims(d_s, d_e)
+    fam = rdl.StateFamily(
+        dims=dims, members=tuple(rdl.random_density_matrix(dims.joint, rng) for _ in range(n))
+    )
+    u = random_unitary(dims.joint, rng)
+    sub = rdl.build_subspace(fam)
+    lam = rdl.build_assignment(sub)
+    sop = rdl.build_dynamical_map(lam, u)
+    assert sub.reduced_dim == min(n, d_s * d_s)
+
+    def phi(e):
+        inside = rdl.from_basis_coords(sop.domain_projector @ rdl.basis_coords(e, d_s), d_s)
+        return ptrace_env_loops(conjugate_loops(u, lam.apply(inside)), d_s, d_e)
+
+    assert np.abs(sop.choi - choi_by_application(phi, d_s)).max() < 1e-12
 
 
 def test_transpose_choi_is_swap_with_known_spectrum():

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, NotInSpanError
+from oracles import kernel_by_accumulation
 
 
 def z_eigenstate(sign):
@@ -74,6 +77,85 @@ def test_expand_reduced_outside_span():
     exp = sub.expand_reduced(np.diag([0.25, 0.75]).astype(complex))
     assert exp.residual < 1e-12
     assert np.abs(exp.coefficients - np.array([0.25, 0.75])).max() < 1e-12
+
+
+def test_expand_reduced_takes_stacks(rng):
+    dims = rdl.BipartiteDims(3, 2)
+    fam = rdl.StateFamily(
+        dims=dims, members=tuple(rdl.random_density_matrix(6, rng) for _ in range(6))
+    )
+    sub = rdl.build_subspace(fam)
+    lam = rdl.build_assignment(sub)
+    # marginals and complex combinations of them: all inside the reduced span
+    marg = np.array(fam.reduced())
+    mix = rng.normal(size=(2, 3, 6)) + 1j * rng.normal(size=(2, 3, 6))
+    xs = np.tensordot(mix, marg, axes=1)
+    stacked = sub.expand_reduced(xs)
+    lifted = lam.apply(xs)
+    assert stacked.coefficients.shape == (2, 3, sub.reduced_dim)
+    assert stacked.residual.shape == (2, 3)
+    assert lifted.shape == (2, 3, 6, 6)
+    for idx in np.ndindex(2, 3):
+        one = sub.expand_reduced(xs[idx])
+        assert np.abs(stacked.coefficients[idx] - one.coefficients).max() < 1e-12
+        assert np.abs(stacked.remainder[idx] - one.remainder).max() < 1e-12
+        assert abs(stacked.residual[idx] - one.residual) < 1e-12
+        assert np.abs(lifted[idx] - lam.apply(xs[idx])).max() < 1e-12
+
+
+def test_expand_reduced_stack_reports_worst_residual():
+    omega = np.eye(2, dtype=complex) / 2
+    fam = rdl.product_family([z_eigenstate(+1), z_eigenstate(-1)], omega)
+    sub = rdl.build_subspace(fam)
+    with pytest.raises(NotInSpanError) as exc:
+        sub.expand_reduced(rdl.SIGMA_X)
+    worst = exc.value.residual
+    # only the middle element leaves the (diagonal) reduced span, the last one by less
+    xs = np.array([np.diag([0.25, 0.75]), rdl.SIGMA_X, np.diag([1.0, 0.0]) + 0.5 * rdl.SIGMA_X])
+    with pytest.raises(NotInSpanError) as exc:
+        sub.expand_reduced(xs)
+    assert abs(exc.value.residual - worst) < 1e-12
+    assert f"residual {exc.value.residual:.3e}" in str(exc.value)
+    with pytest.raises(NotInSpanError):
+        rdl.build_assignment(sub).apply(xs)
+
+
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3, 4]),
+    n_sys=st.integers(1, 3),
+    n_env=st.integers(1, 3),
+    n_joint=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_joint, seed):
+    """The kernel product against the per-element sum, and the kernel's defining properties."""
+    rng = np.random.default_rng(seed)
+    dims = rdl.BipartiteDims(d_s, d_e)
+    systems = [rdl.random_density_matrix(d_s, rng) for _ in range(n_sys)]
+    envs = [rdl.random_density_matrix(d_e, rng) for _ in range(n_env)]
+    members = [rdl.tensor(r, w) for r in systems for w in envs]
+    members += [rdl.random_density_matrix(dims.joint, rng) for _ in range(n_joint)]
+    sub = rdl.build_subspace(rdl.StateFamily(dims=dims, members=tuple(members)))
+
+    span = np.array(sub.span_basis)
+    t = rdl.basis_coords(rdl.partial_trace_env(span, dims), d_s).real
+    u_t, svals_t, _ = np.linalg.svd(t, full_matrices=True)
+    rank_t = int(np.sum(svals_t > sub.tol_rank))
+    oracle = kernel_by_accumulation(span, u_t, rank_t, sub.span_dim)
+    kernel = np.array(sub.kernel_basis).reshape(oracle.shape)
+    assert np.abs(kernel - oracle).max(initial=0.0) <= 1e-13
+
+    assert sub.kernel_dim == sub.span_dim - sub.reduced_dim
+    assert np.abs(kernel - kernel.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
+    gram = np.array([[rdl.hs_inner(a, b) for b in kernel] for a in kernel]).reshape(
+        sub.kernel_dim, sub.kernel_dim
+    )
+    assert np.abs(gram - np.eye(sub.kernel_dim)).max(initial=0.0) <= 1e-12
+    assert np.abs(rdl.partial_trace_env(kernel, dims)).max(initial=0.0) <= 1e-12
+    for y in kernel:
+        recon = sum(rdl.hs_inner(e, y) * e for e in sub.span_basis)
+        assert rdl.max_norm(y - recon) <= 1e-12
 
 
 def test_expand_reduced_shape_check():
