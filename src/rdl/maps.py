@@ -200,7 +200,7 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
     """
     choi = superop.choi
     dev = max_norm(choi - choi.conj().T)
-    if dev > tol:
+    if not dev <= tol:  # written so that a NaN deviation fails too
         raise HermiticityError(
             f"Choi matrix is not Hermitian (max deviation {dev:.3e}); "
             "the map does not preserve Hermiticity"

@@ -185,16 +185,20 @@ def test_map_dimension_mismatch():
 
 
 def test_kraus_rejects_nonhermitian_choi():
-    sop = Superoperator(
-        d_s=2,
-        matrix=np.eye(4, dtype=complex),
-        choi=np.array([[0, 1], [0, 0]], dtype=complex).repeat(2, 0).repeat(2, 1),
-        extension="zero",
-        consistency_certified=False,
-        domain_projector=np.eye(4),
-    )
-    with pytest.raises(HermiticityError):
-        rdl.decompose_signed_kraus(sop)
+    for choi in (
+        np.array([[0, 1], [0, 0]], dtype=complex).repeat(2, 0).repeat(2, 1),
+        np.diag([np.nan, 1, 1, 1]).astype(complex),  # NaN must not pass as Hermitian
+    ):
+        sop = Superoperator(
+            d_s=2,
+            matrix=np.eye(4, dtype=complex),
+            choi=choi,
+            extension="zero",
+            consistency_certified=False,
+            domain_projector=np.eye(4),
+        )
+        with pytest.raises(HermiticityError):
+            rdl.decompose_signed_kraus(sop)
 
 
 def test_cp_map_never_grows_trace_distance(rng):
