@@ -1,11 +1,14 @@
 """Golden CLI reports: stdout byte for byte, and the exit code.
 
 Each file under ``tests/golden/`` is the stdout of one command.  A report
-that changes on purpose is rewritten by running the command with stdout
-redirected to its file, and the cause is named with the change.  ``FAMILY``
-stands for a file holding ``full_two_qubit_family()``; no report names it.
-``inputs/`` holds a 3x2 family of 14 random full-rank states and a random
-6x6 unitary, so the coordinate order at d = 3 and d = 6 is pinned too.
+whose floats move on purpose is rewritten by ``tests/golden_delta.py
+--write``, which counts the changed floats and leaves alone any report with
+another kind of difference; such a report is rewritten by running the
+command with stdout redirected to its file.  Either way the cause is named
+with the change.  ``FAMILY`` stands for a file holding
+``full_two_qubit_family()``; no report names it.  ``inputs/`` holds a 3x2
+family of 14 random full-rank states and a random 6x6 unitary, so the
+coordinate order at d = 3 and d = 6 is pinned too.
 """
 
 import json
