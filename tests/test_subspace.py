@@ -110,7 +110,7 @@ def test_expand_reduced_stack_reports_worst_residual():
     with pytest.raises(NotInSpanError) as exc:
         sub.expand_reduced(rdl.SIGMA_X)
     worst = exc.value.residual
-    # only the middle element leaves the (diagonal) reduced span, the last one by less
+    # the last two elements leave the (diagonal) reduced span, the middle one by more
     xs = np.array([np.diag([0.25, 0.75]), rdl.SIGMA_X, np.diag([1.0, 0.0]) + 0.5 * rdl.SIGMA_X])
     with pytest.raises(NotInSpanError) as exc:
         sub.expand_reduced(xs)
