@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -184,8 +186,98 @@ def analysis_to_json(a: Analysis, command: str, dump_subspace: bool = False) -> 
 
 
 def dumps_report(report: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing newline.
+
+    Byte for byte what ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
+    writes, without the pure-Python encoder that ``indent`` selects: a list of
+    [float, float] pairs (matrix data) is written as one block.
+    """
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _pair_block(items, nl: str) -> str | None:
+    """``items`` as a JSON list when it holds only [float, float] lists, else None.
+
+    ``nl`` is the newline and indent of the list's own line.
+    """
+    if not (
+        set(map(type, items)) == {list}
+        and set(map(len, items)) == {2}
+        and set(map(type, chain.from_iterable(items))) == {float}
+    ):
+        return None
+    inner, nested = nl + "  ", nl + "    "
+    floats = iter(map(float.__repr__, chain.from_iterable(items)))
+    text = (inner + "]," + inner + "[" + nested).join(map(("," + nested).join, zip(floats, floats)))
+    if "n" in text:  # repr writes nan and inf; finite reprs hold no letter n
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return "[" + inner + "[" + nested + text + inner + "]" + nl + "]"
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``nl`` is the newline and indent of its line.
+
+    Types are tried in the order of ``json.encoder._make_iterencode``.
+    """
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        block = _pair_block(o, nl)
+        if block is not None:
+            out.append(block)
+            return
+        inner = nl + "  "
+        sep = "["
+        for v in o:
+            out.append(sep + inner)
+            _write(v, inner, out)
+            sep = ","
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        inner = nl + "  "
+        sep = "{"
+        for key in sorted(o):
+            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(o[key], inner, out)
+            sep = ","
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def load_report_schema() -> dict:

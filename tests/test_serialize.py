@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdl
 from rdl import serialize
@@ -71,6 +73,61 @@ def test_dumps_report_is_canonical():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1e-300]
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**30, max_value=10**60)
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.text()
+    | st.text(alphabet=st.characters(max_codepoint=0x1F))
+)
+_PAIRS = st.lists(
+    st.lists(_FLOATS, min_size=2, max_size=2)
+    | st.tuples(_FLOATS | st.integers() | st.booleans(), _FLOATS).map(list)
+    | st.tuples(_FLOATS, _FLOATS.map(np.float64)).map(list)
+)
+_JSON = st.recursive(
+    _LEAVES | _PAIRS,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100)
+@given(_JSON)
+def test_dumps_report_matches_json_dumps(x):
+    assert serialize.dumps_report(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        {"data": [[_NAN, -_INF], [_INF, -0.0], [5e-324, 1e300]]},
+        {"data": [[1, 0.5], [True, 0.5]], "e": [], "o": {}, "t": (0.5, 1.5)},
+        {"data": [[np.float64(0.1), 0.2]], "big": 10**40, "s": "\u00e9\u2203\x00\x1f\"\\"},
+        [[[0.5, 0.25]], [[0.5, 0.25], [0.5]], [(0.5, 0.25)]],
+    ],
+)
+def test_dumps_report_matches_json_dumps_on_edge_cases(x):
+    assert serialize.dumps_report(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1: 2}, {"a": {None: 1}}, {"a": [{(1, 2): 0}]}, {"a": {1j}}])
+def test_dumps_report_rejects_what_no_report_holds(bad):
+    with pytest.raises(TypeError):
+        serialize.dumps_report(bad)
 
 
 def test_report_schema_loads_and_is_draft07():
