@@ -30,11 +30,10 @@ def matrix_to_json(a: np.ndarray) -> dict:
     if a.ndim != 2:
         raise ValueError(f"can only serialize 2-d arrays, got ndim {a.ndim}")
     rows, cols = a.shape
-    flat = a.reshape(-1)
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -53,7 +52,11 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             f"{what}: data must hold rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
+    pairs = _number_pairs(data)
     out = np.zeros(rows * cols, dtype=complex)
+    if pairs is not None:  # filled part by part: re + 1j * im would turn inf into NaN
+        out.real, out.imag = pairs[:, 0], pairs[:, 1]
+        return out.reshape(rows, cols)
     for idx, entry in enumerate(data):
         if (
             not isinstance(entry, list)
@@ -63,6 +66,21 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             raise ValueError(f"{what}: entry {idx} must be a [re, im] pair, got {entry!r}")
         out[idx] = complex(entry[0], entry[1])
     return out.reshape(rows, cols)
+
+
+def _number_pairs(data: list) -> np.ndarray | None:
+    """``data`` as an (n, 2) array when every entry is a 2-list of numbers, else None.
+
+    None sends the caller to its entry-by-entry loop, whose message names the
+    first bad entry.
+    """
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
+        return None
+    try:
+        pairs = np.array(data)
+    except ValueError:  # ragged nesting inside an entry
+        return None
+    return pairs if pairs.shape == (len(data), 2) and pairs.dtype.kind in "biuf" else None
 
 
 def family_to_json(family: StateFamily) -> dict:

@@ -11,8 +11,16 @@ from rdl import serialize
 
 def test_matrix_roundtrip(rng):
     a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    back = serialize.matrix_from_json(serialize.matrix_to_json(a))
-    assert np.abs(back - a).max() < 1e-15
+    a.real[0, 0], a.imag[0, 1], a.real[1, 0], a.imag[1, 1] = -0.0, np.inf, -np.inf, 5e-324
+    back = serialize.matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(a))))
+    assert np.array_equal(back, a)
+    assert np.array_equal(np.signbit(back.real), np.signbit(a.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(a.imag))
+
+
+def test_matrix_from_json_reads_ints_and_bools_as_numbers():
+    back = serialize.matrix_from_json({"rows": 1, "cols": 2, "data": [[1, True], [2**70, 0.5]]})
+    assert np.array_equal(back, [[1 + 1j, 2.0**70 + 0.5j]])
 
 
 def test_matrix_json_is_plain_data():
@@ -30,11 +38,25 @@ def test_matrix_json_is_plain_data():
         {"rows": 0, "cols": 2, "data": []},
         {"rows": 1, "cols": 1, "data": ["x"]},
         {"rows": 1, "cols": 1, "data": [[1.0]]},
+        {"rows": 1, "cols": 1, "data": [True]},
+        {"rows": 1, "cols": 1, "data": [None]},
+        {"rows": 1, "cols": 1, "data": [[None, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[[0.0, 0.0], 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[0.0, [0.0]]]},
+        {"rows": 1, "cols": 1, "data": [[]]},
+        {"rows": 1, "cols": 1, "data": [[0.0, 0.0, 0.0]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed(broken):
     with pytest.raises(ValueError):
         serialize.matrix_from_json(broken, what="probe")
+
+
+@pytest.mark.parametrize("bad", [[0.0], [0.0, None], [0.0, "1"], [[0.0, 0.0], 0.0], (0.0, 0.0)])
+def test_matrix_error_names_the_first_bad_entry(bad):
+    data = [[0.5, 0.0], [0.0, 0.5], bad, [0.0]]
+    with pytest.raises(ValueError, match=r"^probe: entry 2 must be a \[re, im\] pair, got "):
+        serialize.matrix_from_json({"rows": 2, "cols": 2, "data": data}, what="probe")
 
 
 def test_matrix_error_names_the_field():
