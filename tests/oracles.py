@@ -85,3 +85,46 @@ def random_unitary(d, rng):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def hull_by_trials(members, kernel, u, dims, seed, trials, tols):
+    """The hull check one trial at a time, with a scalar bisection per trial.
+
+    Draws, for each trial in turn, exponential mixing weights and normal kernel
+    coefficients from one generator, skips directions of norm <= tols.rank,
+    halves epsilon from 1 while sigma + eps y has an eigenvalue below
+    -tols.psd (giving up below 1e-7), and evolves the perturbed and
+    unperturbed states one at a time.  Returns the epsilon of every trial
+    that reached the bisection (NaN where it gave up), and the violation and
+    the perturbation eps * y of every trial that found one.
+    """
+    rng = np.random.default_rng(seed)
+    members = [np.asarray(m) for m in members]
+    kernel = [np.asarray(k) for k in kernel]
+    eps_all, violations, steps = [], [], []
+    if not kernel:
+        return np.array(eps_all), np.array(violations), steps
+    for _ in range(trials):
+        weights = rng.exponential(size=len(members))
+        weights /= weights.sum()
+        sigma = sum(w * m for w, m in zip(weights, members))
+        coeffs = rng.normal(size=len(kernel))
+        y = sum(c * k for c, k in zip(coeffs, kernel))
+        norm = np.sqrt(abs(np.trace(y.conj().T @ y)))
+        if norm <= tols.rank:
+            continue
+        y = y / norm
+        eps = 1.0
+        while np.linalg.eigvalsh(sigma + eps * y)[0] < -tols.psd:
+            eps /= 2.0
+            if eps < 1e-7:
+                eps = np.nan
+                break
+        eps_all.append(eps)
+        if np.isnan(eps):
+            continue
+        after = ptrace_env_loops(u @ (sigma + eps * y) @ u.conj().T, dims.d_s, dims.d_e)
+        before = ptrace_env_loops(u @ sigma @ u.conj().T, dims.d_s, dims.d_e)
+        violations.append(np.abs(after - before).max())
+        steps.append(eps * y)
+    return np.array(eps_all), np.array(violations), steps

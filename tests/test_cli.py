@@ -229,7 +229,9 @@ def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
 
 
 def test_sampling_exhaustion_is_numerical_failure(capsys, monkeypatch, full_family_file):
-    monkeypatch.setattr(rdl.consistency, "_positivity_scaling", lambda *a: None)
+    monkeypatch.setattr(
+        rdl.consistency, "_positivity_scaling", lambda sigma, y, psd_tol: np.full(len(sigma), np.nan)
+    )
     code, out, err = run(
         capsys,
         "analyze", "--family", full_family_file,

@@ -1,15 +1,16 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl
 import rdl.consistency
 from rdl import DEFAULT_TOL
 from rdl.errors import DimensionError, SamplingExhaustedError, UnitarityError
-from oracles import conjugate_loops, ptrace_env_loops, random_unitary
+from oracles import conjugate_loops, hull_by_trials, ptrace_env_loops, random_unitary
 
 
 def constrained_family(seed=7, n=12, scale=0.3):
@@ -121,15 +122,25 @@ def test_pairwise_vacuous_when_no_marginals_match(rng):
 def test_positivity_scaling_returns_unit_for_safe_direction():
     sigma = np.eye(4, dtype=complex) / 4
     y = rdl.tensor(rdl.SIGMA_Z, rdl.SIGMA_Z) / 4
-    eps = rdl.consistency._positivity_scaling(sigma, y, 1e-9)
-    assert eps == 1.0
+    eps = rdl.consistency._positivity_scaling(sigma[None], y[None], 1e-9)
+    assert np.array_equal(eps, [1.0])
 
 
 def test_positivity_scaling_gives_up_on_blocked_direction():
     # a perturbation strictly negative on the kernel of sigma can never scale in
     sigma = np.diag([1.0, 0, 0, 0]).astype(complex)
     y = np.diag([0, 0, 0, -1.0]).astype(complex)
-    assert rdl.consistency._positivity_scaling(sigma, y, 1e-9) is None
+    eps = rdl.consistency._positivity_scaling(sigma[None], y[None], 1e-9)
+    assert eps.shape == (1,) and np.isnan(eps[0])
+
+
+def test_positivity_scaling_halves_each_pair_down_to_the_floor():
+    # sigma + eps y has lowest eigenvalue a - eps, so eps is the largest power of 2 <= a
+    a = np.array([1.0, 0.3, 2.0**-23, 2.0**-24])
+    sigma = np.array([np.diag([x, 1 - x]) for x in a]).astype(complex)
+    y = np.broadcast_to(np.diag([-1.0, 1.0]).astype(complex), sigma.shape)
+    eps = rdl.consistency._positivity_scaling(sigma, y, 0.0)
+    assert np.array_equal(eps, [1.0, 0.25, 2.0**-23, np.nan], equal_nan=True)
 
 
 def test_hull_agrees_with_kernel_test_and_is_deterministic():
@@ -166,7 +177,9 @@ def test_hull_vacuous_without_kernel(rng):
 
 
 def test_hull_reports_exhaustion(monkeypatch):
-    monkeypatch.setattr(rdl.consistency, "_positivity_scaling", lambda *a: None)
+    monkeypatch.setattr(
+        rdl.consistency, "_positivity_scaling", lambda sigma, y, psd_tol: np.full(len(sigma), np.nan)
+    )
     fam = rdl.full_two_qubit_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=1.0, t=1.0))
     with pytest.raises(SamplingExhaustedError):
@@ -231,3 +244,80 @@ def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, enta
     pw = rdl.check_pairwise_consistency(fam, u)
     assert pw.pairs_tested == tested
     assert abs(pw.max_violation - worst) <= 1e-12
+
+
+def _pure_state(d, rng):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+@settings(max_examples=60)
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3]),
+    n_sys=st.integers(2, 3),
+    n_env=st.integers(2, 3),
+    n_joint=st.integers(0, 2),
+    pure=st.booleans(),
+    entangling=st.booleans(),
+    floor=st.sampled_from([DEFAULT_TOL.psd, -1e-3]),
+    block=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_hull_matches_trial_loop(
+    d_s, d_e, n_sys, n_env, n_joint, pure, entangling, floor, block, seed
+):
+    """The stacked hull check against the trial-by-trial loop, block boundaries included.
+
+    Pure members leave the mixtures rank-deficient, so directions need several
+    halvings.  A negative positivity floor (eigenvalues must stay above 1e-3)
+    blocks some directions, giving NaN epsilons, and sometimes every one,
+    giving SamplingExhaustedError.
+    """
+    rng = np.random.default_rng(seed)
+    dims = rdl.BipartiteDims(d_s, d_e)
+    state = _pure_state if pure else rdl.random_density_matrix
+    systems = [state(d_s, rng) for _ in range(n_sys)]
+    envs = [state(d_e, rng) for _ in range(n_env)]
+    members = [rdl.tensor(r, w) for r in systems for w in envs]
+    members += [state(dims.joint, rng) for _ in range(n_joint)]
+    fam = rdl.StateFamily(dims=dims, members=tuple(members))
+    if entangling:
+        u = random_unitary(dims.joint, rng)
+    else:
+        u = rdl.tensor(random_unitary(d_s, rng), random_unitary(d_e, rng))
+    trials = 7
+    tols = replace(DEFAULT_TOL, psd=floor)
+    sub = rdl.build_subspace(fam)
+    eps, viol, steps = hull_by_trials(fam.members, sub.kernel_basis, u, dims, seed, trials, tols)
+
+    scaled, reported = [], []
+    scaling, report = rdl.consistency._positivity_scaling, rdl.consistency._report
+
+    def spy_scaling(*args):
+        scaled.append(scaling(*args))
+        return scaled[-1]
+
+    def spy_report(violations, *args, **kwargs):
+        reported.append(np.array(violations))
+        return report(violations, *args, **kwargs)
+
+    entries = rdl.consistency._BLOCK_ENTRIES if block is None else block * dims.joint**2
+    with mock.patch.object(rdl.consistency, "_positivity_scaling", spy_scaling), \
+            mock.patch.object(rdl.consistency, "_report", spy_report), \
+            mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
+        if sub.kernel_dim and not viol.size:
+            with pytest.raises(SamplingExhaustedError):
+                rdl.check_hull_consistency(fam, u, seed, trials, tols)
+            return
+        rep = rdl.check_hull_consistency(fam, u, seed, trials, tols)
+    if sub.kernel_dim == 0:
+        assert rep.consistent and rep.pairs_tested == 0 and not scaled
+        return
+    assert np.array_equal(np.concatenate(scaled), eps, equal_nan=True)
+    assert rep.pairs_tested == len(viol)
+    assert np.abs(reported[0] - viol).max() <= 1e-12
+    assert abs(rep.max_violation - viol.max()) <= 1e-12
+    assert rep.consistent == (viol.max() <= tols.consistency)
+    if not rep.consistent:
+        assert np.abs(rep.witness - steps[int(np.argmax(viol))]).max() <= 1e-12
