@@ -85,7 +85,9 @@ class Superoperator:
     domain_projector: np.ndarray  # (d_s^2, d_s^2) real symmetric
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return from_basis_coords(self.matrix @ basis_coords(x, self.d_s), self.d_s)
+        """Image of a d_s x d_s operator, or of each operator in a stack (..., d_s, d_s)."""
+        c = basis_coords(x, self.d_s)
+        return from_basis_coords((self.matrix @ c[..., None])[..., 0], self.d_s)
 
 
 @dataclass(frozen=True)

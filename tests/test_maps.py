@@ -79,6 +79,18 @@ def test_map_matches_application_oracle(d_s, d_e, n, rng):
     assert np.abs(sop.choi - choi_by_application(phi, d_s)).max() < 1e-12
 
 
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2)])
+def test_superoperator_apply_takes_stacks(d_s, d_e, rng):
+    """Stacks of length d_s^2 (where a wrong contraction still has matching shapes) and 3."""
+    states = [rdl.random_density_matrix(d_s, rng) for _ in range(d_s * d_s)]
+    fam = rdl.product_family(states, rdl.random_density_matrix(d_e, rng))
+    _, _, sop = pipeline(fam, random_unitary(d_s * d_e, rng))
+    for xs in (np.array(fam.reduced()), np.array(fam.reduced()[:3])):
+        assert np.array_equal(sop.apply(xs), [sop.apply(x) for x in xs])
+    grid = np.array(fam.reduced()[:4]).reshape(2, 2, d_s, d_s)
+    assert np.array_equal(sop.apply(grid)[1, 0], sop.apply(grid[1, 0]))
+
+
 def test_transpose_choi_is_swap_with_known_spectrum():
     sop = transpose_superoperator()
     assert np.abs(sop.choi - rdl.swap_unitary(2)).max() < 1e-14
