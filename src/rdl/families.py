@@ -102,23 +102,41 @@ class StateFamily:
     def __post_init__(self):
         if len(self.members) == 0:
             raise EmptyFamilyError("a state family needs at least one member")
-        validated = []
-        for idx, m in enumerate(self.members):
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.dims.joint, self.dims.joint):
-                raise DimensionError(
-                    f"member {idx} has shape {m.shape}, expected "
-                    f"({self.dims.joint}, {self.dims.joint})"
-                )
-            validated.append(frozen(require_density(m, self.tol, f"member {idx}")))
-        object.__setattr__(self, "members", tuple(validated))
+        side = (self.dims.joint, self.dims.joint)
+        members = [np.asarray(m, dtype=complex) for m in self.members]
+        shaped = next((i for i, m in enumerate(members) if m.shape != side), len(members))
+        # The members before the first misshapen one fail first, as they would one at a time.
+        stack = np.array(members[:shaped]).reshape(-1, *side)
+        for idx in _invalid_members(stack, self.tol):
+            require_density(stack[idx], self.tol, f"member {idx}")  # raises on the first
+        if shaped < len(members):
+            raise DimensionError(
+                f"member {shaped} has shape {members[shaped].shape}, expected {side}"
+            )
+        stack.setflags(write=False)
+        object.__setattr__(self, "members", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def reduced(self) -> tuple[np.ndarray, ...]:
         """Partial trace of every member over the environment."""
-        return tuple(partial_trace_env(m, self.dims) for m in self.members)
+        return tuple(partial_trace_env(np.array(self.members), self.dims))
+
+
+def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Indices, in order, of the matrices in ``stack`` that :func:`require_density` rejects.
+
+    Hermiticity and trace are tested on the whole stack.  One ``eigvalsh``
+    covers the members before the first non-Hermitian one, so it never sees a
+    NaN (which fails Hermiticity first).
+    """
+    herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
+    bad = non_hermitian | ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
+    checked = int(np.argmax(non_hermitian)) if non_hermitian.any() else len(stack)
+    bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
+    return np.flatnonzero(bad)
 
 
 def _format_matrix(m: np.ndarray) -> str:

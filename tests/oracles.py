@@ -128,3 +128,21 @@ def hull_by_trials(members, kernel, u, dims, seed, trials, tols):
         violations.append(np.abs(after - before).max())
         steps.append(eps * y)
     return np.array(eps_all), np.array(violations), steps
+
+
+def validate_members_one_by_one(members, dims, tol):
+    """A state family's members validated one at a time, each fully before the next.
+
+    Raises what the first bad member raises: DimensionError for a wrong shape,
+    else whatever ``require_density`` raises for it.
+    """
+    from rdl.errors import DimensionError
+    from rdl.operators import require_density
+
+    for idx, m in enumerate(members):
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (dims.joint, dims.joint):
+            raise DimensionError(
+                f"member {idx} has shape {m.shape}, expected ({dims.joint}, {dims.joint})"
+            )
+        require_density(m, tol, f"member {idx}")

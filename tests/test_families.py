@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, EmptyFamilyError, HermiticityError, NotAStateError
+from oracles import validate_members_one_by_one
 
 
 def test_assemble_maximally_mixed():
@@ -62,6 +63,56 @@ def test_state_family_validation():
     fam = rdl.StateFamily(dims=dims, members=(np.eye(4) / 4,), label="one")
     assert len(fam) == 1
     assert np.abs(fam.reduced()[0] - np.eye(2) / 2).max() < 1e-15
+
+
+def _member(kind, d, rng):
+    """One candidate member of side d that fails in the named way, or a valid one."""
+    rho = rdl.random_density_matrix(d, rng)
+    if kind == "shape":
+        return np.eye(d + 1) / (d + 1)
+    if kind == "hermitian":
+        rho[0, 1] += 1e-3
+    elif kind == "trace":
+        rho = 1.1 * rho
+    elif kind == "psd":
+        rho = np.diag([1.5, -0.5] + [0.0] * (d - 2))
+    elif kind == "nan":
+        rho[d - 1, d - 1] = np.nan
+    elif kind == "real":
+        rho = np.eye(d) / d
+    return rho
+
+
+@settings(max_examples=60)
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3]),
+    kinds=st.lists(
+        st.sampled_from(["valid", "real", "shape", "hermitian", "trace", "psd", "nan"]),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_family_validation_matches_member_loop(d_s, d_e, kinds, seed):
+    """One-pass validation raises what validating one member at a time raises."""
+    rng = np.random.default_rng(seed)
+    dims = rdl.BipartiteDims(d_s, d_e)
+    members = tuple(_member(k, dims.joint, rng) for k in kinds)
+    try:
+        validate_members_one_by_one(members, dims, rdl.DEFAULT_TOL)
+    except rdl.RdlError as err:
+        with pytest.raises(type(err)) as got:
+            rdl.StateFamily(dims=dims, members=members)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+        assert getattr(got.value, "min_eigenvalue", None) == getattr(err, "min_eigenvalue", None)
+        return
+    fam = rdl.StateFamily(dims=dims, members=members)
+    for m, original in zip(fam.members, members):
+        assert not m.flags.writeable
+        assert np.array_equal(m, original)
+    assert np.array_equal(fam.reduced(), [rdl.partial_trace_env(m, dims) for m in members])
 
 
 def test_product_family_marginals(rng):
