@@ -120,11 +120,11 @@ _JSON = st.recursive(
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children),
-    max_leaves=20,
+    max_leaves=10,
 )
 
 
-@settings(max_examples=100)
+@settings(max_examples=50)
 @given(_JSON)
 def test_dumps_report_matches_json_dumps(x):
     assert serialize.dumps_report(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
