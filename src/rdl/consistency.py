@@ -3,8 +3,9 @@
 The reduced dynamics of a family is linear exactly when the span of the
 family passes the kernel test below: every spanned operator with vanishing
 environment partial trace must still have vanishing partial trace after
-conjugation by the propagator.  The pairwise and hull checks probe the same
-condition through finitely many state pairs instead of the kernel basis.
+conjugation by the propagator.  The kernel test reads that off the members'
+residuals; the pairwise and hull checks probe the same condition through
+finitely many state pairs.
 """
 
 from __future__ import annotations
@@ -80,14 +81,15 @@ def check_subspace_consistency(
 ) -> ConsistencyReport:
     """Kernel test: does conjugation by ``u`` preserve vanishing marginals?
 
-    Evaluates the evolved partial trace of every kernel basis element and
-    reports the worst max-norm against ``tols.consistency``.  An empty kernel
-    passes trivially.
+    The member residuals g_i = rho_i - A(Tr_E rho_i) span the kernel, so the
+    test evolves them all in one stack.  The max-norm of Tr_E(U g_i U^dag) is
+    the map's prediction error on member i; the worst one is reported against
+    ``tols.consistency``, with the first worst residual as the witness.
     """
     u = _require_propagator(u, subspace.dims, tols)
-    kernel = np.array(subspace.kernel_basis).reshape(-1, *u.shape)  # (0, d_j, d_j) when empty
-    viol = np.abs(_evolved_marginals(u, kernel, subspace.dims)).max(axis=(1, 2))
-    return _report(viol, tols.consistency, lambda k: kernel[k])
+    residuals = subspace.residuals
+    viol = np.abs(_evolved_marginals(u, residuals, subspace.dims)).max(axis=(1, 2))
+    return _report(viol, tols.consistency, lambda k: residuals[k])
 
 
 def check_pairwise_consistency(
@@ -148,7 +150,7 @@ def check_hull_consistency(
     trials: int = 100,
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> ConsistencyReport:
-    """Sampled equal-marginal state pairs instead of the kernel basis.
+    """Sampled equal-marginal state pairs instead of the member residuals.
 
     Each trial mixes the members with random convex weights, perturbs the mix
     along a random kernel direction scaled until positivity survives, and

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
-from .errors import DimensionError, HermiticityError, IncompleteDomainError, RdlError
+from .errors import DimensionError, HermiticityError, IncompleteDomainError
 from .operators import (
     BipartiteDims,
     _require_propagator,
@@ -55,8 +55,7 @@ class AssignmentMap:
 
     def apply(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
         """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction."""
-        exp = self.subspace.expand_reduced(x, tol)
-        return np.tensordot(exp.coefficients, np.array([joint for _, joint in self.pairs]), axes=1)
+        return self.subspace.lift(x, tol)
 
 
 def build_assignment(subspace: Subspace) -> AssignmentMap:
@@ -114,8 +113,8 @@ def build_dynamical_map(
     """Superoperator of reduce after conjugate after assign.
 
     Every column at once: each Hermitian basis element is projected onto the
-    reduced span, and the live projections are lifted in one least-squares
-    solve, conjugated by ``u``, and partial-traced as one stack.  With
+    reduced span, and the projections are lifted in one least-squares solve,
+    conjugated by ``u``, and partial-traced as one stack.  With
     ``extension="zero"`` the orthogonal complement of the span maps to zero;
     ``extension="none"`` demands the span be the full operator space and
     raises IncompleteDomainError otherwise.
@@ -133,18 +132,11 @@ def build_dynamical_map(
         )
 
     red_rows = basis_coords(np.array([red for red, _ in sub.pairs]), d_s).real
-    _, svals, vt = np.linalg.svd(red_rows, full_matrices=False)
-    rank = int(np.sum(svals > sub.tol_rank))
-    if rank != sub.reduced_dim:
-        raise RdlError("independent reduced states lost rank while building the map")
-    ortho = vt[:rank]
+    _, _, ortho = np.linalg.svd(red_rows, full_matrices=False)  # reduced_dim orthonormal rows
     projector = ortho.T @ ortho
 
-    live = [k for k in range(dim) if np.linalg.norm(projector[:, k]) > 1e-15]
-    inputs = from_basis_coords(projector.T[live].astype(complex), d_s)
-    lifted = assignment.apply(inputs)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    matrix[:, live] = basis_coords(partial_trace_env(u @ lifted @ u.conj().T, sub.dims), d_s).T
+    lifted = assignment.apply(from_basis_coords(projector.T, d_s))
+    matrix = basis_coords(partial_trace_env(u @ lifted @ u.conj().T, sub.dims), d_s).T
 
     return Superoperator(
         d_s=d_s,

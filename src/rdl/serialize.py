@@ -64,7 +64,10 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             or not all(isinstance(v, (int, float)) for v in entry)
         ):
             raise ValueError(f"{what}: entry {idx} must be a [re, im] pair, got {entry!r}")
-        out[idx] = complex(entry[0], entry[1])
+        try:
+            out[idx] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise ValueError(f"{what}: entry {idx} has a part too large for a float") from None
     return out.reshape(rows, cols)
 
 

@@ -8,6 +8,7 @@ Hermitian by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,22 +42,20 @@ class ReducedExpansion:
 class Subspace:
     """Span of a state family together with its reduced-side structure.
 
-    ``span_basis`` is an orthonormal Hermitian basis of the span of all
-    members.  ``pairs`` holds (reduced, joint) matrices for a maximal
-    independent set of reduced states, scanned greedily in family order.
-    ``kernel_basis`` spans the part of the span killed by the environment
-    partial trace; its dimension always equals span_dim - reduced_dim.
+    ``members`` is the read-only stack of generating operators.  ``pairs``
+    holds (reduced, joint) matrices for a maximal independent set of reduced
+    states, scanned greedily in member order.  ``span_dim`` is the rank of the
+    members.  Every member splits as rho_i = A(Tr_E rho_i) + g_i, with A the
+    assignment lift; the residuals g_i span the traceless kernel, whose
+    dimension is span_dim - reduced_dim.  The residuals and both orthonormal
+    bases are computed on first use.
     """
 
     dims: BipartiteDims
-    span_basis: tuple[np.ndarray, ...]
+    members: np.ndarray
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    kernel_basis: tuple[np.ndarray, ...]
+    span_dim: int
     tol_rank: float
-
-    @property
-    def span_dim(self) -> int:
-        return len(self.span_basis)
 
     @property
     def reduced_dim(self) -> int:
@@ -64,7 +63,30 @@ class Subspace:
 
     @property
     def kernel_dim(self) -> int:
-        return len(self.kernel_basis)
+        return self.span_dim - self.reduced_dim
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """The stack of g_i = rho_i - A(Tr_E rho_i), one per member."""
+        lift = self.lift(partial_trace_env(self.members, self.dims), tol=np.inf)
+        return frozen(self.members - lift)
+
+    @functools.cached_property
+    def span_basis(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal Hermitian basis of the span of the members."""
+        _, _, vt = np.linalg.svd(_unit_rows(self.members, self.dims.joint), full_matrices=False)
+        return tuple(frozen(e) for e in from_basis_coords(vt[: self.span_dim], self.dims.joint))
+
+    @functools.cached_property
+    def kernel_basis(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal Hermitian basis of the traceless kernel, from the residuals.
+
+        The residuals' raw coordinates are not normalized: those of the pair
+        members are roundoff, and scaling them up would forge kernel directions.
+        """
+        d_j = self.dims.joint
+        _, _, vt = np.linalg.svd(basis_coords(self.residuals, d_j).real, full_matrices=False)
+        return tuple(frozen(k) for k in from_basis_coords(vt[: self.kernel_dim], d_j))
 
     def expand_reduced(self, x: np.ndarray, tol: float | None = None) -> ReducedExpansion:
         """Expand a d_s x d_s operator, or a stack of them, over the independent reduced states.
@@ -82,7 +104,7 @@ class Subspace:
         d_s = self.dims.d_s
         if x.shape[-2:] != (d_s, d_s):
             raise DimensionError(f"expected {d_s}x{d_s} operators, got shape {x.shape}")
-        reds = np.array([red for red, _ in self.pairs])
+        reds = np.array([red for red, _ in self.pairs]).reshape(-1, d_s, d_s)
         rhs = basis_coords(x, d_s).reshape(-1, d_s * d_s).T
         d, *_ = np.linalg.lstsq(basis_coords(reds, d_s).T, rhs, rcond=None)
         d = d.T.reshape(x.shape[:-2] + (len(reds),))
@@ -97,6 +119,17 @@ class Subspace:
         return ReducedExpansion(
             coefficients=frozen(d), remainder=frozen(remainder), residual=frozen(residual)
         )
+
+    def lift(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
+        """Assignment lift of a d_s x d_s operator, or of a stack of them, in one contraction.
+
+        Each operator is expanded by :meth:`expand_reduced` (which raises
+        NotInSpanError past ``tol``) and its coefficients weight the joint
+        partners of the independent pairs.
+        """
+        d_j = self.dims.joint
+        joints = np.array([joint for _, joint in self.pairs]).reshape(-1, d_j, d_j)
+        return np.tensordot(self.expand_reduced(x, tol).coefficients, joints, axes=1)
 
 
 def greedy_independent(rows, tol: float, limit: int) -> list[int]:
@@ -143,6 +176,13 @@ def select_independent(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank):
     return _select_pairs(family.members, family.dims, tol_rank)
 
 
+def _unit_rows(ops: np.ndarray, d: int) -> np.ndarray:
+    """Real basis coordinates of the nonzero operators of ``ops``, each scaled to unit norm."""
+    rows = basis_coords(ops, d).real
+    norms = np.array([np.linalg.norm(c) for c in rows])  # per row: a batched norm sums in another order
+    return rows[norms > 0] / norms[norms > 0, None]
+
+
 def build_subspace_from_operators(
     ops,
     dims: BipartiteDims,
@@ -152,6 +192,8 @@ def build_subspace_from_operators(
 
     Same machinery as :func:`build_subspace` but without density-matrix
     validation, so callers can hand in a custom operator subspace directly.
+    The span rank counts the singular values above ``tol_rank`` of the
+    operators' unit-normalized coordinates.
     """
     ops = [np.asarray(op, dtype=complex) for op in ops]
     if not ops:
@@ -161,42 +203,20 @@ def build_subspace_from_operators(
         if op.shape != (d_j, d_j):
             raise DimensionError(f"operator {idx} has shape {op.shape}, expected ({d_j}, {d_j})")
 
-    ops = np.array(ops)
-
-    rows = []
-    for c in basis_coords(ops, d_j).real:
-        n = np.linalg.norm(c)
-        if n > 0:
-            rows.append(c / n)
-    if not rows:
+    ops = frozen(ops)
+    rows = _unit_rows(ops, d_j)
+    if not len(rows):
         raise DimensionError("all supplied operators are zero")
-    _, svals, vt = np.linalg.svd(np.array(rows), full_matrices=False)
-    r = int(np.sum(svals > tol_rank))
-    span = from_basis_coords(vt[:r].astype(complex), d_j)
-
+    span_dim = int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
     pairs = _select_pairs(ops, dims, tol_rank)
-
-    # Kernel: combinations of span elements annihilated by the partial trace.
-    t = basis_coords(partial_trace_env(span, dims), dims.d_s).real
-    u_t, svals_t, _ = np.linalg.svd(t, full_matrices=True)
-    rank_t = int(np.sum(svals_t > tol_rank))
-    if rank_t != len(pairs):
+    if len(pairs) > span_dim:
         raise RdlError(
-            f"rank bookkeeping disagrees: partial-trace image has rank {rank_t} "
-            f"but the greedy scan found {len(pairs)} independent reduced operators; "
-            f"the input sits too close to the rank tolerance {tol_rank:.1e}"
+            f"the greedy scan found {len(pairs)} independent reduced operators in a span "
+            f"of rank {span_dim}; the input sits too close to the rank tolerance {tol_rank:.1e}"
         )
-    kernel = from_basis_coords((u_t[:r, rank_t:r].T @ vt[:r]).astype(complex), d_j)
-
-    return Subspace(
-        dims=dims,
-        span_basis=tuple(frozen(e) for e in span),
-        pairs=pairs,
-        kernel_basis=tuple(frozen(k) for k in kernel),
-        tol_rank=tol_rank,
-    )
+    return Subspace(dims=dims, members=ops, pairs=pairs, span_dim=span_dim, tol_rank=tol_rank)
 
 
 def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> Subspace:
-    """Span of the family, independent reduced pairs, and the traceless kernel."""
+    """Span rank of the family and its independent reduced pairs."""
     return build_subspace_from_operators(family.members, family.dims, tol_rank)

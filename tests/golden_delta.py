@@ -7,8 +7,10 @@ Run from the repository root:
 
 For every case in ``test_golden.CASES`` it prints the exit code against the
 expected one, each difference that is not a float (keys, bools, ints,
-strings, list lengths, a type change), and the number of floats that changed
-with the largest |delta|.  ``--write`` rewrites a golden only when its exit
+strings, list lengths, a type change), the number of floats that changed
+with the largest |delta|, and those counts per JSON path with list indices
+and a matrix's ``data`` key dropped (``consistency.witness``,
+``subspace.detail.kernel_basis``).  ``--write`` rewrites a golden only when its exit
 code matches and every difference is a float, so a change in a verdict, a
 dimension or a count is never written over.  Exits 1 when any case has a
 wrong exit code or a non-float difference.  The file name keeps pytest from
@@ -18,8 +20,10 @@ collecting it.
 import argparse
 import io
 import json
+import re
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -49,6 +53,11 @@ def leaf_differences(old, new, path="$"):
             yield path, old, new
 
 
+def path_group(path):
+    """``path`` without the root, list indices, or a trailing matrix ``data`` key."""
+    return re.sub(r"\[\d+\]", "", path).removeprefix("$.").removesuffix(".data")
+
+
 def run_case(argv, family_file):
     """Exit code and stdout of one CLI run, with stderr dropped."""
     out = io.StringIO()
@@ -65,10 +74,11 @@ def compare(name, argv, expected_code, family_file, write):
     if text == old:
         print(f"{name}: exit {code} (expected {expected_code}); byte-identical")
         return code == expected_code
-    floats, other = [], []
+    floats, other, groups = [], [], Counter()
     for path, a, b in leaf_differences(json.loads(old), json.loads(text)):
         if type(a) is float and type(b) is float:
             floats.append(abs(b - a))
+            groups[path_group(path)] += 1
         else:
             other.append((path, a, b))
     print(
@@ -76,6 +86,8 @@ def compare(name, argv, expected_code, family_file, write):
         f"{len(floats)} floats changed, max |delta| {max(floats, default=0.0):.3e}; "
         f"{len(other)} other differences"
     )
+    for group, count in sorted(groups.items()):
+        print(f"  {group}: {count} floats")
     for path, a, b in other:
         print(f"  {path}: {a!r} -> {b!r}")
     clean = code == expected_code and not other

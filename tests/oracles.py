@@ -64,6 +64,31 @@ def kernel_by_accumulation(span, u_t, rank_t, r):
     return kernel
 
 
+def kernel_test_by_basis(members, u, dims, tol_rank):
+    """The kernel test through an orthonormal kernel basis, the route before member residuals.
+
+    Spans the members from the SVD of their unit-normalized coordinates,
+    splits the span along the partial trace with a second SVD, builds the
+    kernel basis from both (:func:`kernel_by_accumulation`), and evolves each
+    kernel element.  Returns the evolved marginals' max-norms and the kernel
+    stack.
+    """
+    from rdl.operators import basis_coords, from_basis_coords
+
+    members = np.asarray(members)
+    rows = basis_coords(members, dims.joint).real
+    rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    _, svals, vt = np.linalg.svd(rows, full_matrices=False)
+    r = int(np.sum(svals > tol_rank))
+    span = from_basis_coords(vt[:r], dims.joint)
+    t = basis_coords(np.array([ptrace_env_loops(e, dims.d_s, dims.d_e) for e in span]), dims.d_s)
+    u_t, svals_t, _ = np.linalg.svd(t.real, full_matrices=True)
+    rank_t = int(np.sum(svals_t > tol_rank))
+    kernel = kernel_by_accumulation(span, u_t, rank_t, r)
+    viol = [np.abs(ptrace_env_loops(u @ y @ u.conj().T, dims.d_s, dims.d_e)).max() for y in kernel]
+    return np.array(viol), kernel
+
+
 def trace_norm_svd(x):
     """Trace norm via singular values; independent of the eigvalsh route."""
     return float(np.linalg.svd(np.asarray(x), compute_uv=False).sum())

@@ -286,6 +286,18 @@ def test_swap_demo_rejects_unequal_dims(capsys, tmp_path, rng):
     assert "input error: swap needs equal factor dimensions" in err
 
 
+@pytest.mark.parametrize("flag", ["--omega-e", "--states"])
+def test_number_too_large_for_a_float_is_input_error(capsys, tmp_path, flag):
+    huge = {"rows": 1, "cols": 1, "data": [[10**400, 0]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge if flag == "--omega-e" else [huge]))
+    code, out, err = run(capsys, "swap-demo", flag, str(path))
+    what = "environment state" if flag == "--omega-e" else "system state 0"
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {what}: entry 0 has a part too large for a float\n"
+
+
 def test_tol_override_env_wins(capsys, monkeypatch, full_family_file):
     monkeypatch.setenv("RDL_TOL_OVERRIDE", "1e-6")
     code, out, _ = run(

@@ -10,7 +10,13 @@ import rdl
 import rdl.consistency
 from rdl import DEFAULT_TOL
 from rdl.errors import DimensionError, SamplingExhaustedError, UnitarityError
-from oracles import conjugate_loops, hull_by_trials, ptrace_env_loops, random_unitary
+from oracles import (
+    conjugate_loops,
+    hull_by_trials,
+    kernel_test_by_basis,
+    ptrace_env_loops,
+    random_unitary,
+)
 
 
 def constrained_family(seed=7, n=12, scale=0.3):
@@ -192,6 +198,23 @@ def test_hull_rejects_zero_trials():
         rdl.check_hull_consistency(fam, np.eye(4, dtype=complex), seed=0, trials=0)
 
 
+def product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint):
+    """Products of random system and environment states, then random joint states."""
+    dims = rdl.BipartiteDims(d_s, d_e)
+    systems = [rdl.random_density_matrix(d_s, rng) for _ in range(n_sys)]
+    envs = [rdl.random_density_matrix(d_e, rng) for _ in range(n_env)]
+    members = [rdl.tensor(r, w) for r in systems for w in envs]
+    members += [rdl.random_density_matrix(dims.joint, rng) for _ in range(n_joint)]
+    return rdl.StateFamily(dims=dims, members=tuple(members))
+
+
+def random_propagator(rng, dims, entangling):
+    """A random joint unitary, or a random product of local ones."""
+    if entangling:
+        return random_unitary(dims.joint, rng)
+    return rdl.tensor(random_unitary(dims.d_s, rng), random_unitary(dims.d_e, rng))
+
+
 @given(
     d_s=st.sampled_from([2, 3]),
     d_e=st.sampled_from([1, 2, 3]),
@@ -205,19 +228,15 @@ def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, enta
     """Kernel and pairwise checks against index-loop evaluations, past the 2x2 case.
 
     Product members that share a system factor give equal-marginal pairs;
-    random joint members widen the span and the kernel.
+    random joint members widen the span and the kernel.  The kernel test's
+    residuals are checked against each member minus the lift of its
+    loop-traced marginal, solved over the flattened reduced states; the
+    witness is the worst residual.
     """
     rng = np.random.default_rng(seed)
-    dims = rdl.BipartiteDims(d_s, d_e)
-    systems = [rdl.random_density_matrix(d_s, rng) for _ in range(n_sys)]
-    envs = [rdl.random_density_matrix(d_e, rng) for _ in range(n_env)]
-    members = [rdl.tensor(r, w) for r in systems for w in envs]
-    members += [rdl.random_density_matrix(dims.joint, rng) for _ in range(n_joint)]
-    fam = rdl.StateFamily(dims=dims, members=tuple(members))
-    if entangling:
-        u = random_unitary(dims.joint, rng)
-    else:
-        u = rdl.tensor(random_unitary(d_s, rng), random_unitary(d_e, rng))
+    fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
+    members = fam.members
+    u = random_propagator(rng, fam.dims, entangling)
     tols = rdl.DEFAULT_TOL
 
     def evolved_marginal(x):
@@ -225,11 +244,17 @@ def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, enta
 
     sub = rdl.build_subspace(fam)
     rep = rdl.check_subspace_consistency(sub, u)
-    viol = [rdl.max_norm(evolved_marginal(y)) for y in sub.kernel_basis]
-    worst = max(viol, default=0.0)
+    reds = np.array([red.ravel() for red, _ in sub.pairs]).T
+    for m, g in zip(members, sub.residuals):
+        c, *_ = np.linalg.lstsq(reds, ptrace_env_loops(m, d_s, d_e).ravel(), rcond=None)
+        lift = sum(ck * joint for ck, (_, joint) in zip(c, sub.pairs))
+        # Roundoff in the lift grows with its coefficients: ill-conditioned pairs need large ones.
+        assert np.abs(g - (m - lift)).max() <= 1e-12 * max(1.0, np.abs(c).max())
+    viol = [rdl.max_norm(evolved_marginal(g)) for g in sub.residuals]
+    worst = max(viol)
     assert abs(rep.max_violation - worst) <= 1e-12
     if worst > tols.consistency:
-        assert np.array_equal(rep.witness, sub.kernel_basis[int(np.argmax(viol))])
+        assert np.array_equal(rep.witness, sub.residuals[int(np.argmax(viol))])
     else:
         assert rep.witness is None
 
@@ -244,6 +269,43 @@ def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, enta
     pw = rdl.check_pairwise_consistency(fam, u)
     assert pw.pairs_tested == tested
     assert abs(pw.max_violation - worst) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3, 4]),
+    n_sys=st.integers(1, 3),
+    n_env=st.integers(1, 3),
+    n_joint=st.integers(0, 3),
+    entangling=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_residual_test_agrees_with_kernel_basis_route(
+    d_s, d_e, n_sys, n_env, n_joint, entangling, seed
+):
+    """The member-residual kernel test against the orthonormal-kernel-basis route.
+
+    Both routes must reach the same verdict wherever neither violation sits
+    in the grey band [tol / 10, 10 tol].  The witness has a vanishing
+    marginal, and its evolved marginal realizes the reported violation.
+    """
+    rng = np.random.default_rng(seed)
+    fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
+    u = random_propagator(rng, fam.dims, entangling)
+    tol = DEFAULT_TOL.consistency
+    sub = rdl.build_subspace(fam)
+    rep = rdl.check_subspace_consistency(sub, u)
+    viol, kernel = kernel_test_by_basis(fam.members, u, fam.dims, sub.tol_rank)
+    assert len(kernel) == sub.kernel_dim
+
+    by_basis = viol.max(initial=0.0)
+    if all(not tol / 10 <= v <= 10 * tol for v in (by_basis, rep.max_violation)):
+        assert rep.consistent == (by_basis <= tol)
+    if rep.witness is not None:
+        assert rdl.max_norm(ptrace_env_loops(rep.witness, d_s, d_e)) <= 1e-12
+        evolved = ptrace_env_loops(conjugate_loops(u, rep.witness), d_s, d_e)
+        assert abs(rdl.max_norm(evolved) - rep.max_violation) <= 1e-12
 
 
 def _pure_state(d, rng):

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, HermiticityError, IncompleteDomainError
 from rdl.maps import Superoperator, _choi_from_matrix
 
 from oracles import choi_by_application, conjugate_loops, ptrace_env_loops, random_unitary
-from test_consistency import constrained_family
+from test_consistency import constrained_family, product_and_joint_family, random_propagator
 
 
 def pipeline(family, u, **kw):
@@ -188,6 +190,52 @@ def test_extension_name_is_validated():
 def test_domain_projector_is_identity_on_full_span():
     _, _, sop = pipeline(rdl.full_two_qubit_family(), np.eye(4, dtype=complex))
     assert np.abs(sop.domain_projector - np.eye(4)).max() < 1e-10
+
+
+@pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2)])
+def test_map_kills_complement_of_partial_reduced_span(d_s, d_e, rng):
+    """Product states of two system states: a reduced span of dimension 2 < d_s^2."""
+    dims = rdl.BipartiteDims(d_s, d_e)
+    systems = [rdl.random_density_matrix(d_s, rng) for _ in range(2)]
+    envs = [rdl.random_density_matrix(d_e, rng) for _ in range(2)]
+    fam = rdl.StateFamily(dims=dims, members=tuple(rdl.tensor(r, w) for r in systems for w in envs))
+    sub, _, sop = pipeline(fam, random_unitary(dims.joint, rng))
+    assert sub.reduced_dim == 2
+    complement = np.eye(d_s * d_s) - sop.domain_projector
+    assert np.abs(sop.matrix @ complement).max() <= 1e-14
+
+
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3]),
+    n_sys=st.integers(1, 3),
+    n_env=st.integers(1, 3),
+    n_joint=st.integers(0, 3),
+    entangling=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_member_order_leaves_the_decision_unchanged(
+    d_s, d_e, n_sys, n_env, n_joint, entangling, seed
+):
+    """Permuted members give the same verdict, and for a consistent family the same map.
+
+    The two maps lift through different independent pairs, and the lift's
+    roundoff grows with their condition number, so past a condition number of
+    100 the 1e-12 bound grows with it.
+    """
+    rng = np.random.default_rng(seed)
+    fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
+    u = random_propagator(rng, fam.dims, entangling)
+    order = rng.permutation(len(fam))
+    shuffled = rdl.StateFamily(dims=fam.dims, members=tuple(fam.members[i] for i in order))
+    a, b = rdl.analyze(fam, u), rdl.analyze(shuffled, u)
+    assert a.consistent == b.consistent
+    if a.consistent:
+        cond = max(
+            np.linalg.cond(np.array([red.ravel() for red, _ in x.subspace.pairs])) for x in (a, b)
+        )
+        bound = 1e-14 * max(100.0, cond)
+        assert np.abs(a.superoperator.matrix - b.superoperator.matrix).max() <= bound
 
 
 def test_map_dimension_mismatch():

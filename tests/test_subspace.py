@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, NotInSpanError
+from rdl.serialize import analysis_to_json
+from rdl.subspace import Subspace
 from oracles import kernel_by_accumulation
 
 
@@ -129,7 +131,11 @@ def test_expand_reduced_stack_reports_worst_residual():
     seed=st.integers(0, 2**16),
 )
 def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_joint, seed):
-    """The kernel product against the per-element sum, and the kernel's defining properties."""
+    """The residuals' kernel basis against the per-element sum, and the kernel's defining properties.
+
+    The two bases differ by a rotation inside the kernel, so they are compared
+    through their coordinate projectors.
+    """
     rng = np.random.default_rng(seed)
     dims = rdl.BipartiteDims(d_s, d_e)
     systems = [rdl.random_density_matrix(d_s, rng) for _ in range(n_sys)]
@@ -144,7 +150,9 @@ def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_join
     rank_t = int(np.sum(svals_t > sub.tol_rank))
     oracle = kernel_by_accumulation(span, u_t, rank_t, sub.span_dim)
     kernel = np.array(sub.kernel_basis).reshape(oracle.shape)
-    assert np.abs(kernel - oracle).max(initial=0.0) <= 1e-13
+    k_coords = rdl.basis_coords(kernel, dims.joint).real
+    o_coords = rdl.basis_coords(oracle, dims.joint).real
+    assert np.abs(k_coords.T @ k_coords - o_coords.T @ o_coords).max() <= 1e-12
 
     assert sub.kernel_dim == sub.span_dim - sub.reduced_dim
     assert np.abs(kernel - kernel.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
@@ -156,6 +164,31 @@ def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_join
     for y in kernel:
         recon = sum(rdl.hs_inner(e, y) * e for e in sub.span_basis)
         assert rdl.max_norm(y - recon) <= 1e-12
+
+
+def test_analyze_without_hull_builds_no_basis(monkeypatch):
+    """The decision and its report read only the members, the pairs and the span rank."""
+
+    def refuse(self):
+        raise AssertionError("an orthonormal basis was built")
+
+    monkeypatch.setattr(Subspace, "span_basis", property(refuse))
+    monkeypatch.setattr(Subspace, "kernel_basis", property(refuse))
+    u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
+    a = rdl.analyze(rdl.full_two_qubit_family(), u)
+    report = analysis_to_json(a, "analyze")
+    assert not a.consistent
+    assert report["subspace"]["kernel_dim"] == 12
+
+
+def test_operators_without_marginals_are_all_kernel():
+    fam = rdl.full_two_qubit_family()
+    kernel = rdl.build_subspace(fam).kernel_basis
+    sub = rdl.build_subspace_from_operators(kernel, fam.dims)
+    assert (sub.span_dim, sub.reduced_dim, sub.kernel_dim) == (12, 0, 12)
+    assert np.array_equal(sub.residuals, sub.members)
+    assert rdl.check_subspace_consistency(sub, np.eye(4)).consistent
+    assert not rdl.check_subspace_consistency(sub, rdl.swap_unitary(2)).consistent
 
 
 def test_expand_reduced_shape_check():
