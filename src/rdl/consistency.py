@@ -3,9 +3,8 @@
 The reduced dynamics of a family is linear exactly when the span of the
 family passes the kernel test below: every spanned operator with vanishing
 environment partial trace must still have vanishing partial trace after
-conjugation by the propagator.  The kernel test reads that off the members'
-residuals; the pairwise and hull checks probe the same condition through
-finitely many state pairs.
+conjugation by the propagator.  The pairwise and hull checks probe the same
+condition through finitely many state pairs instead of the member residuals.
 """
 
 from __future__ import annotations
@@ -81,10 +80,9 @@ def check_subspace_consistency(
 ) -> ConsistencyReport:
     """Kernel test: does conjugation by ``u`` preserve vanishing marginals?
 
-    The member residuals g_i = rho_i - A(Tr_E rho_i) span the kernel, so the
-    test evolves them all in one stack.  The max-norm of Tr_E(U g_i U^dag) is
-    the map's prediction error on member i; the worst one is reported against
-    ``tols.consistency``, with the first worst residual as the witness.
+    The residuals g_i = rho_i - A(Tr_E rho_i) span the kernel.  The max-norm
+    of Tr_E(U g_i U^dag), the map's prediction error on member i, is reported
+    against ``tols.consistency``; the first worst g_i is the witness.
     """
     u = _require_propagator(u, subspace.dims, tols)
     residuals = subspace.residuals

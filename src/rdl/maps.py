@@ -45,14 +45,6 @@ class AssignmentMap:
 
     subspace: Subspace
 
-    @property
-    def dims(self) -> BipartiteDims:
-        return self.subspace.dims
-
-    @property
-    def pairs(self):
-        return self.subspace.pairs
-
     def apply(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
         """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction."""
         return self.subspace.lift(x, tol)

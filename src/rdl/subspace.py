@@ -42,13 +42,10 @@ class ReducedExpansion:
 class Subspace:
     """Span of a state family together with its reduced-side structure.
 
-    ``members`` is the read-only stack of generating operators.  ``pairs``
-    holds (reduced, joint) matrices for a maximal independent set of reduced
-    states, scanned greedily in member order.  ``span_dim`` is the rank of the
-    members.  Every member splits as rho_i = A(Tr_E rho_i) + g_i, with A the
-    assignment lift; the residuals g_i span the traceless kernel, whose
-    dimension is span_dim - reduced_dim.  The residuals and both orthonormal
-    bases are computed on first use.
+    ``pairs`` holds (reduced, joint) matrices for a maximal independent set of
+    reduced states, scanned greedily in member order.  Each member splits as
+    rho_i = A(Tr_E rho_i) + g_i, A the assignment lift; the residuals g_i span
+    the traceless kernel.  Residuals and orthonormal bases are built on use.
     """
 
     dims: BipartiteDims
@@ -67,22 +64,22 @@ class Subspace:
 
     @functools.cached_property
     def residuals(self) -> np.ndarray:
-        """The stack of g_i = rho_i - A(Tr_E rho_i), one per member."""
+        """The stack of g_i = rho_i - A(Tr_E rho_i); every marginal lifts, whatever its residual."""
         lift = self.lift(partial_trace_env(self.members, self.dims), tol=np.inf)
         return frozen(self.members - lift)
 
     @functools.cached_property
     def span_basis(self) -> tuple[np.ndarray, ...]:
         """Orthonormal Hermitian basis of the span of the members."""
-        _, _, vt = np.linalg.svd(_unit_rows(self.members, self.dims.joint), full_matrices=False)
+        _, rows = _unit_rows(self.members, self.dims.joint)
+        _, _, vt = np.linalg.svd(rows, full_matrices=False)
         return tuple(frozen(e) for e in from_basis_coords(vt[: self.span_dim], self.dims.joint))
 
     @functools.cached_property
     def kernel_basis(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal Hermitian basis of the traceless kernel, from the residuals.
+        """Orthonormal kernel basis from the residuals' raw coordinates.
 
-        The residuals' raw coordinates are not normalized: those of the pair
-        members are roundoff, and scaling them up would forge kernel directions.
+        Normalizing them would blow the pair members' roundoff residuals up into directions.
         """
         d_j = self.dims.joint
         _, _, vt = np.linalg.svd(basis_coords(self.residuals, d_j).real, full_matrices=False)
@@ -121,15 +118,18 @@ class Subspace:
         )
 
     def lift(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Assignment lift of a d_s x d_s operator, or of a stack of them, in one contraction.
-
-        Each operator is expanded by :meth:`expand_reduced` (which raises
-        NotInSpanError past ``tol``) and its coefficients weight the joint
-        partners of the independent pairs.
-        """
+        """Joint partners weighted by :meth:`expand_reduced` coefficients, for a stack at once."""
         d_j = self.dims.joint
         joints = np.array([joint for _, joint in self.pairs]).reshape(-1, d_j, d_j)
         return np.tensordot(self.expand_reduced(x, tol).coefficients, joints, axes=1)
+
+
+def _unit_rows(ops: np.ndarray, d: int, floor: float = 0.0):
+    """Indices and unit-normalized real coordinates of the operators with norm above ``floor``."""
+    rows = basis_coords(ops, d).real
+    norms = np.array([np.linalg.norm(c) for c in rows])  # one by one: a batched norm rounds apart
+    keep = np.flatnonzero(norms > floor)
+    return keep, rows[keep] / norms[keep, None]
 
 
 def greedy_independent(rows, tol: float, limit: int) -> list[int]:
@@ -156,12 +156,7 @@ def _select_pairs(ops, dims: BipartiteDims, tol_rank: float):
     """
     ops = np.asarray(ops, dtype=complex)
     reds = partial_trace_env(ops, dims)
-    candidates, rows = [], []
-    for idx, c in enumerate(basis_coords(reds, dims.d_s).real):
-        n = np.linalg.norm(c)
-        if n > tol_rank:
-            candidates.append(idx)
-            rows.append(c / n)
+    candidates, rows = _unit_rows(reds, dims.d_s, tol_rank)
     kept = greedy_independent(rows, tol_rank, dims.d_s * dims.d_s)
     return tuple((frozen(reds[candidates[i]]), frozen(ops[candidates[i]])) for i in kept)
 
@@ -176,13 +171,6 @@ def select_independent(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank):
     return _select_pairs(family.members, family.dims, tol_rank)
 
 
-def _unit_rows(ops: np.ndarray, d: int) -> np.ndarray:
-    """Real basis coordinates of the nonzero operators of ``ops``, each scaled to unit norm."""
-    rows = basis_coords(ops, d).real
-    norms = np.array([np.linalg.norm(c) for c in rows])  # per row: a batched norm sums in another order
-    return rows[norms > 0] / norms[norms > 0, None]
-
-
 def build_subspace_from_operators(
     ops,
     dims: BipartiteDims,
@@ -192,8 +180,6 @@ def build_subspace_from_operators(
 
     Same machinery as :func:`build_subspace` but without density-matrix
     validation, so callers can hand in a custom operator subspace directly.
-    The span rank counts the singular values above ``tol_rank`` of the
-    operators' unit-normalized coordinates.
     """
     ops = [np.asarray(op, dtype=complex) for op in ops]
     if not ops:
@@ -204,7 +190,7 @@ def build_subspace_from_operators(
             raise DimensionError(f"operator {idx} has shape {op.shape}, expected ({d_j}, {d_j})")
 
     ops = frozen(ops)
-    rows = _unit_rows(ops, d_j)
+    _, rows = _unit_rows(ops, d_j)
     if not len(rows):
         raise DimensionError("all supplied operators are zero")
     span_dim = int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
