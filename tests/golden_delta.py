@@ -10,11 +10,11 @@ expected one, each difference that is not a float (keys, bools, ints,
 strings, list lengths, a type change), the number of floats that changed
 with the largest |delta|, and those counts per JSON path with list indices
 and a matrix's ``data`` key dropped (``consistency.witness``,
-``subspace.detail.kernel_basis``).  ``--write`` rewrites a golden only when its exit
-code matches and every difference is a float, so a change in a verdict, a
-dimension or a count is never written over.  Exits 1 when any case has a
-wrong exit code or a non-float difference.  The file name keeps pytest from
-collecting it.
+``subspace.detail.kernel_basis``).  ``--write`` rewrites a golden only when
+its exit code matches and every difference is a float, so a change in a
+verdict, a dimension or a count is never written over.  Exits 1 when any
+case has a wrong exit code or a non-float difference.  The file name keeps
+pytest from collecting it.
 """
 
 import argparse

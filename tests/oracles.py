@@ -65,7 +65,7 @@ def kernel_by_accumulation(span, u_t, rank_t, r):
 
 
 def kernel_test_by_basis(members, u, dims, tol_rank):
-    """The kernel test through an orthonormal kernel basis, the route before member residuals.
+    """The kernel test through an orthonormal kernel basis instead of the member residuals.
 
     Spans the members from the SVD of their unit-normalized coordinates,
     splits the span along the partial trace with a second SVD, builds the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rdl
 import rdl.consistency
 from rdl import DEFAULT_TOL
-from rdl.errors import DimensionError, SamplingExhaustedError, UnitarityError
+from rdl.errors import DimensionError, NotInSpanError, SamplingExhaustedError, UnitarityError
 from oracles import (
     conjugate_loops,
     hull_by_trials,
@@ -64,6 +64,26 @@ def test_marginal_flag_tracks_tolerance_band():
     assert not far_out.consistent and not far_out.marginal
     passed = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=2 * v))
     assert passed.consistent and not passed.marginal
+
+
+def test_member_outside_the_reduced_span_reports_its_prediction_error():
+    """A marginal that the rank cut drops but the lift cannot reach is measured, not raised.
+
+    The second state sits 1e-4 from the first, so the third, 1e-5 off their
+    plane, leaves a smallest unit-row singular value of 3.4e-9, under the
+    rank tolerance: both rank decisions say 2, and the lift misses the third
+    member's marginal by 1e-5.  The kernel test reports that miss.
+    """
+    p1 = np.eye(2) / 2 + 0.15 * rdl.SIGMA_Z
+    p2 = p1 + 1e-4 * rdl.SIGMA_X
+    r = p1 + 0.4 * rdl.SIGMA_X + 1e-5 * rdl.SIGMA_Y
+    sub = rdl.build_subspace(rdl.StateFamily(dims=rdl.BipartiteDims(2, 1), members=(p1, p2, r)))
+    assert (sub.span_dim, sub.reduced_dim) == (2, 2)
+    with pytest.raises(NotInSpanError) as exc:
+        sub.expand_reduced(r)
+    rep = rdl.check_subspace_consistency(sub, rdl.SIGMA_X)
+    assert abs(rep.max_violation - exc.value.residual) <= 1e-12
+    assert np.array_equal(rep.witness, sub.residuals[2])
 
 
 def test_identity_propagator_is_always_consistent():

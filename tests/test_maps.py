@@ -207,7 +207,7 @@ def test_map_kills_complement_of_partial_reduced_span(d_s, d_e, rng):
 
 @given(
     d_s=st.sampled_from([2, 3]),
-    d_e=st.sampled_from([1, 2, 3]),
+    d_e=st.sampled_from([1, 2, 3, 4]),
     n_sys=st.integers(1, 3),
     n_env=st.integers(1, 3),
     n_joint=st.integers(0, 3),

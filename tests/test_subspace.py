@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdl
-from rdl.errors import DimensionError, NotInSpanError
+from rdl.errors import DimensionError, NotInSpanError, RdlError
 from rdl.serialize import analysis_to_json
 from rdl.subspace import Subspace
 from oracles import kernel_by_accumulation
@@ -131,7 +131,7 @@ def test_expand_reduced_stack_reports_worst_residual():
     seed=st.integers(0, 2**16),
 )
 def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_joint, seed):
-    """The residuals' kernel basis against the per-element sum, and the kernel's defining properties.
+    """The kernel basis against the per-element sum, and the kernel's defining properties.
 
     The two bases differ by a rotation inside the kernel, so they are compared
     through their coordinate projectors.
@@ -228,6 +228,15 @@ def test_build_from_operators_rejects_empty_and_zero():
         rdl.build_subspace_from_operators([], dims)
     with pytest.raises(DimensionError):
         rdl.build_subspace_from_operators([np.zeros((4, 4))], dims)
+
+
+def test_more_pairs_than_span_rank_is_refused():
+    """Joint operators within the rank cut of each other whose marginals are not."""
+    ra, rb = np.diag([0.7, 0.3]), np.diag([0.2, 0.8])
+    x1 = 1e3 * rdl.tensor(np.eye(2), rdl.SIGMA_Z) + rdl.tensor(ra, np.eye(2) / 2)
+    x2 = x1 + 1e-6 * rdl.tensor(rb - ra, np.eye(2) / 2)
+    with pytest.raises(RdlError, match="found 2 independent reduced operators in a span of rank 1"):
+        rdl.build_subspace_from_operators([x1, x2], rdl.BipartiteDims(2, 2))
 
 
 def test_build_from_operators_names_the_misshapen_operator():
