@@ -16,13 +16,13 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import SamplingExhaustedError
 from .families import StateFamily
-from .operators import _require_propagator, frozen, partial_trace_env
+from .operators import _evolved_marginal, _require_propagator, frozen, partial_trace_env
 from .subspace import Subspace, build_subspace
 
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
 _BISECTION_STEPS = 60
 _MIN_PERTURBATION = 1e-7  # smaller scalings probe nothing but numerical noise
-_BLOCK_ENTRIES = 2**16  # hull trials per block times d_j^2 stays at or below this
+_BLOCK_ENTRIES = 2**16  # caps hull trials x d_j^2 and pair rows x n d_s^2 per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +68,6 @@ def _report(violations, tol, witness_of=None, pairs_tested=None) -> ConsistencyR
     )
 
 
-def _evolved_marginals(u: np.ndarray, x: np.ndarray, dims) -> np.ndarray:
-    """Tr_E(U X U^dag) for each joint operator in the stack ``x``."""
-    return partial_trace_env(u @ x @ u.conj().T, dims)
-
-
 def check_subspace_consistency(
     subspace: Subspace,
     u: np.ndarray,
@@ -86,7 +81,7 @@ def check_subspace_consistency(
     """
     u = _require_propagator(u, subspace.dims, tols)
     residuals = subspace.residuals
-    viol = np.abs(_evolved_marginals(u, residuals, subspace.dims)).max(axis=(1, 2))
+    viol = np.abs(_evolved_marginal(u, residuals, subspace.dims)).max(axis=(1, 2))
     return _report(viol, tols.consistency, lambda k: residuals[k])
 
 
@@ -102,18 +97,27 @@ def check_pairwise_consistency(
     is vacuous: consistent with pairs_tested = 0.
     """
     u = _require_propagator(u, family.dims, tols)
-    members = np.array(family.members)
+    members = family.stack
+    n = len(members)
     reduced = partial_trace_env(members, family.dims)
-    evolved = _evolved_marginals(u, members, family.dims)
-    # One row of pairs at a time: all pairs at once would hold n^2 d_s^2 entries.
-    pairs, viol = [], []
-    for i in range(len(members) - 1):
-        dist = np.abs(reduced[i + 1 :] - reduced[i]).max(axis=(1, 2))
-        match = i + 1 + np.flatnonzero(dist <= tols.rank)
-        pairs += [(i, j) for j in match]
-        viol.extend(np.abs(evolved[match] - evolved[i]).max(axis=(1, 2)))
+    evolved = _evolved_marginal(u, members, family.dims)
+    # Blocks of rows of pairs: all pairs at once would hold n^2 d_s^2 entries.
+    rows = max(1, _BLOCK_ENTRIES // (n * family.dims.d_s**2))
+    firsts, seconds, viol = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for start in range(0, n - 1, rows):
+        i = np.arange(start, min(start + rows, n - 1))
+        dist = np.abs(reduced[start + 1 :] - reduced[i, None]).max(axis=(2, 3))
+        # Row-major hits of the upper triangle, so pairs come in (i, j) order.
+        hit_i, hit_j = np.nonzero((dist <= tols.rank) & (np.arange(start + 1, n) > i[:, None]))
+        firsts.append(i[hit_i])
+        seconds.append(start + 1 + hit_j)
+        viol.append(np.abs(evolved[seconds[-1]] - evolved[firsts[-1]]).max(axis=(1, 2)))
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
     return _report(
-        viol, tols.consistency, lambda k: members[pairs[k][0]] - members[pairs[k][1]], len(pairs)
+        np.concatenate(viol),
+        tols.consistency,
+        lambda k: members[first[k]] - members[second[k]],
+        len(first),
     )
 
 
@@ -170,7 +174,7 @@ def check_hull_consistency(
 
     rng = np.random.default_rng(seed)
     d_j = family.dims.joint
-    members = np.array(family.members).reshape(-1, d_j * d_j)
+    members = family.stack.reshape(-1, d_j * d_j)
     kernel = np.array(sub.kernel_basis).reshape(-1, d_j * d_j)
     block = max(1, _BLOCK_ENTRIES // d_j**2)
     violations, witness = np.zeros(0), None
@@ -191,7 +195,7 @@ def check_hull_consistency(
         found = ~np.isnan(eps)
         steps = eps[found, None, None] * y[found]
         sigma = sigma[found]
-        out = _evolved_marginals(u, np.stack([sigma + steps, sigma]), family.dims)
+        out = _evolved_marginal(u, np.stack([sigma + steps, sigma]), family.dims)
         first = len(violations)
         violations = np.concatenate([violations, np.abs(out[0] - out[1]).max(axis=(1, 2))])
         # Keep only the step of the first worst trial so far: the one _report asks for.

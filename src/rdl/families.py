@@ -92,12 +92,17 @@ def extract_two_qubit_params(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 
 @dataclass(frozen=True, eq=False)
 class StateFamily:
-    """A finite set of joint density matrices on one system-environment split."""
+    """A finite set of joint density matrices on one system-environment split.
+
+    The validated members are held once, as the read-only ``stack`` of shape
+    (n, d_j, d_j); ``members`` holds views of its rows.
+    """
 
     dims: BipartiteDims
     members: tuple[np.ndarray, ...]
     label: str = ""
     tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
+    stack: np.ndarray = field(init=False, repr=False)  # read-only (n, d_j, d_j); members view it
 
     def __post_init__(self):
         if len(self.members) == 0:
@@ -114,6 +119,7 @@ class StateFamily:
                 f"member {shaped} has shape {members[shaped].shape}, expected {side}"
             )
         stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "members", tuple(stack))
 
     def __len__(self) -> int:
@@ -121,22 +127,44 @@ class StateFamily:
 
     def reduced(self) -> tuple[np.ndarray, ...]:
         """Partial trace of every member over the environment."""
-        return tuple(partial_trace_env(np.array(self.members), self.dims))
+        return tuple(partial_trace_env(self.stack, self.dims))
 
 
 def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Indices, in order, of the matrices in ``stack`` that :func:`require_density` rejects.
 
-    Hermiticity and trace are tested on the whole stack.  One ``eigvalsh``
-    covers the members before the first non-Hermitian one, so it never sees a
-    NaN (which fails Hermiticity first).
+    Hermiticity and trace are tested on the whole stack.  Positivity is
+    tested on the members before the first non-Hermitian one, so it never
+    sees a NaN (which fails Hermiticity first): by one Cholesky certificate
+    when that suffices, else by one ``eigvalsh``.
     """
     herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
     non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
     bad = non_hermitian | ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
     checked = int(np.argmax(non_hermitian)) if non_hermitian.any() else len(stack)
-    bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
+    if not _all_positive(stack[:checked], tol.psd):
+        bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
     return np.flatnonzero(bad)
+
+
+def _all_positive(stack: np.ndarray, psd: float) -> bool:
+    """True when a Cholesky factor of every rho + (psd / 2) I exists.
+
+    The factor exists only if each min eigenvalue is at least -psd / 2 less
+    the factorization's roundoff, so every member then passes the ``eigvalsh``
+    cut at -psd.  The roundoff grows with the side d; below a shift of
+    64 d eps it could reach psd / 2, and the certificate is not tried.
+    False means "not certified", not "some member fails".
+    """
+    d = stack.shape[-1]
+    shift = psd / 2
+    if not shift > 64 * d * np.finfo(float).eps:
+        return False
+    try:
+        np.linalg.cholesky(stack + shift * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _format_matrix(m: np.ndarray) -> str:

@@ -25,6 +25,7 @@ from .consistency import ConsistencyReport
 from .errors import DimensionError, HermiticityError, IncompleteDomainError
 from .operators import (
     BipartiteDims,
+    _evolved_marginal,
     _require_propagator,
     basis_coords,
     from_basis_coords,
@@ -128,7 +129,7 @@ def build_dynamical_map(
     projector = ortho.T @ ortho
 
     lifted = assignment.apply(from_basis_coords(projector.T, d_s))
-    matrix = basis_coords(partial_trace_env(u @ lifted @ u.conj().T, sub.dims), d_s).T
+    matrix = basis_coords(_evolved_marginal(u, lifted, sub.dims), d_s).T
 
     return Superoperator(
         d_s=d_s,

@@ -154,6 +154,18 @@ def partial_trace_env(x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return np.einsum("...ikjk->...ij", x4)
 
 
+def _evolved_marginal(u: np.ndarray, x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Tr_E(U X U^dag) for a joint operator or a stack (..., d_j, d_j), in one contraction.
+
+    Row i of the marginal sums over the environment index k and the column b:
+    Y[i, j] = sum_kb (U X)[(i * d_e + k), b] conj(U)[(j * d_e + k), b], so U X U^dag
+    is never formed.  ``u`` is taken as already validated.
+    """
+    width = dims.d_e * dims.joint
+    ux = u @ x
+    return ux.reshape(ux.shape[:-2] + (dims.d_s, width)) @ u.conj().reshape(dims.d_s, width).T
+
+
 def adjoint_action(u: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Conjugation U X U^dag, with ``u`` validated as unitary."""
     u = require_unitary(u, tol.unitary, "propagator")

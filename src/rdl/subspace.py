@@ -65,8 +65,9 @@ class Subspace:
     @functools.cached_property
     def residuals(self) -> np.ndarray:
         """The stack of g_i = rho_i - A(Tr_E rho_i); every marginal lifts, whatever its residual."""
-        lift = self.lift(partial_trace_env(self.members, self.dims), tol=np.inf)
-        return frozen(self.members - lift)
+        residuals = self.members - self.lift(partial_trace_env(self.members, self.dims), tol=np.inf)
+        residuals.setflags(write=False)
+        return residuals
 
     @functools.cached_property
     def span_basis(self) -> tuple[np.ndarray, ...]:
@@ -168,7 +169,7 @@ def select_independent(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank):
     its unit-normalized reduced coordinates keeps the smallest singular value
     of the pile above ``tol_rank``.
     """
-    return _select_pairs(family.members, family.dims, tol_rank)
+    return _select_pairs(family.stack, family.dims, tol_rank)
 
 
 def build_subspace_from_operators(
@@ -180,29 +181,37 @@ def build_subspace_from_operators(
 
     Same machinery as :func:`build_subspace` but without density-matrix
     validation, so callers can hand in a custom operator subspace directly.
+    ``ops`` is a sequence of operators or a stack (n, d_j, d_j); a read-only
+    complex stack, such as ``StateFamily.stack``, is used without a copy.
     """
-    ops = [np.asarray(op, dtype=complex) for op in ops]
-    if not ops:
+    if not isinstance(ops, np.ndarray):
+        ops = list(ops)
+    if not len(ops):
         raise DimensionError("need at least one operator to span a subspace")
     d_j = dims.joint
     for idx, op in enumerate(ops):
-        if op.shape != (d_j, d_j):
-            raise DimensionError(f"operator {idx} has shape {op.shape}, expected ({d_j}, {d_j})")
+        if np.shape(op) != (d_j, d_j):
+            raise DimensionError(
+                f"operator {idx} has shape {np.shape(op)}, expected ({d_j}, {d_j})"
+            )
 
-    ops = frozen(ops)
-    _, rows = _unit_rows(ops, d_j)
+    stack = np.asarray(ops, dtype=complex)
+    if stack is ops and ops.flags.writeable:
+        stack = np.array(stack)  # the caller's array stays the caller's
+    stack.setflags(write=False)
+    _, rows = _unit_rows(stack, d_j)
     if not len(rows):
         raise DimensionError("all supplied operators are zero")
     span_dim = int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
-    pairs = _select_pairs(ops, dims, tol_rank)
+    pairs = _select_pairs(stack, dims, tol_rank)
     if len(pairs) > span_dim:
         raise RdlError(
             f"the greedy scan found {len(pairs)} independent reduced operators in a span "
             f"of rank {span_dim}; the input sits too close to the rank tolerance {tol_rank:.1e}"
         )
-    return Subspace(dims=dims, members=ops, pairs=pairs, span_dim=span_dim, tol_rank=tol_rank)
+    return Subspace(dims=dims, members=stack, pairs=pairs, span_dim=span_dim, tol_rank=tol_rank)
 
 
 def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> Subspace:
     """Span rank of the family and its independent reduced pairs."""
-    return build_subspace_from_operators(family.members, family.dims, tol_rank)
+    return build_subspace_from_operators(family.stack, family.dims, tol_rank)

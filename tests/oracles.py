@@ -50,6 +50,27 @@ def conjugate_loops(u, x):
     return out
 
 
+def pairwise_by_loops(members, u, dims, tols):
+    """The pairwise check over every pair i < j in turn, each state evolved by index loops.
+
+    Returns the violations of the pairs whose marginals agree within
+    ``tols.rank``, in (i, j) row-major order, and members[i] - members[j] for
+    the first pair that reaches the largest of them (None without pairs).
+    """
+    members = [np.asarray(m) for m in members]
+    red = [ptrace_env_loops(m, dims.d_s, dims.d_e) for m in members]
+    out = [ptrace_env_loops(conjugate_loops(u, m), dims.d_s, dims.d_e) for m in members]
+    violations, witness = [], None
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if np.abs(red[i] - red[j]).max() <= tols.rank:
+                v = np.abs(out[i] - out[j]).max()
+                if not violations or v > max(violations):
+                    witness = members[i] - members[j]
+                violations.append(v)
+    return np.array(violations), witness
+
+
 def kernel_by_accumulation(span, u_t, rank_t, r):
     """Kernel basis summed over the span one element at a time.
 

@@ -14,6 +14,7 @@ from oracles import (
     conjugate_loops,
     hull_by_trials,
     kernel_test_by_basis,
+    pairwise_by_loops,
     ptrace_env_loops,
     random_unitary,
 )
@@ -137,6 +138,22 @@ def test_pairwise_flags_swap_on_equal_marginals():
     assert ident.consistent and ident.pairs_tested == 1
 
 
+@pytest.mark.parametrize("rows", [None, 1, 2])
+def test_pairwise_witness_is_the_first_worst_pair_in_row_order(rows):
+    """Members a, b, a tie on pairs (0, 1) and (1, 2); the witness is a - b from (0, 1).
+
+    ``rows`` member rows per block: one block, or one block per row.
+    """
+    a, b = equal_marginal_pair_family().members
+    fam = rdl.StateFamily(dims=rdl.BipartiteDims(2, 2), members=(a, b, a))
+    entries = rdl.consistency._BLOCK_ENTRIES if rows is None else rows * 3 * 4
+    with mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
+        rep = rdl.check_pairwise_consistency(fam, rdl.swap_unitary(2))
+    assert rep.pairs_tested == 3
+    assert abs(rep.max_violation - 0.5) < 1e-12
+    assert np.array_equal(rep.witness, a - b)
+
+
 def test_pairwise_vacuous_when_no_marginals_match(rng):
     states = [rdl.random_density_matrix(2, rng) for _ in range(3)]
     fam = rdl.product_family(states, rdl.random_density_matrix(2, rng))
@@ -242,16 +259,21 @@ def random_propagator(rng, dims, entangling):
     n_env=st.integers(1, 3),
     n_joint=st.integers(0, 3),
     entangling=st.booleans(),
+    rows=st.sampled_from([None, 1, 2, 5]),
     seed=st.integers(0, 2**16),
 )
-def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, entangling, seed):
+def test_batched_checks_match_loop_oracles(
+    d_s, d_e, n_sys, n_env, n_joint, entangling, rows, seed
+):
     """Kernel and pairwise checks against index-loop evaluations, past the 2x2 case.
 
     Product members that share a system factor give equal-marginal pairs;
     random joint members widen the span and the kernel.  The kernel test's
     residuals are checked against each member minus the lift of its
     loop-traced marginal, solved over the flattened reduced states; the
-    witness is the worst residual.
+    witness is the worst residual.  The pairwise scan runs in blocks of
+    ``rows`` member rows (one block when None), and its witness is the
+    first worst pair's difference.
     """
     rng = np.random.default_rng(seed)
     fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
@@ -278,17 +300,16 @@ def test_batched_checks_match_loop_oracles(d_s, d_e, n_sys, n_env, n_joint, enta
     else:
         assert rep.witness is None
 
-    red = [ptrace_env_loops(m, d_s, d_e) for m in members]
-    out = [evolved_marginal(m) for m in members]
-    tested, worst = 0, 0.0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if rdl.max_norm(red[i] - red[j]) <= tols.rank:
-                tested += 1
-                worst = max(worst, rdl.max_norm(out[i] - out[j]))
-    pw = rdl.check_pairwise_consistency(fam, u)
-    assert pw.pairs_tested == tested
-    assert abs(pw.max_violation - worst) <= 1e-12
+    viol, witness = pairwise_by_loops(members, u, fam.dims, tols)
+    entries = rdl.consistency._BLOCK_ENTRIES if rows is None else rows * len(fam) * d_s**2
+    with mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
+        pw = rdl.check_pairwise_consistency(fam, u)
+    assert pw.pairs_tested == len(viol)
+    assert abs(pw.max_violation - viol.max(initial=0.0)) <= 1e-12
+    if viol.max(initial=0.0) > tols.consistency:
+        assert np.array_equal(pw.witness, witness)
+    else:
+        assert pw.witness is None
 
 
 @settings(max_examples=80)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, EmptyFamilyError, HermiticityError, NotAStateError
-from oracles import validate_members_one_by_one
+from oracles import random_unitary, validate_members_one_by_one
 
 
 def test_assemble_maximally_mixed():
@@ -99,20 +102,88 @@ def test_family_validation_matches_member_loop(d_s, d_e, kinds, seed):
     rng = np.random.default_rng(seed)
     dims = rdl.BipartiteDims(d_s, d_e)
     members = tuple(_member(k, dims.joint, rng) for k in kinds)
+    _assert_validates_like_member_loop(members, dims, rdl.DEFAULT_TOL)
+
+
+def _assert_validates_like_member_loop(members, dims, tol):
+    """StateFamily raises what the member loop raises, or accepts the members unchanged.
+
+    Returns whether the family was accepted.
+    """
     try:
-        validate_members_one_by_one(members, dims, rdl.DEFAULT_TOL)
+        validate_members_one_by_one(members, dims, tol)
     except rdl.RdlError as err:
         with pytest.raises(type(err)) as got:
-            rdl.StateFamily(dims=dims, members=members)
+            rdl.StateFamily(dims=dims, members=members, tol=tol)
         assert type(got.value) is type(err)
         assert str(got.value) == str(err)
         assert getattr(got.value, "min_eigenvalue", None) == getattr(err, "min_eigenvalue", None)
-        return
-    fam = rdl.StateFamily(dims=dims, members=members)
-    for m, original in zip(fam.members, members):
+        return False
+    fam = rdl.StateFamily(dims=dims, members=members, tol=tol)
+    assert not fam.stack.flags.writeable
+    for m, s, original in zip(fam.members, fam.stack, members):
         assert not m.flags.writeable
-        assert np.array_equal(m, original)
+        assert np.array_equal(m, original) and np.array_equal(s, original)
     assert np.array_equal(fam.reduced(), [rdl.partial_trace_env(m, dims) for m in members])
+    return True
+
+
+def _with_lowest_eigenvalue(d, lowest, rng):
+    """A Hermitian unit-trace matrix of side d with eigenvalue ``lowest`` and d - 1 positive ones."""
+    rest = rng.uniform(0.5, 1.0, size=d - 1)
+    spectrum = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    v = random_unitary(d, rng)
+    rho = (v * spectrum) @ v.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def _pure(d, rng):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+@pytest.mark.parametrize("psd", [1e-9, 1e-12, 1e-16, 1e-20, 0.0])
+@pytest.mark.parametrize("d_s, d_e", [(2, 1), (2, 2), (3, 3), (4, 8)])
+def test_validation_near_the_positivity_cut_matches_member_loop(psd, d_s, d_e):
+    """Members whose lowest eigenvalue sits at the psd cut, validated alone and together.
+
+    The lowest eigenvalues are 0, +-1e-16, -psd/2, -psd (1 +- 1e-3) and
+    -3 psd, and pure states add d - 1 eigenvalues at roundoff from 0.  Each
+    candidate follows a valid member, then all candidates form one family,
+    then all that the member loop accepts do.  Whether the Cholesky
+    certificate holds or the eigvalsh fallback runs, the outcome is the loop's.
+    """
+    rng = np.random.default_rng([d_s, d_e, int(-np.log10(psd)) if psd else 99])
+    dims = rdl.BipartiteDims(d_s, d_e)
+    d = dims.joint
+    tol = replace(rdl.DEFAULT_TOL, psd=psd)
+    lowest = [0.0, 1e-16, -1e-16, -psd / 2, -psd * (1 + 1e-3), -psd * (1 - 1e-3), -3 * psd]
+    candidates = [_with_lowest_eigenvalue(d, lo, rng) for lo in lowest for _ in range(3)]
+    candidates += [_pure(d, rng) for _ in range(8)]
+    valid = rdl.random_density_matrix(d, rng)
+    accepted = [valid]
+    accepted += [m for m in candidates if _assert_validates_like_member_loop((valid, m), dims, tol)]
+    _assert_validates_like_member_loop(tuple(candidates), dims, tol)
+    assert _assert_validates_like_member_loop(tuple(accepted), dims, tol)
+
+
+def test_cholesky_certificate_replaces_eigvalsh_when_it_holds(rng):
+    """Valid members at the default tolerance pass without an eigendecomposition.
+
+    Below the roundoff floor (psd = 1e-20) and after a failed factorization
+    the eigvalsh route runs as before.
+    """
+    dims = rdl.BipartiteDims(4, 8)
+    members = tuple(rdl.random_density_matrix(dims.joint, rng) for _ in range(5))
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        rdl.StateFamily(dims=dims, members=members)
+        assert spy.call_count == 0
+        rdl.StateFamily(dims=dims, members=members, tol=replace(rdl.DEFAULT_TOL, psd=1e-20))
+        assert spy.call_count == 1
+        bad = _with_lowest_eigenvalue(dims.joint, -1e-6, rng)
+        with pytest.raises(NotAStateError):
+            rdl.StateFamily(dims=dims, members=members + (bad,))
+        assert spy.call_count == 3  # the stack's eigvalsh, then require_density's on the bad one
 
 
 def test_product_family_marginals(rng):

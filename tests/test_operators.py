@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, HermiticityError, NotAStateError, UnitarityError
+from rdl.operators import _evolved_marginal
 from oracles import conjugate_loops, kron_loops, ptrace_env_loops, random_unitary, trace_norm_svd
 
 
@@ -60,6 +61,25 @@ def test_adjoint_action_matches_loops(rng):
     u = random_unitary(4, rng)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.abs(rdl.adjoint_action(u, x) - conjugate_loops(u, x)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d_s", [2, 3])
+@pytest.mark.parametrize("d_e", [1, 2, 3, 4])
+def test_evolved_marginal_matches_loops_on_stacks(d_s, d_e, rng):
+    """Tr_E(U X U^dag) in one contraction, for one operator and for stacks with leading axes.
+
+    The leading axes cover a member stack (m,) and the hull's pair of stacks (2, m).
+    """
+    dims = rdl.BipartiteDims(d_s, d_e)
+    u = random_unitary(dims.joint, rng)
+    for lead in [(), (3,), (2, 3)]:
+        shape = lead + (dims.joint, dims.joint)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = _evolved_marginal(u, x, dims)
+        assert got.shape == lead + (d_s, d_s)
+        for idx in np.ndindex(lead):
+            expected = ptrace_env_loops(conjugate_loops(u, x[idx]), d_s, d_e)
+            assert np.abs(got[idx] - expected).max() < 1e-13
 
 
 def test_adjoint_action_rejects_nonunitary():

@@ -244,6 +244,21 @@ def test_build_from_operators_names_the_misshapen_operator():
         rdl.build_subspace_from_operators([np.eye(4), np.eye(3)], rdl.BipartiteDims(2, 2))
 
 
+def test_subspace_reads_the_family_stack_and_copies_a_writable_one(rng):
+    """The family's read-only stack is shared; a caller's writable stack or list is copied once."""
+    states = [rdl.random_density_matrix(2, rng) for _ in range(3)]
+    fam = rdl.product_family(states, rdl.random_density_matrix(2, rng))
+    sub = rdl.build_subspace(fam)
+    assert sub.members is fam.stack
+    assert not sub.residuals.flags.writeable
+    ops = np.array(fam.stack)
+    own = rdl.build_subspace_from_operators(ops, fam.dims)
+    ops[0] = 0
+    assert np.array_equal(own.members, fam.stack) and not own.members.flags.writeable
+    listed = rdl.build_subspace_from_operators(list(fam.members), fam.dims)
+    assert np.array_equal(listed.members, fam.stack) and not listed.members.flags.writeable
+
+
 def test_product_family_with_one_environment_state_has_empty_kernel(rng):
     omega = rdl.random_density_matrix(2, rng)
     states = [rdl.random_density_matrix(2, rng) for _ in range(4)]
