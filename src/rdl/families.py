@@ -142,12 +142,12 @@ def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
     bad = non_hermitian | ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
     checked = int(np.argmax(non_hermitian)) if non_hermitian.any() else len(stack)
-    if not _all_positive(stack[:checked], tol.psd):
+    if not _positivity_certified(stack[:checked], tol.psd):
         bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
     return np.flatnonzero(bad)
 
 
-def _all_positive(stack: np.ndarray, psd: float) -> bool:
+def _positivity_certified(stack: np.ndarray, psd: float) -> bool:
     """True when a Cholesky factor of every rho + (psd / 2) I exists.
 
     The factor exists only if each min eigenvalue is at least -psd / 2 less

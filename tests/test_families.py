@@ -129,7 +129,7 @@ def _assert_validates_like_member_loop(members, dims, tol):
 
 
 def _with_lowest_eigenvalue(d, lowest, rng):
-    """A Hermitian unit-trace matrix of side d with eigenvalue ``lowest`` and d - 1 positive ones."""
+    """A Hermitian unit-trace matrix of side d: eigenvalue ``lowest``, then d - 1 positive ones."""
     rest = rng.uniform(0.5, 1.0, size=d - 1)
     spectrum = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
     v = random_unitary(d, rng)
