@@ -17,7 +17,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import SamplingExhaustedError
 from .families import StateFamily
 from .operators import _evolved_marginal, _require_propagator, frozen, partial_trace_env
-from .subspace import Subspace, build_subspace
+from .subspace import Subspace
 
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
 _BISECTION_STEPS = 60
@@ -146,7 +146,7 @@ def _positivity_scaling(sigma: np.ndarray, y: np.ndarray, psd_tol: float) -> np.
 
 
 def check_hull_consistency(
-    family: StateFamily,
+    subspace: Subspace,
     u: np.ndarray,
     seed: int,
     trials: int = 100,
@@ -154,37 +154,42 @@ def check_hull_consistency(
 ) -> ConsistencyReport:
     """Sampled equal-marginal state pairs instead of the member residuals.
 
-    Each trial mixes the members with random convex weights, perturbs the mix
-    along a random kernel direction scaled until positivity survives, and
-    compares the evolved marginals of the perturbed and unperturbed states.
-    Agrees with :func:`check_subspace_consistency` on the verdict because any
-    equal-marginal pair differs by a kernel element and vice versa.  Trials
-    are drawn one after another from one generator and evaluated as stacks,
-    in blocks of ``max(1, 2**16 // d_j**2)`` trials.
+    Each trial mixes ``subspace.members`` with random convex weights, perturbs
+    the mix along a random kernel direction scaled until positivity survives,
+    and compares the evolved marginals of the perturbed and unperturbed
+    states.  The members are mixed as states, so ``subspace`` must come from
+    :func:`build_subspace` of a state family.  Trials are drawn one after
+    another from one generator and evaluated as stacks, in blocks of
+    ``max(1, 2**16 // d_j**2)`` trials.
+
+    Any equal-marginal pair differs by a kernel element and vice versa, so in
+    exact arithmetic the verdict is that of :func:`check_subspace_consistency`.
+    Near the tolerance the two can differ, because they measure on different
+    scales: the kernel test the member residuals, the hull the
+    positivity-scaled unit kernel steps.
 
     Requires an explicit ``seed``.  Raises SamplingExhaustedError when the
     kernel is nonempty but no trial admits a positivity-preserving scaling.
     """
-    u = _require_propagator(u, family.dims, tols)
+    u = _require_propagator(u, subspace.dims, tols)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    sub = build_subspace(family, tols.rank)
-    if sub.kernel_dim == 0:
+    if subspace.kernel_dim == 0:
         return _report([], tols.consistency, pairs_tested=0)
 
     rng = np.random.default_rng(seed)
-    d_j = family.dims.joint
-    members = family.stack.reshape(-1, d_j * d_j)
-    kernel = np.array(sub.kernel_basis).reshape(-1, d_j * d_j)
+    d_j = subspace.dims.joint
+    members = subspace.members.reshape(-1, d_j * d_j)
+    kernel = subspace.kernel_basis.reshape(-1, d_j * d_j)
     block = max(1, _BLOCK_ENTRIES // d_j**2)
     violations, witness = np.zeros(0), None
     for start in range(0, trials, block):
         size = min(block, trials - start)
         weights = np.empty((size, len(members)))
-        coeffs = np.empty((size, sub.kernel_dim))
+        coeffs = np.empty((size, subspace.kernel_dim))
         for t in range(size):  # the draws keep their trial-by-trial order
             weights[t] = rng.exponential(size=len(members))
-            coeffs[t] = rng.normal(size=sub.kernel_dim)
+            coeffs[t] = rng.normal(size=subspace.kernel_dim)
         weights /= weights.sum(axis=1, keepdims=True)
         y = coeffs @ kernel
         norms = np.linalg.norm(y, axis=1)
@@ -195,7 +200,7 @@ def check_hull_consistency(
         found = ~np.isnan(eps)
         steps = eps[found, None, None] * y[found]
         sigma = sigma[found]
-        out = _evolved_marginal(u, np.stack([sigma + steps, sigma]), family.dims)
+        out = _evolved_marginal(u, np.stack([sigma + steps, sigma]), subspace.dims)
         first = len(violations)
         violations = np.concatenate([violations, np.abs(out[0] - out[1]).max(axis=(1, 2))])
         # Keep only the step of the first worst trial so far: the one _report asks for.

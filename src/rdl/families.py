@@ -55,19 +55,28 @@ class TwoQubitParams:
         object.__setattr__(self, "gamma", frozen(gamma))
 
 
+def _product_paulis() -> np.ndarray:
+    """The 16 product Paulis: I (x) I, then per axis i, s_i (x) I, I (x) s_i, s_i (x) s_1..3."""
+    eye = np.eye(2)
+    table = [tensor(eye, eye)]
+    for p in PAULIS:
+        table += [tensor(p, eye), tensor(eye, p)] + [tensor(p, q) for q in PAULIS]
+    return frozen(np.array(table))
+
+
+_PRODUCT_PAULIS = _product_paulis()  # (16, 4, 4); rows 1..15 are one block of 5 per axis
+
+
 def assemble_two_qubit(params: TwoQubitParams, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Build the 4x4 density matrix for ``params``.
 
-    Raises NotAStateError (carrying the minimum eigenvalue) when the
-    coefficients do not describe a positive matrix.
+    The terms are summed one after another in table order.  Raises
+    NotAStateError (carrying the minimum eigenvalue) when the coefficients
+    do not describe a positive matrix.
     """
-    rho = np.eye(4, dtype=complex)
-    for i in range(3):
-        rho += params.alpha[i] * tensor(PAULIS[i], np.eye(2))
-        rho += params.beta[i] * tensor(np.eye(2), PAULIS[i])
-        for j in range(3):
-            rho += params.gamma[i, j] * tensor(PAULIS[i], PAULIS[j])
-    rho /= 4.0
+    blocks = np.column_stack([params.alpha, params.beta, params.gamma])
+    coeffs = np.concatenate([[1.0], blocks.ravel()])
+    rho = np.add.reduce(coeffs[:, None, None] * _PRODUCT_PAULIS, axis=0) / 4.0
     return require_density(rho, tol, "assembled two-qubit state")
 
 
@@ -81,13 +90,8 @@ def extract_two_qubit_params(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     rho = require_hermitian(rho, tol.herm, "two-qubit state")
     if rho.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 matrix, got {rho.shape}")
-    eye = np.eye(2)
-    alpha = np.array([np.trace(tensor(p, eye) @ rho).real for p in PAULIS])
-    beta = np.array([np.trace(tensor(eye, p) @ rho).real for p in PAULIS])
-    gamma = np.array(
-        [[np.trace(tensor(pi, pj) @ rho).real for pj in PAULIS] for pi in PAULIS]
-    )
-    return TwoQubitParams(alpha=alpha, beta=beta, gamma=gamma)
+    blocks = np.trace(_PRODUCT_PAULIS[1:] @ rho, axis1=1, axis2=2).real.reshape(3, 5)
+    return TwoQubitParams(alpha=blocks[:, 0], beta=blocks[:, 1], gamma=blocks[:, 2:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,12 +137,13 @@ class StateFamily:
 def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Indices, in order, of the matrices in ``stack`` that :func:`require_density` rejects.
 
-    Hermiticity and trace are tested on the whole stack.  Positivity is
-    tested on the members before the first non-Hermitian one, so it never
-    sees a NaN (which fails Hermiticity first): by one Cholesky certificate
-    when that suffices, else by one ``eigvalsh``.
+    Hermiticity (on one triangle) and trace are tested on the whole stack.
+    Positivity is tested on the members before the first non-Hermitian one,
+    so it never sees a NaN (which fails Hermiticity first): by one Cholesky
+    certificate when that suffices, else by one ``eigvalsh``.
     """
-    herm_dev = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    rows, cols = np.triu_indices(stack.shape[-1])  # |a_ij - conj(a_ji)| is symmetric in i, j
+    herm_dev = np.abs(stack[:, rows, cols] - stack[:, cols, rows].conj()).max(axis=1)
     non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
     bad = non_hermitian | ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
     checked = int(np.argmax(non_hermitian)) if non_hermitian.any() else len(stack)
@@ -265,18 +270,11 @@ def full_two_qubit_family(eps: float = 0.2, tol: ToleranceConfig = DEFAULT_TOL) 
     product-Pauli direction.  Valid states for eps <= 0.25.
     """
     eye4 = np.eye(4, dtype=complex) / 4.0
-    eye2 = np.eye(2)
-    members = [eye4]
-    for p in PAULIS:
-        members.append(eye4 + eps * tensor(p, eye2))
-    for p in PAULIS:
-        members.append(eye4 + eps * tensor(eye2, p))
-    for pi in PAULIS:
-        for pj in PAULIS:
-            members.append(eye4 + eps * tensor(pi, pj))
+    axes = _PRODUCT_PAULIS[1:].reshape(3, 5, 4, 4)
+    directions = np.concatenate([axes[:, 0], axes[:, 1], axes[:, 2:].reshape(9, 4, 4)])
     return StateFamily(
         dims=BipartiteDims(2, 2),
-        members=tuple(members),
+        members=(eye4, *(eye4 + eps * directions)),
         label=f"full-span two-qubit family, eps={eps:.6g}",
         tol=tol,
     )

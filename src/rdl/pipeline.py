@@ -54,14 +54,15 @@ def analyze(
 ) -> Analysis:
     """Run the whole decision for ``family`` under the propagator ``u``.
 
-    With ``hull_seed`` set, :func:`check_hull_consistency` also samples
-    ``hull_trials`` equal-marginal state pairs from that seed.
+    The Subspace is built once.  With ``hull_seed`` set,
+    :func:`check_hull_consistency` also samples ``hull_trials`` equal-marginal
+    state pairs of it from that seed.
     """
     sub = build_subspace(family, tols.rank)
     report = check_subspace_consistency(sub, u, tols)
     hull = None
     if hull_seed is not None:
-        hull = check_hull_consistency(family, u, hull_seed, hull_trials, tols)
+        hull = check_hull_consistency(sub, u, hull_seed, hull_trials, tols)
     superop = build_dynamical_map(build_assignment(sub), u, consistency=report, tols=tols)
     return Analysis(
         family=family,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
-from .families import StateFamily, TwoQubitParams
+from .families import StateFamily
 from .operators import BipartiteDims
 from .pipeline import Analysis
 from .subspace import Subspace
@@ -111,27 +111,6 @@ def family_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> StateFamily:
         raise ValueError("family: label must be a string")
     dims = BipartiteDims(d_s=obj["d_s"], d_e=obj["d_e"])
     return StateFamily(dims=dims, members=tuple(members), label=label, tol=tol)
-
-
-def params_to_json(p: TwoQubitParams) -> dict:
-    return {
-        "alpha": [float(v) for v in p.alpha],
-        "beta": [float(v) for v in p.beta],
-        "gamma": [[float(v) for v in row] for row in p.gamma],
-    }
-
-
-def params_from_json(obj) -> TwoQubitParams:
-    if not isinstance(obj, dict):
-        raise ValueError(f"params: expected an object, got {type(obj).__name__}")
-    for key in ("alpha", "beta", "gamma"):
-        if key not in obj:
-            raise ValueError(f"params: missing key {key!r}")
-    return TwoQubitParams(
-        alpha=np.asarray(obj["alpha"], dtype=float),
-        beta=np.asarray(obj["beta"], dtype=float),
-        gamma=np.asarray(obj["gamma"], dtype=float),
-    )
 
 
 def consistency_report_to_json(rep: ConsistencyReport) -> dict:

@@ -45,7 +45,8 @@ class Subspace:
     ``pairs`` holds (reduced, joint) matrices for a maximal independent set of
     reduced states, scanned greedily in member order.  Each member splits as
     rho_i = A(Tr_E rho_i) + g_i, A the assignment lift; the residuals g_i span
-    the traceless kernel.  Residuals and orthonormal bases are built on use.
+    the traceless kernel.  Residuals and orthonormal bases are built on use,
+    each as one read-only stack.
     """
 
     dims: BipartiteDims
@@ -70,21 +71,26 @@ class Subspace:
         return residuals
 
     @functools.cached_property
-    def span_basis(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal Hermitian basis of the span of the members."""
+    def span_basis(self) -> np.ndarray:
+        """Orthonormal Hermitian basis of the members' span, one (span_dim, d_j, d_j) stack."""
         _, rows = _unit_rows(self.members, self.dims.joint)
         _, _, vt = np.linalg.svd(rows, full_matrices=False)
-        return tuple(frozen(e) for e in from_basis_coords(vt[: self.span_dim], self.dims.joint))
+        basis = from_basis_coords(vt[: self.span_dim], self.dims.joint)
+        basis.setflags(write=False)
+        return basis
 
     @functools.cached_property
-    def kernel_basis(self) -> tuple[np.ndarray, ...]:
-        """Orthonormal kernel basis from the residuals' raw coordinates.
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal kernel basis, one (kernel_dim, d_j, d_j) stack.
 
-        Normalizing them would blow the pair members' roundoff residuals up into directions.
+        It comes from the residuals' raw coordinates: normalizing them would
+        blow the pair members' roundoff residuals up into directions.
         """
         d_j = self.dims.joint
         _, _, vt = np.linalg.svd(basis_coords(self.residuals, d_j).real, full_matrices=False)
-        return tuple(frozen(k) for k in from_basis_coords(vt[: self.kernel_dim], d_j))
+        basis = from_basis_coords(vt[: self.kernel_dim], d_j)
+        basis.setflags(write=False)
+        return basis
 
     def expand_reduced(self, x: np.ndarray, tol: float | None = None) -> ReducedExpansion:
         """Expand a d_s x d_s operator, or a stack of them, over the independent reduced states.

@@ -176,6 +176,37 @@ def hull_by_trials(members, kernel, u, dims, seed, trials, tols):
     return np.array(eps_all), np.array(violations), steps
 
 
+def assemble_two_qubit_by_kron(params, tol):
+    """A two-qubit state summed from its product-Pauli terms, each built by ``np.kron``.
+
+    The terms are added to the identity in the order I (x) I, then for each
+    axis i: s_i (x) I, I (x) s_i, s_i (x) s_1..3; the sum is divided by 4 and
+    validated by ``require_density``.
+    """
+    from rdl.operators import PAULIS, require_density
+
+    eye = np.eye(2)
+    rho = np.eye(4, dtype=complex)
+    for i in range(3):
+        rho += params.alpha[i] * np.kron(PAULIS[i], eye)
+        rho += params.beta[i] * np.kron(eye, PAULIS[i])
+        for j in range(3):
+            rho += params.gamma[i, j] * np.kron(PAULIS[i], PAULIS[j])
+    rho /= 4.0
+    return require_density(rho, tol, "assembled two-qubit state")
+
+
+def pauli_coefficients_by_kron(rho):
+    """alpha, beta and gamma of a 4x4 matrix, each one trace against an ``np.kron`` product."""
+    from rdl.operators import PAULIS
+
+    eye = np.eye(2)
+    alpha = np.array([np.trace(np.kron(p, eye) @ rho).real for p in PAULIS])
+    beta = np.array([np.trace(np.kron(eye, p) @ rho).real for p in PAULIS])
+    gamma = np.array([[np.trace(np.kron(p, q) @ rho).real for q in PAULIS] for p in PAULIS])
+    return alpha, beta, gamma
+
+
 def validate_members_one_by_one(members, dims, tol):
     """A state family's members validated one at a time, each fully before the next.
 

@@ -148,8 +148,9 @@ def test_criterion_4_hull_sampling_agrees_with_kernel_test():
 
     mismatches = []
     for k, (fam, u, expect) in enumerate(instances):
-        kernel = rdl.check_subspace_consistency(rdl.build_subspace(fam), u)
-        hull = rdl.check_hull_consistency(fam, u, seed=1000 + k, trials=100)
+        sub = rdl.build_subspace(fam)
+        kernel = rdl.check_subspace_consistency(sub, u)
+        hull = rdl.check_hull_consistency(sub, u, seed=1000 + k, trials=100)
         if not (kernel.consistent == hull.consistent == expect):
             mismatches.append((k, kernel.consistent, hull.consistent, expect))
     elapsed = time.perf_counter() - t0

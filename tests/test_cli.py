@@ -117,6 +117,26 @@ def test_swap_demo_defaults(capsys):
     assert not any(p["increased"] for p in rep["pairs"])
 
 
+def test_hull_run_builds_the_subspace_once(capsys, monkeypatch):
+    """The hull check reads the pipeline's Subspace instead of building its own."""
+    build = rdl.subspace.build_subspace_from_operators
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rdl.subspace, "build_subspace_from_operators", counted)
+    code, out, _ = run(
+        capsys,
+        "two-qubit", "--samples", "12", "--scale", "0.3",
+        "--hull", "--seed", "7", "--trials", "20",
+    )
+    assert code == 0
+    assert json.loads(out)["hull_consistency"]["pairs_tested"] == 20
+    assert len(calls) == 1
+
+
 def test_reports_are_byte_deterministic(capsys, full_family_file):
     args = (
         "analyze", "--family", full_family_file,

@@ -97,7 +97,9 @@ def test_identity_propagator_is_always_consistent():
 ENTRIES = {
     "kernel": lambda fam, u: rdl.check_subspace_consistency(rdl.build_subspace(fam), u),
     "pairwise": lambda fam, u: rdl.check_pairwise_consistency(fam, u),
-    "hull": lambda fam, u: rdl.check_hull_consistency(fam, u, seed=0, trials=5),
+    "hull": lambda fam, u: rdl.check_hull_consistency(
+        rdl.build_subspace(fam), u, seed=0, trials=5
+    ),
     "map": lambda fam, u: rdl.build_dynamical_map(
         rdl.build_assignment(rdl.build_subspace(fam)), u
     ),
@@ -189,15 +191,15 @@ def test_positivity_scaling_halves_each_pair_down_to_the_floor():
 def test_hull_agrees_with_kernel_test_and_is_deterministic():
     fam = rdl.full_two_qubit_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    rep1 = rdl.check_hull_consistency(fam, u, seed=42, trials=25)
-    rep2 = rdl.check_hull_consistency(fam, u, seed=42, trials=25)
+    rep1 = rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=42, trials=25)
+    rep2 = rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=42, trials=25)
     assert not rep1.consistent
     assert rep1.max_violation == rep2.max_violation
     assert rep1.pairs_tested == rep2.pairs_tested == 25
 
     good = constrained_family()
     u2 = rdl.model_unitary(rdl.ModelParams(omega=1.3, t=1.0))
-    rep3 = rdl.check_hull_consistency(good, u2, seed=42, trials=25)
+    rep3 = rdl.check_hull_consistency(rdl.build_subspace(good), u2, seed=42, trials=25)
     assert rep3.consistent
     assert rep3.max_violation < 1e-10
 
@@ -205,7 +207,7 @@ def test_hull_agrees_with_kernel_test_and_is_deterministic():
 def test_hull_witness_is_positivity_preserving_perturbation():
     fam = rdl.full_two_qubit_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    rep = rdl.check_hull_consistency(fam, u, seed=3, trials=10)
+    rep = rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=3, trials=10)
     w = rep.witness
     assert w is not None
     assert rdl.max_norm(rdl.partial_trace_env(w, fam.dims)) < 1e-10
@@ -214,7 +216,7 @@ def test_hull_witness_is_positivity_preserving_perturbation():
 def test_hull_vacuous_without_kernel(rng):
     states = [rdl.random_density_matrix(2, rng) for _ in range(3)]
     fam = rdl.product_family(states, rdl.random_density_matrix(2, rng))
-    rep = rdl.check_hull_consistency(fam, rdl.swap_unitary(2), seed=0)
+    rep = rdl.check_hull_consistency(rdl.build_subspace(fam), rdl.swap_unitary(2), seed=0)
     assert rep.consistent
     assert rep.pairs_tested == 0
 
@@ -226,13 +228,13 @@ def test_hull_reports_exhaustion(monkeypatch):
     fam = rdl.full_two_qubit_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=1.0, t=1.0))
     with pytest.raises(SamplingExhaustedError):
-        rdl.check_hull_consistency(fam, u, seed=0, trials=5)
+        rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=0, trials=5)
 
 
 def test_hull_rejects_zero_trials():
-    fam = rdl.full_two_qubit_family()
+    sub = rdl.build_subspace(rdl.full_two_qubit_family())
     with pytest.raises(ValueError):
-        rdl.check_hull_consistency(fam, np.eye(4, dtype=complex), seed=0, trials=0)
+        rdl.check_hull_consistency(sub, np.eye(4, dtype=complex), seed=0, trials=0)
 
 
 def product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint):
@@ -411,9 +413,9 @@ def test_stacked_hull_matches_trial_loop(
             mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
         if sub.kernel_dim and not viol.size:
             with pytest.raises(SamplingExhaustedError):
-                rdl.check_hull_consistency(fam, u, seed, trials, tols)
+                rdl.check_hull_consistency(sub, u, seed, trials, tols)
             return
-        rep = rdl.check_hull_consistency(fam, u, seed, trials, tols)
+        rep = rdl.check_hull_consistency(sub, u, seed, trials, tols)
     if sub.kernel_dim == 0:
         assert rep.consistent and rep.pairs_tested == 0 and not scaled
         return

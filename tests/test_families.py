@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, EmptyFamilyError, HermiticityError, NotAStateError
-from oracles import random_unitary, validate_members_one_by_one
+from oracles import (
+    assemble_two_qubit_by_kron,
+    pauli_coefficients_by_kron,
+    random_unitary,
+    validate_members_one_by_one,
+)
 
 
 def test_assemble_maximally_mixed():
@@ -33,6 +38,40 @@ def test_extract_inverts_assemble(rng):
         assert np.abs(q.alpha - p.alpha).max() < 1e-12
         assert np.abs(q.beta - p.beta).max() < 1e-12
         assert np.abs(q.gamma - p.gamma).max() < 1e-12
+
+
+def _same_bits(a, b):
+    """Equal float for float, signed zeros included (complex arrays as their float pairs)."""
+    a, b = (np.ascontiguousarray(x).view(float) for x in (a, b))
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+def test_product_pauli_table_matches_kron_loops(scale):
+    """Assembly and extraction give the kron loops' floats bit for bit; rejects raise alike.
+
+    At scale 0.3 about three draws in four are states; at 1.0 none is.
+    """
+    rng = np.random.default_rng(int(10 * scale))
+    states = []
+    for _ in range(400):
+        p = rdl.sample_two_qubit_params(rng, scale)
+        try:
+            expected = assemble_two_qubit_by_kron(p, rdl.DEFAULT_TOL)
+        except NotAStateError as err:
+            with pytest.raises(NotAStateError) as got:
+                rdl.assemble_two_qubit(p)
+            assert str(got.value) == str(err)
+            assert got.value.min_eigenvalue == err.min_eigenvalue
+            continue
+        rho = rdl.assemble_two_qubit(p)
+        assert _same_bits(rho, expected)
+        states.append(rho)
+    states += [rdl.random_density_matrix(4, rng) for _ in range(100)]
+    for rho in states:
+        q = rdl.extract_two_qubit_params(rho)
+        for got, want in zip((q.alpha, q.beta, q.gamma), pauli_coefficients_by_kron(rho)):
+            assert _same_bits(got, want)
 
 
 def test_params_shape_and_range_validation():
@@ -126,6 +165,24 @@ def _assert_validates_like_member_loop(members, dims, tol):
         assert np.array_equal(m, original) and np.array_equal(s, original)
     assert np.array_equal(fam.reduced(), [rdl.partial_trace_env(m, dims) for m in members])
     return True
+
+
+@pytest.mark.parametrize("entry", [(2, 2, 1e-3j), (3, 1, 1e-3)], ids=["diagonal", "below"])
+def test_one_triangle_hermiticity_check_sees_the_whole_matrix(entry, rng):
+    """The only non-Hermitian entry is an imaginary diagonal one, or one below the diagonal.
+
+    The members are real, so no entry above the diagonal differs from its own
+    conjugate, and the loose trace tolerance leaves Hermiticity the only test
+    that fails.
+    """
+    dims = rdl.BipartiteDims(2, 2)
+    tol = replace(rdl.DEFAULT_TOL, trace=1e-2)
+    valid, bad = (rdl.random_density_matrix(dims.joint, rng).real.astype(complex) for _ in range(2))
+    i, j, delta = entry
+    bad[i, j] += delta
+    assert not _assert_validates_like_member_loop((valid, bad), dims, tol)
+    with pytest.raises(HermiticityError, match="member 1 is not Hermitian"):
+        rdl.StateFamily(dims=dims, members=(valid, bad), tol=tol)
 
 
 def _with_lowest_eigenvalue(d, lowest, rng):

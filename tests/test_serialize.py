@@ -82,13 +82,6 @@ def test_family_from_json_validates_members():
         serialize.family_from_json({"d_s": 2, "d_e": 2, "members": [{"rows": 1}]})
 
 
-def test_params_roundtrip(rng):
-    p = rdl.random_two_qubit_params(rng)
-    back = serialize.params_from_json(serialize.params_to_json(p))
-    assert np.abs(back.alpha - p.alpha).max() < 1e-15
-    assert np.abs(back.gamma - p.gamma).max() < 1e-15
-
-
 def test_dumps_report_is_canonical():
     a = serialize.dumps_report({"b": 1, "a": [1.5, None]})
     b = serialize.dumps_report({"a": [1.5, None], "b": 1})
