@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import DimensionError, NotInSpanError, RdlError
+from .errors import DimensionError, InputError, NotInSpanError, RdlError
 from .families import StateFamily
 from .operators import (
     BipartiteDims,
@@ -133,10 +133,93 @@ class Subspace:
 
 def _unit_rows(ops: np.ndarray, d: int, floor: float = 0.0):
     """Indices and unit-normalized real coordinates of the operators with norm above ``floor``."""
-    rows = basis_coords(ops, d).real
-    norms = np.array([np.linalg.norm(c) for c in rows])  # one by one: a batched norm rounds apart
+    rows = np.ascontiguousarray(basis_coords(ops, d).real)
+    norms = np.sqrt(np.vecdot(rows, rows))  # on contiguous rows, bit for bit np.linalg.norm per row
     keep = np.flatnonzero(norms > floor)
     return keep, rows[keep] / norms[keep, None]
+
+
+def _full_rank_certified(stack: np.ndarray, gram: np.ndarray, tol_rank: float) -> bool:
+    """True when a Cholesky factor proves every singular value of the unit rows above 2 tol_rank.
+
+    The rows of :func:`_unit_rows` are the coordinates of H_i / ||H_i||, H_i
+    the Hermitian part of x_i = H_i + A_i.  Their Gram matrix needs no
+    coordinates.  ``gram`` is V V^T, V the stack's float view (n, m) with
+    m = 2 d^2 and rows v_i, so G_ij = Re tr(x_i^dag x_j) =
+    tr(H_i H_j) + Re tr(A_i^dag A_j): the cross terms are imaginary.  The
+    second term is the Gram matrix of the anti-Hermitian parts, and
+    2 ||A_i||^2 = G_ii - Re tr(x_i^2).  Scaled by D = diag(G_ii)^(1/2),
+    D^-1 G D^-1 exceeds D^-1 G_H D^-1 by a positive semidefinite term whose
+    trace, hence largest eigenvalue, is s_A = sum_i ||A_i||^2 / G_ii.  The
+    unit-row Gram matrix is T D^-1 G_H D^-1 T with
+    T = diag(G_ii^(1/2) / ||H_i||) >= 1, so
+    sigma_min^2 >= lambda_min(D^-1 G D^-1) - s_A.
+
+    Roundoff.  The Gram product errs entrywise by at most
+    m eps ||v_i|| ||v_j||, so by m eps n in norm once scaled, and each
+    ||A_i||^2 by m eps G_ii, so s_A by m eps n.  The bound takes n, not the
+    computed ||G||: the product's error follows |V||V|^T, which can exceed
+    V V^T in norm.  A Cholesky factorization of an n x n matrix of unit
+    diagonal that completes is exact for a perturbation of norm
+    (n + 1) n eps at most; the scaling, the shift and T's computed diagonal
+    add (2 n + m + 5) eps.  floor = (3 m + n + 8) n eps bounds the sum, and
+    twice that covers the higher-order terms.  So a factor of
+    D^-1 G D^-1 - (2 floor + s_A + 4 tol_rank^2) I proves
+    sigma_min > 2 tol_rank, and the SVD of the computed rows counts every
+    row while its own roundoff stays under tol_rank.  With tol_rank not
+    above ``floor``, which bounds the same kinds of error, the SVD's count
+    is itself roundoff, and the certificate is not tried; nor when a Gram
+    entry overflows or a diagonal one is zero or small enough to underflow.
+    False means "not certified", not "rank deficient".
+    """
+    n, d = len(stack), stack.shape[-1]
+    m = 2 * d * d
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    sq = np.diagonal(gram)
+    if not (np.isfinite(gram).all() and sq.min() > tiny / eps):
+        return False
+    floor = (3 * m + n + 8) * n * eps
+    anti = np.maximum(sq - np.einsum("nab,nba->n", stack, stack).real, 0) / 2
+    shift = 2 * floor + np.sum(anti / sq) + 4 * tol_rank**2
+    if not (floor < tol_rank and shift < 1):
+        return False
+    inv = 1 / np.sqrt(sq)
+    try:
+        np.linalg.cholesky(gram * inv * inv[:, None] - shift * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _require_finite(stack: np.ndarray) -> None:
+    """Raise InputError naming the first operator with a NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if len(bad):
+        raise InputError(f"operator {bad[0]} has a non-finite entry")
+
+
+def _span_rank(stack: np.ndarray, d: int, tol_rank: float) -> int:
+    """Number of singular values of the unit coordinate rows above ``tol_rank``.
+
+    Up to d^2 operators are first offered to :func:`_full_rank_certified`;
+    the SVD runs only when the certificate fails.  The Gram diagonal is
+    finite only if every entry is, so a finite one spares the entry scan;
+    an infinite one with finite entries has overflowed and goes to the SVD.
+    """
+    n = len(stack)
+    if n <= d * d:
+        flat = np.ascontiguousarray(stack).reshape(n, -1).view(float)
+        gram = flat @ flat.T
+        if not np.isfinite(np.diagonal(gram)).all():
+            _require_finite(stack)
+        elif _full_rank_certified(stack, gram, tol_rank):
+            return n
+    else:
+        _require_finite(stack)
+    _, rows = _unit_rows(stack, d)
+    if not len(rows):
+        raise DimensionError("all supplied operators are zero")
+    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
 
 
 def greedy_independent(rows, tol: float, limit: int) -> list[int]:
@@ -189,6 +272,12 @@ def build_subspace_from_operators(
     validation, so callers can hand in a custom operator subspace directly.
     ``ops`` is a sequence of operators or a stack (n, d_j, d_j); a read-only
     complex stack, such as ``StateFamily.stack``, is used without a copy.
+    The span rank counts the singular values above ``tol_rank`` of the
+    operators' unit-normalized Hermitian coordinates.  When n <= d_j^2, one
+    Cholesky factorization of the operators' scaled Gram matrix first tries
+    to certify all n of them (:func:`_full_rank_certified`), and the
+    coordinates and their SVD are built only when it fails.  An operator
+    with a NaN or infinite entry raises InputError.
     """
     if not isinstance(ops, np.ndarray):
         ops = list(ops)
@@ -205,10 +294,7 @@ def build_subspace_from_operators(
     if stack is ops and ops.flags.writeable:
         stack = np.array(stack)  # the caller's array stays the caller's
     stack.setflags(write=False)
-    _, rows = _unit_rows(stack, d_j)
-    if not len(rows):
-        raise DimensionError("all supplied operators are zero")
-    span_dim = int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
+    span_dim = _span_rank(stack, d_j, tol_rank)
     pairs = _select_pairs(stack, dims, tol_rank)
     if len(pairs) > span_dim:
         raise RdlError(

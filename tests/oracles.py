@@ -223,3 +223,27 @@ def validate_members_one_by_one(members, dims, tol):
                 f"member {idx} has shape {m.shape}, expected ({dims.joint}, {dims.joint})"
             )
         require_density(m, tol, f"member {idx}")
+
+
+def unit_rows_one_by_one(ops, d, floor=0.0):
+    """Indices and unit-normalized real coordinates of the operators with norm above ``floor``.
+
+    Each row's norm is one ``np.linalg.norm`` call, row after row.
+    """
+    from rdl.operators import basis_coords
+
+    rows = basis_coords(np.asarray(ops, dtype=complex), d).real
+    norms = np.array([np.linalg.norm(c) for c in rows])
+    keep = np.flatnonzero(norms > floor)
+    return keep, rows[keep] / norms[keep, None]
+
+
+def span_dim_by_svd(ops, d, tol_rank):
+    """Span rank counted from every singular value of the unit coordinate rows above ``tol_rank``.
+
+    Zero operators have no row; all of them zero gives 0.
+    """
+    _, rows = unit_rows_one_by_one(ops, d)
+    if not len(rows):
+        return 0
+    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))

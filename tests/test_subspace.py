@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl
-from rdl.errors import DimensionError, NotInSpanError, RdlError
+from rdl import subspace
+from rdl.errors import DimensionError, InputError, NotInSpanError, RdlError
 from rdl.serialize import analysis_to_json
 from rdl.subspace import Subspace
-from oracles import kernel_by_accumulation
+from oracles import kernel_by_accumulation, span_dim_by_svd, unit_rows_one_by_one
 
 
 def z_eigenstate(sign):
@@ -266,3 +267,122 @@ def test_product_family_with_one_environment_state_has_empty_kernel(rng):
     sub = rdl.build_subspace(fam)
     assert sub.kernel_dim == 0
     assert sub.span_dim == sub.reduced_dim
+
+
+def _skew(shape, rng):
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return a - a.conj().swapaxes(-1, -2)
+
+
+def _operator_case(kind, d, n, tol_rank, rng):
+    """n joint operators of side d: random states, then bent as ``kind`` says."""
+    ops = np.array([rdl.random_density_matrix(d, rng) for _ in range(n)])
+    k = int(rng.integers(1, n)) if n > 1 else 1
+    if kind == "dependent":
+        ops[k:] = np.tensordot(rng.normal(size=(n - k, k)), ops[:k], axes=1)
+    elif kind == "near cut" and n > 1:
+        h = _skew((d, d), rng) * 1j
+        step = tol_rank * 10 ** rng.uniform(-0.5, 1) * np.linalg.norm(ops[-2])
+        ops[-1] = ops[-2] + step * h / np.linalg.norm(h)
+    elif kind == "anti-Hermitian":
+        ops = ops + 10 ** rng.uniform(-8, 0) * _skew(ops.shape, rng)
+    elif kind == "dependent Hermitian parts":
+        ops[k:] = np.tensordot(rng.normal(size=(n - k, k)), ops[:k], axes=1)
+        ops = ops + 10 ** rng.uniform(-10, 0) * _skew(ops.shape, rng)
+    elif kind == "row scales":
+        ops = ops * 10 ** rng.uniform(-6, 6, size=(n, 1, 1))
+    elif kind == "one anti-Hermitian":
+        ops[0] = 1j * ops[0]
+    return ops
+
+
+@settings(max_examples=200)
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3, 4]),
+    n=st.integers(1, 146),
+    kind=st.sampled_from(
+        ["generic", "dependent", "near cut", "anti-Hermitian", "dependent Hermitian parts",
+         "row scales", "one anti-Hermitian"]
+    ),
+    log_tol=st.floats(-10, -2),
+    seed=st.integers(0, 2**16),
+)
+def test_span_rank_matches_svd_oracle(d_s, d_e, n, kind, log_tol, seed):
+    """The certified or counted span rank equals the unit-row SVD count, up to and past d_j^2 operators."""
+    rng = np.random.default_rng(seed)
+    dims = rdl.BipartiteDims(d_s, d_e)
+    d = dims.joint
+    n = min(n, d * d + 2)
+    tol_rank = 10.0**log_tol
+    ops = _operator_case(kind, d, n, tol_rank, rng)
+    want = span_dim_by_svd(ops, d, tol_rank)
+    try:
+        got = rdl.build_subspace_from_operators(ops, dims, tol_rank).span_dim
+    except DimensionError as exc:
+        assert want == 0 and "all supplied operators are zero" in str(exc)
+    except RdlError as exc:  # near the cut the greedy scan may outgrow the span
+        assert f"in a span of rank {want};" in str(exc)
+    else:
+        assert got == want
+
+
+def _spy_unit_rows(monkeypatch):
+    sides = []
+    unit_rows = subspace._unit_rows
+
+    def spy(ops, d, floor=0.0):
+        sides.append(d)
+        return unit_rows(ops, d, floor)
+
+    monkeypatch.setattr(subspace, "_unit_rows", spy)
+    return sides
+
+
+def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
+    """A generic 4x8 family of 120 states: the span rank needs no joint coordinate rows."""
+    dims = rdl.BipartiteDims(4, 8)
+    fam = rdl.StateFamily(
+        dims=dims, members=tuple(rdl.random_density_matrix(32, rng) for _ in range(120))
+    )
+    sides = _spy_unit_rows(monkeypatch)
+    sub = rdl.build_subspace(fam)
+    assert sub.span_dim == 120 == span_dim_by_svd(fam.stack, 32, sub.tol_rank)
+    assert sides == [4]  # the reduced scan's rows only
+    sides.clear()
+    x1, x2 = np.eye(4), rdl.tensor(np.diag([1.0, 0.0]), np.eye(2))
+    assert rdl.build_subspace_from_operators([x1, x1 + 1e-12 * x2], rdl.BipartiteDims(2, 2)).span_dim == 1
+    assert sides == [4, 2]  # not certified: the SVD counts
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowing_gram_falls_back_to_the_svd(monkeypatch):
+    """Entries near 1e200 overflow the Gram diagonal: no error, the SVD's count as before."""
+    ops = 1e200 * np.array([np.eye(4), rdl.tensor(rdl.SIGMA_Z, np.eye(2))], dtype=complex)
+    sides = _spy_unit_rows(monkeypatch)
+    sub = rdl.build_subspace_from_operators(ops, rdl.BipartiteDims(2, 2))
+    assert sides[0] == 4
+    assert sub.span_dim == span_dim_by_svd(ops, 4, sub.tol_rank)
+
+
+@pytest.mark.parametrize("n", [2, 17], ids=["certificate", "past d_j^2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operator_is_an_input_error(rng, n, bad):
+    """A NaN off the partial-trace diagonal leaves its marginal finite; the operator is still refused."""
+    ops = np.array([rdl.random_density_matrix(4, rng) for _ in range(n)])
+    ops[1, 0, 1] = bad
+    with pytest.raises(InputError, match="operator 1 has a non-finite entry"):
+        rdl.build_subspace_from_operators(ops, rdl.BipartiteDims(2, 2))
+
+
+def test_unit_rows_norms_match_the_row_loop_bit_for_bit(rng):
+    """The batched norms of ``_unit_rows`` against one ``np.linalg.norm`` per row, widths 4 to 2304."""
+    for d in range(2, 49):
+        ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        ops *= 10.0 ** rng.uniform(-6, 6, size=(3, 1, 1))
+        ops[1] = 0
+        for floor in (0.0, 1e-8):
+            keep, rows = subspace._unit_rows(ops, d, floor)
+            want_keep, want_rows = unit_rows_one_by_one(ops, d, floor)
+            assert np.array_equal(keep, want_keep)
+            assert np.array_equal(rows.view(np.int64), want_rows.view(np.int64))
