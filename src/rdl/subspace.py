@@ -3,7 +3,8 @@
 The family members are Hermitian, so their coordinates in a Hermitian operator
 basis are real and the whole construction runs on real coordinate matrices.
 That keeps every basis element of the span, and of the kernel, exactly
-Hermitian by construction.
+Hermitian by construction.  The span rank is first certified from the
+members' Gram matrix, which needs no coordinates.
 """
 
 from __future__ import annotations
