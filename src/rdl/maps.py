@@ -177,13 +177,32 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _pinned_clusters(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray:
+    """``evecs`` with each cluster of nearly equal eigenvalues turned to a fixed basis.
+
+    The ascending ``evals`` split into clusters at gaps above ``tol``.  Any
+    orthonormal basis V of a cluster's eigenspace is as good as another, so
+    roundoff can rotate it freely; V Y, Y the eigenvectors of
+    V^dag diag(0, 1, ..., N - 1) V, depends on the space alone, up to the
+    phase of each column.
+    """
+    evecs = evecs.copy()
+    probe = np.arange(len(evals))[:, None]
+    for idx in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
+        if len(idx) > 1:
+            v = evecs[:, idx]
+            evecs[:, idx] = v @ np.linalg.eigh(v.conj().T @ (probe * v))[1]
+    return evecs
+
+
 def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm) -> SignedKraus:
     """Signed Kraus operators from the Choi eigendecomposition.
 
     Eigenvalues within ``tol`` of zero are dropped; each kept eigenvector v
     becomes sqrt(|lambda|) unvec(v) with column-major unvec, carrying the
-    sign of its eigenvalue.  Degenerate clusters are made deterministic by
-    the eigensolver's ascending order plus a global phase fix per vector.
+    sign of its eigenvalue.  Eigenvalues closer than ``tol`` form a cluster
+    whose vectors are pinned to a basis of their common eigenspace
+    (:func:`_pinned_clusters`); a global phase fix per vector does the rest.
     """
     choi = superop.choi
     dev = max_norm(choi - choi.conj().T)
@@ -193,6 +212,7 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
             "the map does not preserve Hermiticity"
         )
     evals, evecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    evecs = _pinned_clusters(evals, evecs, tol)
     d = superop.d_s
     terms = []
     for lam, vec in zip(evals, evecs.T):

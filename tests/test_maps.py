@@ -1,5 +1,7 @@
 """Assignment lift, superoperator assembly, signed operator-sum form, verdicts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -124,6 +126,42 @@ def test_decomposition_is_deterministic():
     for (e1, o1), (e2, o2) in zip(k1.terms, k2.terms):
         assert e1 == e2
         assert np.abs(o1 - o2).max() == 0
+
+
+def choi_superoperator(choi):
+    """A 2-qubit-Choi superoperator entered through its Choi matrix alone."""
+    return Superoperator(
+        d_s=2,
+        matrix=np.eye(4, dtype=complex),
+        choi=choi,
+        extension="zero",
+        consistency_certified=False,
+        domain_projector=np.eye(4),
+    )
+
+
+def test_degenerate_choi_kraus_operators_are_pinned(rng):
+    """A 1e-15 Hermitian nudge leaves the Kraus operators of a doubly degenerate eigenvalue in place.
+
+    Without the pinning the eigensolver is free to turn the pair inside its
+    eigenspace (by 1.0 on this draw).  The pinned operators reconstruct
+    the same map, with the same completeness defect, as the eigenvectors do.
+    """
+    w = random_unitary(4, rng)
+    choi = (w * np.array([-0.1, 0.3, 0.5, 0.5])) @ w.conj().T
+    nudge = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    nudge = nudge + nudge.conj().T
+    nudged = choi + 1e-15 * nudge / np.abs(nudge).max()
+    pinned = [rdl.decompose_signed_kraus(choi_superoperator(c)) for c in (choi, nudged)]
+    assert [e for e, _ in pinned[0].terms] == [e for e, _ in pinned[1].terms] == [-1.0, 1.0, 1.0, 1.0]
+    for (_, a), (_, b) in zip(pinned[0].terms, pinned[1].terms):
+        assert np.abs(a - b).max() <= 1e-10
+    with mock.patch.object(rdl.maps, "_pinned_clusters", lambda evals, evecs, tol: evecs):
+        free = [rdl.decompose_signed_kraus(choi_superoperator(c)) for c in (choi, nudged)]
+    rho = rdl.random_density_matrix(2, rng)
+    for k, ref in zip(pinned, free):
+        assert np.abs(k.reconstruct(rho) - ref.reconstruct(rho)).max() <= 1e-12
+        assert abs(k.completeness_defect() - ref.completeness_defect()) <= 1e-12
 
 
 def test_constrained_family_map_is_linear_but_not_cp(rng):
