@@ -22,7 +22,7 @@ from .subspace import Subspace
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
 _BISECTION_STEPS = 60
 _MIN_PERTURBATION = 1e-7  # smaller scalings probe nothing but numerical noise
-_BLOCK_ENTRIES = 2**16  # caps hull trials x d_j^2 and pair rows x n d_s^2 per block
+_BLOCK_ENTRIES = 2**16  # caps hull trials x d_j^2 and candidate pairs x d_s^2 per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,26 +95,43 @@ def check_pairwise_consistency(
     Pairs whose reduced states agree within ``tols.rank`` are evolved and
     compared within ``tols.consistency``.  With no matching pairs the verdict
     is vacuous: consistent with pairs_tested = 0.
+
+    The members are sorted on the key Re(Tr_E rho)_00, a stored entry, so a
+    key difference never exceeds the max-norm distance: only pairs whose keys
+    lie within 2 ``tols.rank`` are candidates, and those are checked exactly,
+    in blocks.  The matches come back in (i, j) row-major order, and only
+    members in a match are evolved.
     """
     u = _require_propagator(u, family.dims, tols)
     members = family.stack
     n = len(members)
     reduced = partial_trace_env(members, family.dims)
-    evolved = _evolved_marginal(u, members, family.dims)
-    # Blocks of rows of pairs: all pairs at once would hold n^2 d_s^2 entries.
-    rows = max(1, _BLOCK_ENTRIES // (n * family.dims.d_s**2))
-    firsts, seconds, viol = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
-    for start in range(0, n - 1, rows):
-        i = np.arange(start, min(start + rows, n - 1))
-        dist = np.abs(reduced[start + 1 :] - reduced[i, None]).max(axis=(2, 3))
-        # Row-major hits of the upper triangle, so pairs come in (i, j) order.
-        hit_i, hit_j = np.nonzero((dist <= tols.rank) & (np.arange(start + 1, n) > i[:, None]))
-        firsts.append(i[hit_i])
-        seconds.append(start + 1 + hit_j)
-        viol.append(np.abs(evolved[seconds[-1]] - evolved[firsts[-1]]).max(axis=(1, 2)))
+    order = np.argsort(reduced[:, 0, 0].real, kind="stable")
+    keys = reduced[order, 0, 0].real
+    # Sorted position p pairs with the positions p + 1 .. ends[p] - 1; candidates are numbered flat.
+    counts = np.searchsorted(keys, keys + 2 * tols.rank, side="right") - np.arange(1, n + 1)
+    starts = np.cumsum(counts) - counts
+    block = max(1, _BLOCK_ENTRIES // family.dims.d_s**2)
+    total = int(counts.sum())
+    firsts, seconds = [np.zeros(0, int)], [np.zeros(0, int)]
+    for lo in range(0, total, block):
+        flat = np.arange(lo, min(lo + block, total))
+        p = np.searchsorted(starts, flat, side="right") - 1
+        a, b = order[p], order[p + 1 + flat - starts[p]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        hit = np.abs(reduced[j] - reduced[i]).max(axis=(1, 2)) <= tols.rank
+        firsts.append(i[hit])
+        seconds.append(j[hit])
     first, second = np.concatenate(firsts), np.concatenate(seconds)
+    row_major = np.lexsort((second, first))
+    first, second = first[row_major], second[row_major]
+    used = np.unique(np.concatenate([first, second]))
+    evolved = _evolved_marginal(u, members[used], family.dims)
+    viol = np.abs(
+        evolved[np.searchsorted(used, second)] - evolved[np.searchsorted(used, first)]
+    ).max(axis=(1, 2))
     return _report(
-        np.concatenate(viol),
+        viol,
         tols.consistency,
         lambda k: members[first[k]] - members[second[k]],
         len(first),

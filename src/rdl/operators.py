@@ -154,16 +154,29 @@ def partial_trace_env(x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     return np.einsum("...ikjk->...ij", x4)
 
 
-def _evolved_marginal(u: np.ndarray, x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
-    """Tr_E(U X U^dag) for a joint operator or a stack (..., d_j, d_j), in one contraction.
+def _reduced_propagator(u: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Matrix K of the linear map X -> Tr_E(U X U^dag), shape (d_s^2, d_j^2).
 
-    Row i of the marginal sums over the environment index k and the column b:
-    Y[i, j] = sum_kb (U X)[(i * d_e + k), b] conj(U)[(j * d_e + k), b], so U X U^dag
-    is never formed.  ``u`` is taken as already validated.
+    K[(i, j), (a, b)] = sum_k U[(i * d_e + k), a] conj(U)[(j * d_e + k), b]:
+    one (d_s d_j, d_e) by (d_e, d_s d_j) product, regrouped.
     """
-    width = dims.d_e * dims.joint
-    ux = u @ x
-    return ux.reshape(ux.shape[:-2] + (dims.d_s, width)) @ u.conj().reshape(dims.d_s, width).T
+    d_s, d_e, d_j = dims.d_s, dims.d_e, dims.joint
+    u3 = u.reshape(d_s, d_e, d_j)
+    left = u3.transpose(0, 2, 1).reshape(d_s * d_j, d_e)  # rows (i, a)
+    right = u3.conj().transpose(1, 0, 2).reshape(d_e, d_s * d_j)  # columns (j, b)
+    return (left @ right).reshape(d_s, d_j, d_s, d_j).transpose(0, 2, 1, 3).reshape(d_s * d_s, d_j * d_j)
+
+
+def _evolved_marginal(u: np.ndarray, x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """Tr_E(U X U^dag) for a joint operator or a stack (..., d_j, d_j), in one product.
+
+    Each operator, read as a row of d_j^2 entries, meets the reduced
+    propagator of :func:`_reduced_propagator`, so U X U^dag is never formed.
+    ``u`` is taken as already validated.
+    """
+    d_s, d_j = dims.d_s, dims.joint
+    y = x.reshape(-1, d_j * d_j) @ _reduced_propagator(u, dims).T
+    return y.reshape(x.shape[:-2] + (d_s, d_s))
 
 
 def adjoint_action(u: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

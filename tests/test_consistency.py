@@ -144,11 +144,11 @@ def test_pairwise_flags_swap_on_equal_marginals():
 def test_pairwise_witness_is_the_first_worst_pair_in_row_order(rows):
     """Members a, b, a tie on pairs (0, 1) and (1, 2); the witness is a - b from (0, 1).
 
-    ``rows`` member rows per block: one block, or one block per row.
+    ``rows`` candidate pairs per block: one block, or one or two pairs per block.
     """
     a, b = equal_marginal_pair_family().members
     fam = rdl.StateFamily(dims=rdl.BipartiteDims(2, 2), members=(a, b, a))
-    entries = rdl.consistency._BLOCK_ENTRIES if rows is None else rows * 3 * 4
+    entries = rdl.consistency._BLOCK_ENTRIES if rows is None else rows * 4
     with mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
         rep = rdl.check_pairwise_consistency(fam, rdl.swap_unitary(2))
     assert rep.pairs_tested == 3
@@ -162,6 +162,68 @@ def test_pairwise_vacuous_when_no_marginals_match(rng):
     rep = rdl.check_pairwise_consistency(fam, rdl.swap_unitary(2))
     assert rep.consistent
     assert rep.pairs_tested == 0
+
+
+def shared_corner_family(rng):
+    """Products of three system states that all have (rho_s)_00 = 1/2, and mixes of them.
+
+    Every member's sort key is 1/2, so every pair is a candidate; only
+    products sharing a system state match.
+    """
+    dims = rdl.BipartiteDims(2, 2)
+    systems = [np.array([[0.5, c], [np.conj(c), 0.5]]) for c in (0.1, 0.2j, -0.3 + 0.1j)]
+    envs = [rdl.random_density_matrix(2, rng) for _ in range(3)]
+    products = [rdl.tensor(r, w) for r in systems for w in envs]
+    mixes = [(products[a] + products[b]) / 2 for a, b in ((0, 4), (0, 8), (4, 8))]
+    return rdl.StateFamily(dims=dims, members=tuple(products + mixes))
+
+
+def off_diagonal_step_family(rng):
+    """One system state, then the same with its (0, 1) entry moved by 0.5 tol and by 2 tol.
+
+    Only the 0.5-tol step matches; the keys of all three are equal.
+    """
+    dims = rdl.BipartiteDims(2, 2)
+    step = np.array([[0, 1], [1, 0]], dtype=complex) * DEFAULT_TOL.rank
+    r = rdl.random_density_matrix(2, rng)
+    systems = (r, r + 0.5 * step, r + 2 * step)
+    return rdl.StateFamily(
+        dims=dims,
+        members=tuple(rdl.tensor(s, rdl.random_density_matrix(2, rng)) for s in systems),
+    )
+
+
+def unmatched_family(rng):
+    states = [rdl.random_density_matrix(2, rng) for _ in range(4)]
+    return rdl.product_family(states, rdl.random_density_matrix(2, rng))
+
+
+@pytest.mark.parametrize(
+    "make, block, pairs",
+    [(shared_corner_family, 5, 9), (off_diagonal_step_family, 1, 1), (unmatched_family, None, 0)],
+)
+def test_sorted_sweep_matches_loop_oracle(make, block, pairs, rng):
+    """Same pairs, in the same (i, j) order, and a bit-equal witness as the pair-by-pair loops.
+
+    ``block`` candidate pairs per block (one block when None).  The order is
+    read off the violations the sweep hands to the verdict, which are
+    distinct under a random propagator.
+    """
+    fam = make(rng)
+    u = random_unitary(4, rng)
+    viol, witness = pairwise_by_loops(fam.members, u, fam.dims, DEFAULT_TOL)
+    entries = rdl.consistency._BLOCK_ENTRIES if block is None else block * 4
+    spy = mock.Mock(wraps=rdl.consistency._report)
+    with mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries), \
+            mock.patch.object(rdl.consistency, "_report", spy):
+        rep = rdl.check_pairwise_consistency(fam, u)
+    assert rep.pairs_tested == len(viol) == pairs
+    assert np.abs(spy.call_args.args[0] - viol).max(initial=0.0) <= 1e-12
+    if pairs:
+        assert not rep.consistent
+        assert np.array_equal(rep.witness, witness)
+    else:
+        assert rep.consistent and rep.witness is None and rep.max_violation == 0.0
 
 
 def test_positivity_scaling_returns_unit_for_safe_direction():
@@ -273,9 +335,9 @@ def test_batched_checks_match_loop_oracles(
     random joint members widen the span and the kernel.  The kernel test's
     residuals are checked against each member minus the lift of its
     loop-traced marginal, solved over the flattened reduced states; the
-    witness is the worst residual.  The pairwise scan runs in blocks of
-    ``rows`` member rows (one block when None), and its witness is the
-    first worst pair's difference.
+    witness is the worst residual.  The pairwise sweep checks its candidate
+    pairs in blocks of ``rows`` (one block when None), and its witness is
+    the first worst pair's difference.
     """
     rng = np.random.default_rng(seed)
     fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
@@ -303,7 +365,7 @@ def test_batched_checks_match_loop_oracles(
         assert rep.witness is None
 
     viol, witness = pairwise_by_loops(members, u, fam.dims, tols)
-    entries = rdl.consistency._BLOCK_ENTRIES if rows is None else rows * len(fam) * d_s**2
+    entries = rdl.consistency._BLOCK_ENTRIES if rows is None else rows * d_s**2
     with mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
         pw = rdl.check_pairwise_consistency(fam, u)
     assert pw.pairs_tested == len(viol)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import rdl
 from rdl.errors import DimensionError, HermiticityError, NotAStateError, UnitarityError
-from rdl.operators import _evolved_marginal
+from rdl.operators import _evolved_marginal, _reduced_propagator
 from oracles import conjugate_loops, kron_loops, ptrace_env_loops, random_unitary, trace_norm_svd
 
 
@@ -63,12 +63,32 @@ def test_adjoint_action_matches_loops(rng):
     assert np.abs(rdl.adjoint_action(u, x) - conjugate_loops(u, x)).max() < 1e-12
 
 
-@pytest.mark.parametrize("d_s", [2, 3])
+@pytest.mark.parametrize("d_s, d_e", [(2, 1), (2, 3), (3, 1), (4, 2)])
+def test_reduced_propagator_matches_its_loop_sum(d_s, d_e, rng):
+    """K[(i, j), (a, b)] = sum_k U[(i d_e + k), a] conj(U[(j d_e + k), b]), entry by entry."""
+    dims = rdl.BipartiteDims(d_s, d_e)
+    u = random_unitary(dims.joint, rng)
+    d_j = dims.joint
+    expected = np.zeros((d_s * d_s, d_j * d_j), dtype=complex)
+    for i in range(d_s):
+        for j in range(d_s):
+            for a in range(d_j):
+                for b in range(d_j):
+                    expected[i * d_s + j, a * d_j + b] = sum(
+                        u[i * d_e + k, a] * np.conj(u[j * d_e + k, b]) for k in range(d_e)
+                    )
+    assert np.abs(_reduced_propagator(u, dims) - expected).max() < 1e-14
+
+
+@pytest.mark.parametrize("d_s", [2, 3, 4])
 @pytest.mark.parametrize("d_e", [1, 2, 3, 4])
 def test_evolved_marginal_matches_loops_on_stacks(d_s, d_e, rng):
-    """Tr_E(U X U^dag) in one contraction, for one operator and for stacks with leading axes.
+    """Tr_E(U X U^dag) in one product, for one operator and for stacks with leading axes.
 
-    The leading axes cover a member stack (m,) and the hull's pair of stacks (2, m).
+    The leading axes cover a member stack (m,) and the hull's pair of stacks
+    (2, m).  A read-only stack stands for ``StateFamily.stack`` and
+    ``Subspace.residuals``; d_s > d_e covers a propagator wider than tall in
+    its environment blocks.
     """
     dims = rdl.BipartiteDims(d_s, d_e)
     u = random_unitary(dims.joint, rng)
@@ -80,6 +100,8 @@ def test_evolved_marginal_matches_loops_on_stacks(d_s, d_e, rng):
         for idx in np.ndindex(lead):
             expected = ptrace_env_loops(conjugate_loops(u, x[idx]), d_s, d_e)
             assert np.abs(got[idx] - expected).max() < 1e-13
+        x.setflags(write=False)
+        assert np.array_equal(_evolved_marginal(u, x, dims), got)
 
 
 def test_adjoint_action_rejects_nonunitary():
