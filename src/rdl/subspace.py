@@ -133,9 +133,20 @@ class Subspace:
 
 
 def _unit_rows(ops: np.ndarray, d: int, floor: float = 0.0):
-    """Indices and unit-normalized real coordinates of the operators with norm above ``floor``."""
+    """Indices and unit-normalized real coordinates of the operators with norm above ``floor``.
+
+    A row whose squared norm overflows, or falls below the smallest normal
+    float, has its norm taken again scaled by its largest entry.
+    """
     rows = np.ascontiguousarray(basis_coords(ops, d).real)
-    norms = np.sqrt(np.vecdot(rows, rows))  # on contiguous rows, bit for bit np.linalg.norm per row
+    with np.errstate(over="ignore", under="ignore"):
+        sq = np.vecdot(rows, rows)
+    norms = np.sqrt(sq)  # on contiguous rows, bit for bit np.linalg.norm per row
+    redo = np.flatnonzero(np.isinf(sq) | (sq < np.finfo(float).tiny))
+    scale = np.abs(rows[redo]).max(axis=1, initial=0.0)
+    redo, scale = redo[scale > 0], scale[scale > 0]
+    scaled = rows[redo] / scale[:, None]
+    norms[redo] = scale * np.sqrt(np.vecdot(scaled, scaled))
     keep = np.flatnonzero(norms > floor)
     return keep, rows[keep] / norms[keep, None]
 

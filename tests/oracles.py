@@ -228,12 +228,20 @@ def validate_members_one_by_one(members, dims, tol):
 def unit_rows_one_by_one(ops, d, floor=0.0):
     """Indices and unit-normalized real coordinates of the operators with norm above ``floor``.
 
-    Each row's norm is one ``np.linalg.norm`` call, row after row.
+    Each row's norm is one ``np.linalg.norm`` call, row after row; a row
+    whose squared norm overflows or falls below the smallest normal float is
+    first divided by its largest entry, and the norm multiplied back.
     """
     from rdl.operators import basis_coords
 
+    def norm(c):
+        sq, scale = np.dot(c, c), np.abs(c).max()
+        if np.isfinite(sq) and sq >= np.finfo(float).tiny or not scale > 0:
+            return np.linalg.norm(c)
+        return scale * np.linalg.norm(c / scale)
+
     rows = basis_coords(np.asarray(ops, dtype=complex), d).real
-    norms = np.array([np.linalg.norm(c) for c in rows])
+    norms = np.array([norm(c) for c in rows])
     keep = np.flatnonzero(norms > floor)
     return keep, rows[keep] / norms[keep, None]
 

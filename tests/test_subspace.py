@@ -366,6 +366,14 @@ def test_overflowing_gram_falls_back_to_the_svd(monkeypatch):
     assert sub.span_dim == span_dim_by_svd(ops, 4, sub.tol_rank)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_extreme_scales_keep_the_true_span_rank(scale):
+    """Squared row norms that overflow or underflow are taken again, scaled: the rank stays 2."""
+    ops = scale * np.array([np.eye(4), rdl.tensor(rdl.SIGMA_Z, np.eye(2))], dtype=complex)
+    sub = rdl.build_subspace_from_operators(ops, rdl.BipartiteDims(2, 2))
+    assert sub.span_dim == span_dim_by_svd(ops, 4, sub.tol_rank) == 2
+
+
 @pytest.mark.parametrize("n", [2, 17], ids=["certificate", "past d_j^2"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_operator_is_an_input_error(rng, n, bad):
