@@ -106,9 +106,11 @@ def check_pairwise_consistency(
     members = family.stack
     n = len(members)
     reduced = partial_trace_env(members, family.dims)
-    order = np.argsort(reduced[:, 0, 0].real, kind="stable")
-    keys = reduced[order, 0, 0].real
-    # Sorted position p pairs with the positions p + 1 .. ends[p] - 1; candidates are numbered flat.
+    keys = reduced[:, 0, 0].real
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # Sorted position p meets positions p + 1 .. p + counts[p]; numbering these
+    # candidates flat lets a block end anywhere, even inside one position's run.
     counts = np.searchsorted(keys, keys + 2 * tols.rank, side="right") - np.arange(1, n + 1)
     starts = np.cumsum(counts) - counts
     block = max(1, _BLOCK_ENTRIES // family.dims.d_s**2)

@@ -164,7 +164,8 @@ def _reduced_propagator(u: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     u3 = u.reshape(d_s, d_e, d_j)
     left = u3.transpose(0, 2, 1).reshape(d_s * d_j, d_e)  # rows (i, a)
     right = u3.conj().transpose(1, 0, 2).reshape(d_e, d_s * d_j)  # columns (j, b)
-    return (left @ right).reshape(d_s, d_j, d_s, d_j).transpose(0, 2, 1, 3).reshape(d_s * d_s, d_j * d_j)
+    k = (left @ right).reshape(d_s, d_j, d_s, d_j).transpose(0, 2, 1, 3)
+    return k.reshape(d_s * d_s, d_j * d_j)
 
 
 def _evolved_marginal(u: np.ndarray, x: np.ndarray, dims: BipartiteDims) -> np.ndarray:

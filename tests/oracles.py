@@ -235,7 +235,8 @@ def unit_rows_one_by_one(ops, d, floor=0.0):
     from rdl.operators import basis_coords
 
     def norm(c):
-        sq, scale = np.dot(c, c), np.abs(c).max()
+        with np.errstate(over="ignore", under="ignore"):
+            sq, scale = np.dot(c, c), np.abs(c).max()
         if np.isfinite(sq) and sq >= np.finfo(float).tiny or not scale > 0:
             return np.linalg.norm(c)
         return scale * np.linalg.norm(c / scale)

@@ -141,7 +141,7 @@ def choi_superoperator(choi):
 
 
 def test_degenerate_choi_kraus_operators_are_pinned(rng):
-    """A 1e-15 Hermitian nudge leaves the Kraus operators of a doubly degenerate eigenvalue in place.
+    """A 1e-15 Hermitian nudge leaves the Kraus operators of a double eigenvalue in place.
 
     Without the pinning the eigensolver is free to turn the pair inside its
     eigenspace (by 1.0 on this draw).  The pinned operators reconstruct
@@ -153,7 +153,8 @@ def test_degenerate_choi_kraus_operators_are_pinned(rng):
     nudge = nudge + nudge.conj().T
     nudged = choi + 1e-15 * nudge / np.abs(nudge).max()
     pinned = [rdl.decompose_signed_kraus(choi_superoperator(c)) for c in (choi, nudged)]
-    assert [e for e, _ in pinned[0].terms] == [e for e, _ in pinned[1].terms] == [-1.0, 1.0, 1.0, 1.0]
+    for k in pinned:
+        assert [e for e, _ in k.terms] == [-1.0, 1.0, 1.0, 1.0]
     for (_, a), (_, b) in zip(pinned[0].terms, pinned[1].terms):
         assert np.abs(a - b).max() <= 1e-10
     with mock.patch.object(rdl.maps, "_pinned_clusters", lambda evals, evecs, tol: evecs):
