@@ -125,13 +125,13 @@ def check_pairwise_consistency(
         firsts.append(i[hit])
         seconds.append(j[hit])
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    row_major = np.lexsort((second, first))
+    row_major = np.argsort(first * n + second)
     first, second = first[row_major], second[row_major]
-    used = np.unique(np.concatenate([first, second]))
+    used = np.zeros(n, bool)
+    used[first] = used[second] = True
+    slot = np.cumsum(used) - 1  # member index -> row of the evolved stack
     evolved = _evolved_marginal(u, members[used], family.dims)
-    viol = np.abs(
-        evolved[np.searchsorted(used, second)] - evolved[np.searchsorted(used, first)]
-    ).max(axis=(1, 2))
+    viol = np.abs(evolved[slot[second]] - evolved[slot[first]]).max(axis=(1, 2))
     return _report(
         viol,
         tols.consistency,
