@@ -36,7 +36,6 @@ from .serialize import (
     matrix_from_json,
     matrix_to_json,
 )
-from .subspace import greedy_independent
 from .two_qubit import (
     LinearityCoefficients,
     ModelParams,
@@ -174,6 +173,22 @@ def _cmd_analyze(args, tols: ToleranceConfig):
     )
     report["unitary_source"] = source
     return report
+
+
+def greedy_independent(rows, tol: float, limit: int) -> list[int]:
+    """Indices of the rows that, scanned in order, each grow the rank of the pile.
+
+    A row joins when stacking it keeps the smallest singular value of the
+    pile above ``tol``; the scan stops once ``limit`` rows have joined.
+    """
+    kept, pile = [], []
+    for idx, row in enumerate(rows):
+        if np.linalg.svd(np.vstack(pile + [row]), compute_uv=False)[-1] > tol:
+            kept.append(idx)
+            pile.append(row)
+            if len(kept) == limit:
+                break
+    return kept
 
 
 def _cmd_two_qubit(args, tols: ToleranceConfig):

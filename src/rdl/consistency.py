@@ -4,7 +4,8 @@ The reduced dynamics of a family is linear exactly when the span of the
 family passes the kernel test below: every spanned operator with vanishing
 environment partial trace must still have vanishing partial trace after
 conjugation by the propagator.  The pairwise and hull checks probe the same
-condition through finitely many state pairs instead of the member residuals.
+condition through finitely many state pairs instead of the fit of the
+members' marginals.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import SamplingExhaustedError
 from .families import StateFamily
-from .operators import _evolved_marginal, _require_propagator, frozen, partial_trace_env
+from .operators import (
+    _evolved_marginal,
+    _require_propagator,
+    basis_coords,
+    from_basis_coords,
+    frozen,
+    partial_trace_env,
+)
 from .subspace import Subspace
 
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
@@ -75,14 +83,24 @@ def check_subspace_consistency(
 ) -> ConsistencyReport:
     """Kernel test: does conjugation by ``u`` preserve vanishing marginals?
 
-    The residuals g_i = rho_i - A(Tr_E rho_i) span the kernel.  The max-norm
-    of Tr_E(U g_i U^dag), the map's prediction error on member i, is reported
-    against ``tols.consistency``; the first worst g_i is the witness.
+    With R the members' marginals and E their evolved marginals, as real
+    coordinate rows, the test holds exactly when E lies in R's column space.
+    Member i's prediction error E_i - R_i P E, P the subspace's fit, is the
+    evolved marginal of g_i = rho_i - (R_i P) M, M the members, whose own
+    marginal vanishes.  Its max-norm as a matrix is reported against
+    ``tols.consistency``; the first worst g_i is the witness.
     """
     u = _require_propagator(u, subspace.dims, tols)
-    residuals = subspace.residuals
-    viol = np.abs(_evolved_marginal(u, residuals, subspace.dims)).max(axis=(1, 2))
-    return _report(viol, tols.consistency, lambda k: residuals[k])
+    d_s = subspace.dims.d_s
+    members, marginals, fit = subspace.members, subspace.marginals, subspace.fit
+    evolved = basis_coords(_evolved_marginal(u, members, subspace.dims), d_s).real
+    error = from_basis_coords(evolved - marginals @ (fit @ evolved), d_s)
+    viol = np.abs(error).max(axis=(1, 2))
+    return _report(
+        viol,
+        tols.consistency,
+        lambda k: members[k] - np.tensordot(marginals[k] @ fit, members, axes=1),
+    )
 
 
 def check_pairwise_consistency(

@@ -4,8 +4,9 @@ The dynamical map is the composition
 
     reduce after conjugate after assign
 
-where the assignment lifts a system operator into the spanned subspace via
-its expansion over the independent reduced states.  The superoperator acts on
+where the assignment lifts a system operator into the spanned subspace as
+a combination of the members, weighted by the subspace's fit of their
+marginals.  The superoperator acts on
 Hermitian-basis coordinates; the Choi matrix uses the unnormalized convention
 
     choi = sum_jk |j><k| (x) Phi(|j><k|)
@@ -22,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
-from .errors import DimensionError, HermiticityError, IncompleteDomainError
+from .errors import DimensionError, HermiticityError, IncompleteDomainError, NotInSpanError
 from .operators import (
     BipartiteDims,
     _evolved_marginal,
@@ -40,19 +41,36 @@ from .subspace import Subspace
 class AssignmentMap:
     """Linear lift of system operators into the spanned joint subspace.
 
-    Maps each independent reduced state to its stored joint partner and
-    extends linearly (complex coefficients allowed) over their span.
+    An operator with coordinates c maps to sum_i w_i rho_i with weights
+    w = c P, P the subspace's fit; complex operators take complex weights.
     """
 
     subspace: Subspace
 
     def apply(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction."""
-        return self.subspace.lift(x, tol)
+        """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction.
+
+        Raises NotInSpanError, carrying the worst residual, when the lift's
+        marginal misses any operator by more than ``tol`` in max-norm
+        (defaults to the subspace's rank tolerance).
+        """
+        sub = self.subspace
+        d_s = sub.dims.d_s
+        if tol is None:
+            tol = sub.tol_rank
+        x = np.asarray(x, dtype=complex)
+        weights = basis_coords(x, d_s) @ sub.fit
+        worst = max_norm(x - from_basis_coords(weights @ sub.marginals, d_s))
+        if worst > tol:
+            raise NotInSpanError(
+                f"operator lies outside the reduced span: residual {worst:.3e} > {tol:.3e}",
+                residual=worst,
+            )
+        return np.tensordot(weights, sub.members, axes=1)
 
 
 def build_assignment(subspace: Subspace) -> AssignmentMap:
-    """Assignment map induced by a subspace's independent pairs."""
+    """Assignment map induced by a subspace's fit of its marginals."""
     if subspace.reduced_dim == 0:
         raise DimensionError("subspace has no independent reduced states to lift")
     return AssignmentMap(subspace)
@@ -105,9 +123,8 @@ def build_dynamical_map(
 ) -> Superoperator:
     """Superoperator of reduce after conjugate after assign.
 
-    Every column at once: each Hermitian basis element is projected onto the
-    reduced span, and the projections are lifted in one least-squares solve,
-    conjugated by ``u``, and partial-traced as one stack.  With
+    The members' evolved marginals E, as real coordinate rows, give the
+    whole matrix at once: its transpose is P E, P the subspace's fit.  With
     ``extension="zero"`` the orthogonal complement of the span maps to zero;
     ``extension="none"`` demands the span be the full operator space and
     raises IncompleteDomainError otherwise.
@@ -124,12 +141,8 @@ def build_dynamical_map(
             'an explicit extension is required (use extension="zero")'
         )
 
-    red_rows = basis_coords(np.array([red for red, _ in sub.pairs]), d_s).real
-    _, _, ortho = np.linalg.svd(red_rows, full_matrices=False)  # reduced_dim orthonormal rows
-    projector = ortho.T @ ortho
-
-    lifted = assignment.apply(from_basis_coords(projector.T, d_s))
-    matrix = basis_coords(_evolved_marginal(u, lifted, sub.dims), d_s).T
+    evolved = basis_coords(_evolved_marginal(u, sub.members, sub.dims), d_s).real
+    matrix = (sub.fit @ evolved).T.astype(complex)
 
     return Superoperator(
         d_s=d_s,
@@ -137,7 +150,7 @@ def build_dynamical_map(
         choi=frozen(_choi_from_matrix(matrix, d_s)),
         extension=extension,
         consistency_certified=bool(consistency is not None and consistency.consistent),
-        domain_projector=frozen(projector),
+        domain_projector=frozen(sub.domain.T @ sub.domain),
     )
 
 

@@ -22,7 +22,7 @@ from .pipeline import Analysis
 from .subspace import Subspace
 from .two_qubit import LinearityCoefficients
 
-SCHEMA_ID = "rdl/1"
+SCHEMA_ID = "rdl/2"
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -131,10 +131,6 @@ def subspace_to_json(sub: Subspace) -> dict:
         "tol_rank": sub.tol_rank,
         "span_basis": [matrix_to_json(e) for e in sub.span_basis],
         "kernel_basis": [matrix_to_json(e) for e in sub.kernel_basis],
-        "pairs": [
-            {"reduced": matrix_to_json(red), "joint": matrix_to_json(joint)}
-            for red, joint in sub.pairs
-        ],
     }
 
 

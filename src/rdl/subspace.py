@@ -15,50 +15,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import DimensionError, InputError, NotInSpanError, RdlError
+from .errors import DimensionError, InputError, RdlError
 from .families import StateFamily
 from .operators import (
     BipartiteDims,
     basis_coords,
     from_basis_coords,
     frozen,
-    max_norm,
     partial_trace_env,
 )
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedExpansion:
-    """Least-squares expansion of system operators over the independent reduced states.
-
-    Every field carries the stack shape of the expanded input.
-    """
-
-    coefficients: np.ndarray  # complex, (..., reduced_dim): one per independent pair
-    remainder: np.ndarray  # x - sum_i d_i rho_s_i, (..., d_s, d_s)
-    residual: np.ndarray  # max-norm of each remainder, shape (...)
-
-
-@dataclass(frozen=True, eq=False)
 class Subspace:
-    """Span of a state family together with its reduced-side structure.
+    """Span of a state family together with the fit of its marginals.
 
-    ``pairs`` holds (reduced, joint) matrices for a maximal independent set of
-    reduced states, scanned greedily in member order.  Each member splits as
-    rho_i = A(Tr_E rho_i) + g_i, A the assignment lift; the residuals g_i span
-    the traceless kernel.  Residuals and orthonormal bases are built on use,
-    each as one read-only stack.
+    ``marginals`` holds R, the real coordinates of Tr_E rho_i, one row per
+    member.  ``fit`` is P = (D R)^+_r D, D = diag(1 / ||R_i||) and ^+_r the
+    pseudo-inverse truncated to the ``reduced_dim`` singular values above
+    ``tol_rank``; ``domain`` holds their right singular vectors, orthonormal
+    rows spanning the reduced side.  For a system operator with coordinates
+    c, the weights w = c P combine the members into an operator with
+    marginal c, and minimize sum_i (w_i ||R_i||)^2.  A member whose marginal
+    is within ``tol_rank`` of its own norm has D_i = 0.  Residuals and
+    orthonormal bases are built on use, each as one read-only stack.
     """
 
     dims: BipartiteDims
     members: np.ndarray
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    marginals: np.ndarray
+    fit: np.ndarray
+    domain: np.ndarray
     span_dim: int
     tol_rank: float
 
     @property
     def reduced_dim(self) -> int:
-        return len(self.pairs)
+        return len(self.domain)
 
     @property
     def kernel_dim(self) -> int:
@@ -66,8 +59,8 @@ class Subspace:
 
     @functools.cached_property
     def residuals(self) -> np.ndarray:
-        """The stack of g_i = rho_i - A(Tr_E rho_i); every marginal lifts, whatever its residual."""
-        residuals = self.members - self.lift(partial_trace_env(self.members, self.dims), tol=np.inf)
+        """The stack of g_i = rho_i - (R_i P) M, M the members; they span the kernel."""
+        residuals = self.members - np.tensordot(self.marginals @ self.fit, self.members, axes=1)
         residuals.setflags(write=False)
         return residuals
 
@@ -85,7 +78,7 @@ class Subspace:
         """Orthonormal kernel basis, one (kernel_dim, d_j, d_j) stack.
 
         It comes from the residuals' raw coordinates: normalizing them would
-        blow the pair members' roundoff residuals up into directions.
+        blow roundoff-sized residuals up into directions.
         """
         d_j = self.dims.joint
         _, _, vt = np.linalg.svd(basis_coords(self.residuals, d_j).real, full_matrices=False)
@@ -93,52 +86,13 @@ class Subspace:
         basis.setflags(write=False)
         return basis
 
-    def expand_reduced(self, x: np.ndarray, tol: float | None = None) -> ReducedExpansion:
-        """Expand a d_s x d_s operator, or a stack of them, over the independent reduced states.
 
-        Solves the least-squares problem min || x - sum_i d_i rho_s_i || in
-        Hilbert-Schmidt norm for every operator of ``x``, shape (..., d_s, d_s),
-        as one solve with many right-hand sides; complex coefficients are
-        allowed.  Raises NotInSpanError, carrying the worst residual, when any
-        operator's max-norm residual exceeds ``tol`` (defaults to the
-        subspace's rank tolerance).
-        """
-        if tol is None:
-            tol = self.tol_rank
-        x = np.asarray(x, dtype=complex)
-        d_s = self.dims.d_s
-        if x.shape[-2:] != (d_s, d_s):
-            raise DimensionError(f"expected {d_s}x{d_s} operators, got shape {x.shape}")
-        reds = np.array([red for red, _ in self.pairs]).reshape(-1, d_s, d_s)
-        rhs = basis_coords(x, d_s).reshape(-1, d_s * d_s).T
-        d, *_ = np.linalg.lstsq(basis_coords(reds, d_s).T, rhs, rcond=None)
-        d = d.T.reshape(x.shape[:-2] + (len(reds),))
-        remainder = x - np.tensordot(d, reds, axes=1)
-        residual = np.abs(remainder).max(axis=(-2, -1))
-        worst = max_norm(residual)
-        if worst > tol:
-            raise NotInSpanError(
-                f"operator lies outside the reduced span: residual {worst:.3e} > {tol:.3e}",
-                residual=worst,
-            )
-        return ReducedExpansion(
-            coefficients=frozen(d), remainder=frozen(remainder), residual=frozen(residual)
-        )
-
-    def lift(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
-        """Joint partners weighted by :meth:`expand_reduced` coefficients, for a stack at once."""
-        d_j = self.dims.joint
-        joints = np.array([joint for _, joint in self.pairs]).reshape(-1, d_j, d_j)
-        return np.tensordot(self.expand_reduced(x, tol).coefficients, joints, axes=1)
-
-
-def _unit_rows(ops: np.ndarray, d: int, floor: float = 0.0):
-    """Indices and unit-normalized real coordinates of the operators with norm above ``floor``.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a contiguous real matrix.
 
     A row whose squared norm overflows, or falls below the smallest normal
     float, has its norm taken again scaled by its largest entry.
     """
-    rows = np.ascontiguousarray(basis_coords(ops, d).real)
     with np.errstate(over="ignore", under="ignore"):
         sq = np.vecdot(rows, rows)
     norms = np.sqrt(sq)  # on contiguous rows, bit for bit np.linalg.norm per row
@@ -147,7 +101,14 @@ def _unit_rows(ops: np.ndarray, d: int, floor: float = 0.0):
     redo, scale = redo[scale > 0], scale[scale > 0]
     scaled = rows[redo] / scale[:, None]
     norms[redo] = scale * np.sqrt(np.vecdot(scaled, scaled))
-    keep = np.flatnonzero(norms > floor)
+    return norms
+
+
+def _unit_rows(ops: np.ndarray, d: int):
+    """Indices and unit-normalized real coordinates of the operators of nonzero norm."""
+    rows = np.ascontiguousarray(basis_coords(ops, d).real)
+    norms = _row_norms(rows)
+    keep = np.flatnonzero(norms > 0)
     return keep, rows[keep] / norms[keep, None]
 
 
@@ -221,7 +182,8 @@ def _span_rank(stack: np.ndarray, d: int, tol_rank: float) -> int:
     n = len(stack)
     if n <= d * d:
         flat = np.ascontiguousarray(stack).reshape(n, -1).view(float)
-        gram = flat @ flat.T
+        with np.errstate(over="ignore"):  # an overflowed diagonal sends the count to the SVD
+            gram = flat @ flat.T
         if not np.isfinite(np.diagonal(gram)).all():
             _require_finite(stack)
         elif _full_rank_certified(stack, gram, tol_rank):
@@ -234,43 +196,22 @@ def _span_rank(stack: np.ndarray, d: int, tol_rank: float) -> int:
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
 
 
-def greedy_independent(rows, tol: float, limit: int) -> list[int]:
-    """Indices of the rows that, scanned in order, each grow the rank of the pile.
+def _marginal_fit(stack: np.ndarray, dims: BipartiteDims, tol_rank: float):
+    """R, P and the domain rows of :class:`Subspace`, from one SVD of D R.
 
-    A row joins when stacking it keeps the smallest singular value of the
-    pile above ``tol``; the scan stops once ``limit`` rows have joined.
+    A row of D R is zero, and its member counts as kernel, when the
+    member's marginal is within ``tol_rank`` of the member's own norm: a
+    relative cut, so the split does not depend on the stack's scale.
     """
-    kept, pile = [], []
-    for idx, row in enumerate(rows):
-        if np.linalg.svd(np.vstack(pile + [row]), compute_uv=False)[-1] > tol:
-            kept.append(idx)
-            pile.append(row)
-            if len(kept) == limit:
-                break
-    return kept
-
-
-def _select_pairs(ops, dims: BipartiteDims, tol_rank: float):
-    """Greedy scan, in input order, for reduced operators that grow the rank.
-
-    Reduced operators enter the scan as unit-normalized coordinates; those
-    with norm within ``tol_rank`` are skipped.
-    """
-    ops = np.asarray(ops, dtype=complex)
-    reds = partial_trace_env(ops, dims)
-    candidates, rows = _unit_rows(reds, dims.d_s, tol_rank)
-    kept = greedy_independent(rows, tol_rank, dims.d_s * dims.d_s)
-    return tuple((frozen(reds[candidates[i]]), frozen(ops[candidates[i]])) for i in kept)
-
-
-def select_independent(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank):
-    """Maximal independent set of reduced states, scanned in family order.
-
-    Returns (reduced, joint) matrix pairs.  A candidate joins when stacking
-    its unit-normalized reduced coordinates keeps the smallest singular value
-    of the pile above ``tol_rank``.
-    """
-    return _select_pairs(family.stack, family.dims, tol_rank)
+    n, d_s = len(stack), dims.d_s
+    marginals = np.ascontiguousarray(basis_coords(partial_trace_env(stack, dims), d_s).real)
+    norms = _row_norms(marginals)
+    sizes = _row_norms(np.ascontiguousarray(stack).reshape(n, -1).view(float))
+    inv = np.divide(1.0, norms, out=np.zeros(n), where=norms > tol_rank * sizes)
+    u, s, vt = np.linalg.svd(marginals * inv[:, None], full_matrices=False)
+    r = int(np.sum(s > tol_rank))
+    fit = (vt[:r].T / s[:r]) @ (u[:, :r].T * inv)
+    return frozen(marginals), frozen(fit), frozen(vt[:r])
 
 
 def build_subspace_from_operators(
@@ -288,8 +229,10 @@ def build_subspace_from_operators(
     operators' unit-normalized Hermitian coordinates.  When n <= d_j^2, one
     Cholesky factorization of the operators' scaled Gram matrix first tries
     to certify all n of them (:func:`_full_rank_certified`), and the
-    coordinates and their SVD are built only when it fails.  An operator
-    with a NaN or infinite entry raises InputError.
+    coordinates and their SVD are built only when it fails.  The marginals'
+    rank, ``reduced_dim``, counts the singular values of their
+    unit-normalized coordinates above ``tol_rank`` (:func:`_marginal_fit`).
+    An operator with a NaN or infinite entry raises InputError.
     """
     if not isinstance(ops, np.ndarray):
         ops = list(ops)
@@ -307,15 +250,23 @@ def build_subspace_from_operators(
         stack = np.array(stack)  # the caller's array stays the caller's
     stack.setflags(write=False)
     span_dim = _span_rank(stack, d_j, tol_rank)
-    pairs = _select_pairs(stack, dims, tol_rank)
-    if len(pairs) > span_dim:
+    marginals, fit, domain = _marginal_fit(stack, dims, tol_rank)
+    if len(domain) > span_dim:
         raise RdlError(
-            f"the greedy scan found {len(pairs)} independent reduced operators in a span "
-            f"of rank {span_dim}; the input sits too close to the rank tolerance {tol_rank:.1e}"
+            f"the marginals have rank {len(domain)} in a span of rank {span_dim}; "
+            f"the input sits too close to the rank tolerance {tol_rank:.1e}"
         )
-    return Subspace(dims=dims, members=stack, pairs=pairs, span_dim=span_dim, tol_rank=tol_rank)
+    return Subspace(
+        dims=dims,
+        members=stack,
+        marginals=marginals,
+        fit=fit,
+        domain=domain,
+        span_dim=span_dim,
+        tol_rank=tol_rank,
+    )
 
 
 def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> Subspace:
-    """Span rank of the family and its independent reduced pairs."""
+    """Span rank of the family and the fit of its marginals."""
     return build_subspace_from_operators(family.stack, family.dims, tol_rank)

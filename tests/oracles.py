@@ -225,8 +225,8 @@ def validate_members_one_by_one(members, dims, tol):
         require_density(m, tol, f"member {idx}")
 
 
-def unit_rows_one_by_one(ops, d, floor=0.0):
-    """Indices and unit-normalized real coordinates of the operators with norm above ``floor``.
+def unit_rows_one_by_one(ops, d):
+    """Indices and unit-normalized real coordinates of the operators of nonzero norm.
 
     Each row's norm is one ``np.linalg.norm`` call, row after row; a row
     whose squared norm overflows or falls below the smallest normal float is
@@ -243,7 +243,7 @@ def unit_rows_one_by_one(ops, d, floor=0.0):
 
     rows = basis_coords(np.asarray(ops, dtype=complex), d).real
     norms = np.array([norm(c) for c in rows])
-    keep = np.flatnonzero(norms > floor)
+    keep = np.flatnonzero(norms > 0)
     return keep, rows[keep] / norms[keep, None]
 
 

@@ -289,7 +289,7 @@ def test_criterion_9_cli_reports_are_reproducible(tmp_path):
     report = json.loads(outputs[0][1])
     _criterion(
         9,
-        identical and outputs[0][0] == 3 and report["schema"] == "rdl/1",
+        identical and outputs[0][0] == 3 and report["schema"] == "rdl/2",
         f"exit {outputs[0][0]}, runs identical: {identical}, "
         f"{len(outputs[0][1])} bytes",
     )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rdl
 import rdl.consistency
 from rdl import DEFAULT_TOL
-from rdl.errors import DimensionError, NotInSpanError, SamplingExhaustedError, UnitarityError
+from rdl.errors import DimensionError, SamplingExhaustedError, UnitarityError
 from oracles import (
     conjugate_loops,
     hull_by_trials,
@@ -67,24 +67,23 @@ def test_marginal_flag_tracks_tolerance_band():
     assert passed.consistent and not passed.marginal
 
 
-def test_member_outside_the_reduced_span_reports_its_prediction_error():
-    """A marginal that the rank cut drops but the lift cannot reach is measured, not raised.
+def test_member_near_the_rank_cut_keeps_a_local_propagator_consistent():
+    """A marginal just inside the rank cut costs the fit roundoff-sized errors, not a verdict.
 
     The second state sits 1e-4 from the first, so the third, 1e-5 off their
     plane, leaves a smallest unit-row singular value of 3.4e-9, under the
-    rank tolerance: both rank decisions say 2, and the lift misses the third
-    member's marginal by 1e-5.  The kernel test reports that miss.
+    rank tolerance: both rank decisions say 2.  With d_e = 1 every
+    propagator is local, so the family must pass; the truncated fit misses
+    each member by about 1e-9.
     """
     p1 = np.eye(2) / 2 + 0.15 * rdl.SIGMA_Z
     p2 = p1 + 1e-4 * rdl.SIGMA_X
     r = p1 + 0.4 * rdl.SIGMA_X + 1e-5 * rdl.SIGMA_Y
     sub = rdl.build_subspace(rdl.StateFamily(dims=rdl.BipartiteDims(2, 1), members=(p1, p2, r)))
     assert (sub.span_dim, sub.reduced_dim) == (2, 2)
-    with pytest.raises(NotInSpanError) as exc:
-        sub.expand_reduced(r)
     rep = rdl.check_subspace_consistency(sub, rdl.SIGMA_X)
-    assert abs(rep.max_violation - exc.value.residual) <= 1e-12
-    assert np.array_equal(rep.witness, sub.residuals[2])
+    assert rep.consistent and rep.witness is None
+    assert 1e-10 < rep.max_violation < 1e-8
 
 
 def test_identity_propagator_is_always_consistent():
@@ -332,9 +331,9 @@ def test_batched_checks_match_loop_oracles(
     """Kernel and pairwise checks against index-loop evaluations, past the 2x2 case.
 
     Product members that share a system factor give equal-marginal pairs;
-    random joint members widen the span and the kernel.  The kernel test's
-    residuals are checked against each member minus the lift of its
-    loop-traced marginal, solved over the flattened reduced states; the
+    random joint members widen the span and the kernel.  The residuals are
+    checked against each member minus the assignment of its loop-traced
+    marginal, and the kernel test against their loop-evolved marginals; the
     witness is the worst residual.  The pairwise sweep checks its candidate
     pairs in blocks of ``rows`` (one block when None), and its witness is
     the first worst pair's difference.
@@ -350,17 +349,17 @@ def test_batched_checks_match_loop_oracles(
 
     sub = rdl.build_subspace(fam)
     rep = rdl.check_subspace_consistency(sub, u)
-    reds = np.array([red.ravel() for red, _ in sub.pairs]).T
+    lam = rdl.build_assignment(sub)
+    # Roundoff in the lift grows with its weights: ill-conditioned marginals need large ones.
+    bound = 1e-12 * max(1.0, np.abs(sub.fit).max())
     for m, g in zip(members, sub.residuals):
-        c, *_ = np.linalg.lstsq(reds, ptrace_env_loops(m, d_s, d_e).ravel(), rcond=None)
-        lift = sum(ck * joint for ck, (_, joint) in zip(c, sub.pairs))
-        # Roundoff in the lift grows with its coefficients: ill-conditioned pairs need large ones.
-        assert np.abs(g - (m - lift)).max() <= 1e-12 * max(1.0, np.abs(c).max())
+        lift = lam.apply(ptrace_env_loops(m, d_s, d_e), tol=np.inf)
+        assert np.abs(g - (m - lift)).max() <= bound
     viol = [rdl.max_norm(evolved_marginal(g)) for g in sub.residuals]
     worst = max(viol)
-    assert abs(rep.max_violation - worst) <= 1e-12
+    assert abs(rep.max_violation - worst) <= bound
     if worst > tols.consistency:
-        assert np.array_equal(rep.witness, sub.residuals[int(np.argmax(viol))])
+        assert np.abs(rep.witness - sub.residuals[int(np.argmax(viol))]).max() <= bound
     else:
         assert rep.witness is None
 

@@ -1,4 +1,4 @@
-"""Span, independent reduced pairs, and traceless-kernel construction."""
+"""Span, the fit of the members' marginals, and traceless-kernel construction."""
 
 import numpy as np
 import pytest
@@ -55,12 +55,9 @@ def test_members_decompose_into_lift_plus_kernel(rng):
     states = [rdl.random_density_matrix(4, rng) for _ in range(5)]
     fam = rdl.StateFamily(dims=rdl.BipartiteDims(2, 2), members=tuple(states))
     sub = rdl.build_subspace(fam)
+    lam = rdl.build_assignment(sub)
     for m in fam.members:
-        marg = rdl.partial_trace_env(m, fam.dims)
-        exp = sub.expand_reduced(marg)
-        assert exp.residual < 1e-10
-        lift = sum(d * joint for d, (_, joint) in zip(exp.coefficients, sub.pairs))
-        gap = m - lift
+        gap = m - lam.apply(rdl.partial_trace_env(m, fam.dims))
         assert rdl.max_norm(rdl.partial_trace_env(gap, fam.dims)) < 1e-9
         # the gap stays inside the span
         coords = np.array([rdl.hs_inner(e, gap) for e in sub.span_basis])
@@ -68,21 +65,21 @@ def test_members_decompose_into_lift_plus_kernel(rng):
         assert rdl.max_norm(gap - recon) < 1e-9
 
 
-def test_expand_reduced_outside_span():
+def test_assignment_refuses_operators_outside_the_reduced_span():
     omega = np.eye(2, dtype=complex) / 2
     fam = rdl.product_family([z_eigenstate(+1), z_eigenstate(-1)], omega)
     sub = rdl.build_subspace(fam)
     assert sub.reduced_dim == 2
+    lam = rdl.build_assignment(sub)
     with pytest.raises(NotInSpanError) as exc:
-        sub.expand_reduced(rdl.SIGMA_X.astype(complex))
+        lam.apply(rdl.SIGMA_X.astype(complex))
     assert exc.value.residual > 0.5
-    # diagonal operators expand cleanly
-    exp = sub.expand_reduced(np.diag([0.25, 0.75]).astype(complex))
-    assert exp.residual < 1e-12
-    assert np.abs(exp.coefficients - np.array([0.25, 0.75])).max() < 1e-12
+    # diagonal operators lift cleanly, onto the members that carry them
+    x = np.diag([0.25, 0.75]).astype(complex)
+    assert np.abs(lam.apply(x) - rdl.tensor(x, omega)).max() < 1e-12
 
 
-def test_expand_reduced_takes_stacks(rng):
+def test_assignment_takes_stacks(rng):
     dims = rdl.BipartiteDims(3, 2)
     fam = rdl.StateFamily(
         dims=dims, members=tuple(rdl.random_density_matrix(6, rng) for _ in range(6))
@@ -93,34 +90,26 @@ def test_expand_reduced_takes_stacks(rng):
     marg = np.array(fam.reduced())
     mix = rng.normal(size=(2, 3, 6)) + 1j * rng.normal(size=(2, 3, 6))
     xs = np.tensordot(mix, marg, axes=1)
-    stacked = sub.expand_reduced(xs)
     lifted = lam.apply(xs)
-    assert stacked.coefficients.shape == (2, 3, sub.reduced_dim)
-    assert stacked.residual.shape == (2, 3)
     assert lifted.shape == (2, 3, 6, 6)
+    assert np.abs(rdl.partial_trace_env(lifted, dims) - xs).max() < 1e-12
     for idx in np.ndindex(2, 3):
-        one = sub.expand_reduced(xs[idx])
-        assert np.abs(stacked.coefficients[idx] - one.coefficients).max() < 1e-12
-        assert np.abs(stacked.remainder[idx] - one.remainder).max() < 1e-12
-        assert abs(stacked.residual[idx] - one.residual) < 1e-12
         assert np.abs(lifted[idx] - lam.apply(xs[idx])).max() < 1e-12
 
 
-def test_expand_reduced_stack_reports_worst_residual():
+def test_assignment_of_a_stack_reports_the_worst_residual():
     omega = np.eye(2, dtype=complex) / 2
     fam = rdl.product_family([z_eigenstate(+1), z_eigenstate(-1)], omega)
-    sub = rdl.build_subspace(fam)
+    lam = rdl.build_assignment(rdl.build_subspace(fam))
     with pytest.raises(NotInSpanError) as exc:
-        sub.expand_reduced(rdl.SIGMA_X)
+        lam.apply(rdl.SIGMA_X)
     worst = exc.value.residual
     # the last two elements leave the (diagonal) reduced span, the middle one by more
     xs = np.array([np.diag([0.25, 0.75]), rdl.SIGMA_X, np.diag([1.0, 0.0]) + 0.5 * rdl.SIGMA_X])
     with pytest.raises(NotInSpanError) as exc:
-        sub.expand_reduced(xs)
+        lam.apply(xs)
     assert abs(exc.value.residual - worst) < 1e-12
     assert f"residual {exc.value.residual:.3e}" in str(exc.value)
-    with pytest.raises(NotInSpanError):
-        rdl.build_assignment(sub).apply(xs)
 
 
 @given(
@@ -168,7 +157,7 @@ def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_join
 
 
 def test_analyze_without_hull_builds_no_basis(monkeypatch):
-    """The decision and its report read only the members, the pairs and the span rank."""
+    """The decision and its report read only the members, the fit and the span rank."""
 
     def refuse(self):
         raise AssertionError("an orthonormal basis was built")
@@ -192,20 +181,18 @@ def test_operators_without_marginals_are_all_kernel():
     assert not rdl.check_subspace_consistency(sub, rdl.swap_unitary(2)).consistent
 
 
-def test_expand_reduced_shape_check():
-    sub = rdl.build_subspace(rdl.full_two_qubit_family())
+def test_assignment_shape_check():
+    lam = rdl.build_assignment(rdl.build_subspace(rdl.full_two_qubit_family()))
     with pytest.raises(DimensionError):
-        sub.expand_reduced(np.eye(4))
+        lam.apply(np.eye(4))
 
 
-def test_select_independent_skips_duplicates():
+def test_duplicate_marginals_do_not_grow_the_reduced_rank():
     omega = np.eye(2, dtype=complex) / 2
     plus = z_eigenstate(+1)
     fam = rdl.product_family([plus, plus, z_eigenstate(-1)], omega)
-    pairs = rdl.select_independent(fam)
-    assert len(pairs) == 2
-    # greedy scan keeps the first occurrence
-    assert np.abs(pairs[0][0] - plus).max() < 1e-12
+    sub = rdl.build_subspace(fam)
+    assert (sub.span_dim, sub.reduced_dim, sub.kernel_dim) == (2, 2, 0)
 
 
 def test_greedy_scan_caps_at_operator_space_dimension(rng):
@@ -232,11 +219,15 @@ def test_build_from_operators_rejects_empty_and_zero():
 
 
 def test_more_pairs_than_span_rank_is_refused():
-    """Joint operators within the rank cut of each other whose marginals are not."""
+    """Joint operators within the rank cut of each other whose marginals are not.
+
+    The marginals' rank exceeds the span's, so no split into reduced and kernel
+    dimensions exists.
+    """
     ra, rb = np.diag([0.7, 0.3]), np.diag([0.2, 0.8])
     x1 = 1e3 * rdl.tensor(np.eye(2), rdl.SIGMA_Z) + rdl.tensor(ra, np.eye(2) / 2)
     x2 = x1 + 1e-6 * rdl.tensor(rb - ra, np.eye(2) / 2)
-    with pytest.raises(RdlError, match="found 2 independent reduced operators in a span of rank 1"):
+    with pytest.raises(RdlError, match="the marginals have rank 2 in a span of rank 1;"):
         rdl.build_subspace_from_operators([x1, x2], rdl.BipartiteDims(2, 2))
 
 
@@ -321,7 +312,7 @@ def test_span_rank_matches_svd_oracle(d_s, d_e, n, kind, log_tol, seed):
         got = rdl.build_subspace_from_operators(ops, dims, tol_rank).span_dim
     except DimensionError as exc:
         assert want == 0 and "all supplied operators are zero" in str(exc)
-    except RdlError as exc:  # near the cut the greedy scan may outgrow the span
+    except RdlError as exc:  # near the cut the marginals' rank may outgrow the span's
         assert f"in a span of rank {want};" in str(exc)
     else:
         assert got == want
@@ -331,9 +322,9 @@ def _spy_unit_rows(monkeypatch):
     sides = []
     unit_rows = subspace._unit_rows
 
-    def spy(ops, d, floor=0.0):
+    def spy(ops, d):
         sides.append(d)
-        return unit_rows(ops, d, floor)
+        return unit_rows(ops, d)
 
     monkeypatch.setattr(subspace, "_unit_rows", spy)
     return sides
@@ -348,15 +339,14 @@ def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
     sides = _spy_unit_rows(monkeypatch)
     sub = rdl.build_subspace(fam)
     assert sub.span_dim == 120 == span_dim_by_svd(fam.stack, 32, sub.tol_rank)
-    assert sides == [4]  # the reduced scan's rows only
-    sides.clear()
+    assert sides == []
+
     x1, x2 = np.eye(4), rdl.tensor(np.diag([1.0, 0.0]), np.eye(2))
     near = rdl.build_subspace_from_operators([x1, x1 + 1e-12 * x2], rdl.BipartiteDims(2, 2))
     assert near.span_dim == 1
-    assert sides == [4, 2]  # not certified: the SVD counts
+    assert sides == [4]  # not certified: the SVD counts
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflowing_gram_falls_back_to_the_svd(monkeypatch):
     """Entries near 1e200 overflow the Gram diagonal: no error, the SVD's count as before."""
     ops = 1e200 * np.array([np.eye(4), rdl.tensor(rdl.SIGMA_Z, np.eye(2))], dtype=complex)
@@ -368,10 +358,11 @@ def test_overflowing_gram_falls_back_to_the_svd(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170])
 def test_extreme_scales_keep_the_true_span_rank(scale):
-    """Squared row norms that overflow or underflow are taken again, scaled: the rank stays 2."""
+    """Squared row norms that overflow or underflow are taken again, scaled: both ranks stay 2."""
     ops = scale * np.array([np.eye(4), rdl.tensor(rdl.SIGMA_Z, np.eye(2))], dtype=complex)
     sub = rdl.build_subspace_from_operators(ops, rdl.BipartiteDims(2, 2))
     assert sub.span_dim == span_dim_by_svd(ops, 4, sub.tol_rank) == 2
+    assert sub.reduced_dim == 2 and sub.kernel_dim == 0
 
 
 @pytest.mark.parametrize("n", [2, 17], ids=["certificate", "past d_j^2"])
@@ -390,8 +381,7 @@ def test_unit_rows_norms_match_the_row_loop_bit_for_bit(rng):
         ops = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
         ops *= 10.0 ** rng.uniform(-6, 6, size=(3, 1, 1))
         ops[1] = 0
-        for floor in (0.0, 1e-8):
-            keep, rows = subspace._unit_rows(ops, d, floor)
-            want_keep, want_rows = unit_rows_one_by_one(ops, d, floor)
-            assert np.array_equal(keep, want_keep)
-            assert np.array_equal(rows.view(np.int64), want_rows.view(np.int64))
+        keep, rows = subspace._unit_rows(ops, d)
+        want_keep, want_rows = unit_rows_one_by_one(ops, d)
+        assert np.array_equal(keep, want_keep)
+        assert np.array_equal(rows.view(np.int64), want_rows.view(np.int64))
