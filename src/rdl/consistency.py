@@ -20,7 +20,6 @@ from .families import StateFamily
 from .operators import (
     _evolved_marginal,
     _require_propagator,
-    basis_coords,
     from_basis_coords,
     frozen,
     partial_trace_env,
@@ -93,7 +92,7 @@ def check_subspace_consistency(
     u = _require_propagator(u, subspace.dims, tols)
     d_s = subspace.dims.d_s
     members, marginals, fit = subspace.members, subspace.marginals, subspace.fit
-    evolved = basis_coords(_evolved_marginal(u, members, subspace.dims), d_s).real
+    evolved = subspace.evolved_marginals(u)
     error = from_basis_coords(evolved - marginals @ (fit @ evolved), d_s)
     viol = np.abs(error).max(axis=(1, 2))
     return _report(
@@ -189,7 +188,7 @@ def check_hull_consistency(
     trials: int = 100,
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> ConsistencyReport:
-    """Sampled equal-marginal state pairs instead of the member residuals.
+    """Sampled equal-marginal state pairs instead of the members' prediction errors.
 
     Each trial mixes ``subspace.members`` with random convex weights, perturbs
     the mix along a random kernel direction scaled until positivity survives,
@@ -202,7 +201,7 @@ def check_hull_consistency(
     Any equal-marginal pair differs by a kernel element and vice versa, so in
     exact arithmetic the verdict is that of :func:`check_subspace_consistency`.
     Near the tolerance the two can differ, because they measure on different
-    scales: the kernel test the member residuals, the hull the
+    scales: the kernel test the members' prediction errors, the hull the
     positivity-scaled unit kernel steps.
 
     Requires an explicit ``seed``.  Raises SamplingExhaustedError when the

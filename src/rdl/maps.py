@@ -26,7 +26,6 @@ from .consistency import ConsistencyReport
 from .errors import DimensionError, HermiticityError, IncompleteDomainError, NotInSpanError
 from .operators import (
     BipartiteDims,
-    _evolved_marginal,
     _require_propagator,
     basis_coords,
     from_basis_coords,
@@ -141,8 +140,7 @@ def build_dynamical_map(
             'an explicit extension is required (use extension="zero")'
         )
 
-    evolved = basis_coords(_evolved_marginal(u, sub.members, sub.dims), d_s).real
-    matrix = (sub.fit @ evolved).T.astype(complex)
+    matrix = (sub.fit @ sub.evolved_marginals(u)).T.astype(complex)
 
     return Superoperator(
         d_s=d_s,

@@ -19,6 +19,7 @@ from .errors import DimensionError, InputError, RdlError
 from .families import StateFamily
 from .operators import (
     BipartiteDims,
+    _evolved_marginal,
     basis_coords,
     from_basis_coords,
     frozen,
@@ -35,10 +36,11 @@ class Subspace:
     pseudo-inverse truncated to the ``reduced_dim`` singular values above
     ``tol_rank``; ``domain`` holds their right singular vectors, orthonormal
     rows spanning the reduced side.  For a system operator with coordinates
-    c, the weights w = c P combine the members into an operator with
-    marginal c, and minimize sum_i (w_i ||R_i||)^2.  A member whose marginal
-    is within ``tol_rank`` of its own norm has D_i = 0.  Residuals and
-    orthonormal bases are built on use, each as one read-only stack.
+    c in that span, the weights w = c P combine the members into an
+    operator with marginal c, with the least sum_i (w_i ||R_i||)^2.  A
+    member whose marginal is within ``tol_rank`` of its own norm has
+    D_i = 0.  Residuals and orthonormal bases are built on use, each as one
+    read-only stack.
     """
 
     dims: BipartiteDims
@@ -56,6 +58,13 @@ class Subspace:
     @property
     def kernel_dim(self) -> int:
         return self.span_dim - self.reduced_dim
+
+    def evolved_marginals(self, u: np.ndarray) -> np.ndarray:
+        """E, the real coordinates of Tr_E(U rho_i U^dag), one row per member.
+
+        ``u`` is taken as already validated.
+        """
+        return basis_coords(_evolved_marginal(u, self.members, self.dims), self.dims.d_s).real
 
     @functools.cached_property
     def residuals(self) -> np.ndarray:
