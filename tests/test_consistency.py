@@ -359,7 +359,9 @@ def test_batched_checks_match_loop_oracles(
     worst = max(viol)
     assert abs(rep.max_violation - worst) <= bound
     if worst > tols.consistency:
-        assert np.abs(rep.witness - sub.residuals[int(np.argmax(viol))]).max() <= bound
+        # Members sharing a marginal tie exactly; roundoff picks the first worst among them.
+        ties = [g for g, v in zip(sub.residuals, viol) if v >= worst - bound]
+        assert min(np.abs(rep.witness - g).max() for g in ties) <= bound
     else:
         assert rep.witness is None
 
