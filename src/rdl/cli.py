@@ -108,10 +108,11 @@ def _tolerances(args) -> ToleranceConfig:
     override = os.environ.get("RDL_TOL_OVERRIDE")
     if override is not None:
         try:
-            value = float(override)
+            tols = tols.override_all(float(override))
         except ValueError:
-            raise InputError(f"RDL_TOL_OVERRIDE must be a number, got {override!r}") from None
-        tols = tols.override_all(value)
+            raise InputError(
+                f"RDL_TOL_OVERRIDE must be a finite positive number, got {override!r}"
+            ) from None
     return tols
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -11,7 +12,8 @@ class ToleranceConfig:
     """Thresholds used by every validation and verdict in the package.
 
     All checks route through one of these fields so that a single config value
-    can tighten or loosen the whole pipeline at once.
+    can tighten or loosen the whole pipeline at once.  Every field must be
+    finite and positive; ``psd`` may also be 0, the exact positivity floor.
     """
 
     herm: float = 1e-9  # max-norm bound on X - X^dag
@@ -21,13 +23,15 @@ class ToleranceConfig:
     rank: float = 1e-8  # singular-value cutoff for rank and span membership
     consistency: float = 1e-8  # marginal-equality violation threshold
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not (0 < value < math.inf or f.name == "psd" and value == 0):
+                raise ValueError(f"tolerance {f.name} must be finite and positive, got {value!r}")
+
     def override_all(self, value: float) -> ToleranceConfig:
         """Return a copy with every threshold replaced by ``value``."""
-        if not value > 0:
-            raise ValueError(f"tolerance override must be positive, got {value}")
-        return ToleranceConfig(
-            **{f.name: float(value) for f in dataclasses.fields(self)}
-        )
+        return ToleranceConfig(**{f.name: float(value) for f in dataclasses.fields(self)})
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -4,8 +4,8 @@ The reduced dynamics of a family is linear exactly when the span of the
 family passes the kernel test below: every spanned operator with vanishing
 environment partial trace must still have vanishing partial trace after
 conjugation by the propagator.  The pairwise and hull checks probe the same
-condition through finitely many state pairs instead of the fit of the
-members' marginals.
+condition through finitely many state pairs: member pairs, and sampled pairs
+of the members' convex hull.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import SamplingExhaustedError
 from .families import StateFamily
 from .operators import (
     _evolved_marginal,
@@ -27,9 +26,7 @@ from .operators import (
 from .subspace import Subspace
 
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
-_BISECTION_STEPS = 60
-_MIN_PERTURBATION = 1e-7  # smaller scalings probe nothing but numerical noise
-_BLOCK_ENTRIES = 2**16  # caps hull trials x d_j^2 and candidate pairs x d_s^2 per block
+_BLOCK_ENTRIES = 2**16  # caps hull trials x members and candidate pairs x d_s^2 per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,30 +154,6 @@ def check_pairwise_consistency(
     )
 
 
-def _positivity_scaling(sigma: np.ndarray, y: np.ndarray, psd_tol: float) -> np.ndarray:
-    """Largest epsilon (halving from 1) keeping sigma + eps y positive, per pair of a stack.
-
-    ``sigma`` and ``y`` are stacks (n, d, d); the result holds one epsilon per
-    pair, NaN where none is found.  Each step diagonalizes only the pairs still
-    pending.  A pair gives up once the scaling drops below a floor where the
-    perturbed state would differ from sigma only at noise level; without the
-    floor, any direction would "succeed" at an epsilon inside the positivity
-    tolerance and a blocked direction could never be told from an open one.
-    """
-    eps = np.full(len(sigma), np.nan)
-    pending = np.arange(len(sigma))
-    step = 1.0
-    for _ in range(_BISECTION_STEPS):
-        lowest = np.linalg.eigvalsh(sigma[pending] + step * y[pending])[:, 0]
-        found = lowest >= -psd_tol
-        eps[pending[found]] = step
-        pending = pending[~found]
-        step /= 2.0
-        if step < _MIN_PERTURBATION or not pending.size:
-            break
-    return eps
-
-
 def check_hull_consistency(
     subspace: Subspace,
     u: np.ndarray,
@@ -188,24 +161,28 @@ def check_hull_consistency(
     trials: int = 100,
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> ConsistencyReport:
-    """Sampled equal-marginal state pairs instead of the members' prediction errors.
+    """Sampled equal-marginal state pairs of the members' convex hull.
 
-    Each trial mixes ``subspace.members`` with random convex weights, perturbs
-    the mix along a random kernel direction scaled until positivity survives,
-    and compares the evolved marginals of the perturbed and unperturbed
-    states.  The members are mixed as states, so ``subspace`` must come from
-    :func:`build_subspace` of a state family.  Trials are drawn one after
-    another from one generator and evaluated as stacks, in blocks of
-    ``max(1, 2**16 // d_j**2)`` trials.
+    Each trial draws convex weights a and a direction c = z (I - R P), R the
+    members' marginals and P the subspace's fit, so that c R = 0.  The
+    states a M and b M, M the members and b = a + eps c with eps the
+    largest step keeping b nonnegative, lie in the hull with equal
+    marginals; their evolved marginals differ by eps c E, E the members'
+    evolved marginals, formed once.  The members are mixed as states, so
+    ``subspace`` must come from :func:`build_subspace` of a state family:
+    the coefficients then sum to sqrt(d_s) (c R)_0 = 0, some c_i is
+    negative, and eps is finite.  Trials are drawn one after another from
+    one generator and evaluated as stacks, in blocks of
+    ``max(1, 2**16 // n)`` trials for n members.
 
-    Any equal-marginal pair differs by a kernel element and vice versa, so in
-    exact arithmetic the verdict is that of :func:`check_subspace_consistency`.
-    Near the tolerance the two can differ, because they measure on different
-    scales: the kernel test the members' prediction errors, the hull the
-    positivity-scaled unit kernel steps.
+    The step eps c M is a combination of the kernel test's member
+    residuals with coefficients of total weight |b - a|_1 <= 2, so the
+    violation is at most twice that of :func:`check_subspace_consistency`.
+    Any equal-marginal pair differs by a kernel element, so in exact
+    arithmetic the two verdicts agree; near the tolerance they can differ.
 
-    Requires an explicit ``seed``.  Raises SamplingExhaustedError when the
-    kernel is nonempty but no trial admits a positivity-preserving scaling.
+    Requires an explicit ``seed``.  The witness is the step eps c M of the
+    first worst trial.
     """
     u = _require_propagator(u, subspace.dims, tols)
     if trials < 1:
@@ -214,36 +191,29 @@ def check_hull_consistency(
         return _report([], tols.consistency, pairs_tested=0)
 
     rng = np.random.default_rng(seed)
-    d_j = subspace.dims.joint
-    members = subspace.members.reshape(-1, d_j * d_j)
-    kernel = subspace.kernel_basis.reshape(-1, d_j * d_j)
-    block = max(1, _BLOCK_ENTRIES // d_j**2)
-    violations, witness = np.zeros(0), None
+    marginals, fit = subspace.marginals, subspace.fit
+    evolved = subspace.evolved_marginals(u)
+    n = len(marginals)
+    block = max(1, _BLOCK_ENTRIES // n)
+    violations, worst_step = np.zeros(0), None
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        weights = np.empty((size, len(members)))
-        coeffs = np.empty((size, subspace.kernel_dim))
+        weights, z = np.empty((size, n)), np.empty((size, n))
         for t in range(size):  # the draws keep their trial-by-trial order
-            weights[t] = rng.exponential(size=len(members))
-            coeffs[t] = rng.normal(size=subspace.kernel_dim)
+            weights[t] = rng.exponential(size=n)
+            z[t] = rng.normal(size=n)
         weights /= weights.sum(axis=1, keepdims=True)
-        y = coeffs @ kernel
-        norms = np.linalg.norm(y, axis=1)
-        keep = norms > tols.rank
-        sigma = (weights[keep] @ members).reshape(-1, d_j, d_j)
-        y = (y[keep] / norms[keep, None]).reshape(-1, d_j, d_j)
-        eps = _positivity_scaling(sigma, y, tols.psd)
-        found = ~np.isnan(eps)
-        steps = eps[found, None, None] * y[found]
-        sigma = sigma[found]
-        out = _evolved_marginal(u, np.stack([sigma + steps, sigma]), subspace.dims)
+        coeffs = z - (z @ marginals) @ fit
+        steps = coeffs / (-coeffs / weights).max(axis=1, keepdims=True)
+        diff = from_basis_coords(steps @ evolved, subspace.dims.d_s)
         first = len(violations)
-        violations = np.concatenate([violations, np.abs(out[0] - out[1]).max(axis=(1, 2))])
+        violations = np.concatenate([violations, np.abs(diff).max(axis=(1, 2))])
         # Keep only the step of the first worst trial so far: the one _report asks for.
-        if len(violations) > first and (worst := int(np.argmax(violations))) >= first:
-            witness = steps[worst - first]
-    if not violations.size:
-        raise SamplingExhaustedError(
-            f"no positivity-preserving perturbation found in {trials} trials"
-        )
-    return _report(violations, tols.consistency, lambda k: witness, len(violations))
+        if (worst := int(np.argmax(violations))) >= first:
+            worst_step = steps[worst - first]
+    return _report(
+        violations,
+        tols.consistency,
+        lambda k: np.tensordot(worst_step, subspace.members, axes=1),
+        trials,
+    )

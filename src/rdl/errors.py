@@ -52,9 +52,5 @@ class SingularSystemError(RdlError):
     """A linear solve hit a numerically singular coefficient matrix."""
 
 
-class SamplingExhaustedError(RdlError):
-    """Random sampling failed to produce a single usable draw."""
-
-
 class IncompleteDomainError(RdlError):
     """A map defined only on a proper subspace was requested on the full space."""

@@ -38,8 +38,10 @@ class BipartiteDims:
     d_e: int
 
     def __post_init__(self):
-        if not (isinstance(self.d_s, int) and isinstance(self.d_e, int)):
-            raise DimensionError(f"dimensions must be integers, got {self.d_s!r}, {self.d_e!r}")
+        for name in ("d_s", "d_e"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DimensionError(f"{name} must be an integer, got {value!r}")
         if self.d_s < 2:
             raise DimensionError(f"system dimension must be at least 2, got {self.d_s}")
         if self.d_e < 1:

@@ -44,7 +44,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise ValueError(f"{what}: missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
         raise ValueError(f"{what}: rows/cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -61,7 +61,7 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, (int, float)) for v in entry)
+            or not all(isinstance(v, float) or _is_int(v) for v in entry)
         ):
             raise ValueError(f"{what}: entry {idx} must be a [re, im] pair, got {entry!r}")
         try:
@@ -69,6 +69,11 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
         except OverflowError:
             raise ValueError(f"{what}: entry {idx} has a part too large for a float") from None
     return out.reshape(rows, cols)
+
+
+def _is_int(v) -> bool:
+    """True for an int that is not a bool: JSON's true and false are no numbers."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _number_pairs(data: list) -> np.ndarray | None:
@@ -79,11 +84,13 @@ def _number_pairs(data: list) -> np.ndarray | None:
     """
     if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
         return None
+    if bool in set(map(type, chain.from_iterable(data))):
+        return None
     try:
         pairs = np.array(data)
     except ValueError:  # ragged nesting inside an entry
         return None
-    return pairs if pairs.shape == (len(data), 2) and pairs.dtype.kind in "biuf" else None
+    return pairs if pairs.shape == (len(data), 2) and pairs.dtype.kind in "iuf" else None
 
 
 def family_to_json(family: StateFamily) -> dict:

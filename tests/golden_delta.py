@@ -30,28 +30,7 @@ from pathlib import Path
 import rdl
 from rdl.cli import main
 from rdl.serialize import family_to_json
-from test_golden import CASES, FAMILY, GOLDEN
-
-_MISSING = "<missing>"
-
-
-def leaf_differences(old, new, path="$"):
-    """Yield (path, old, new) for every leaf where two parsed JSON values differ."""
-    if isinstance(old, dict) and isinstance(new, dict):
-        for key in sorted(old.keys() | new.keys()):
-            yield from leaf_differences(
-                old.get(key, _MISSING), new.get(key, _MISSING), f"{path}.{key}"
-            )
-    elif isinstance(old, list) and isinstance(new, list):
-        if len(old) != len(new):
-            yield f"{path}.length", len(old), len(new)
-        else:
-            for i, (a, b) in enumerate(zip(old, new)):
-                yield from leaf_differences(a, b, f"{path}[{i}]")
-    elif type(old) is not type(new) or old != new:
-        if not (isinstance(old, float) and old != old and new != new):  # NaN on both sides
-            yield path, old, new
-
+from test_golden import CASES, FAMILY, GOLDEN, leaf_differences
 
 def path_group(path):
     """``path`` without the root, list indices, or a trailing matrix ``data`` key."""

@@ -133,47 +133,44 @@ def random_unitary(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def hull_by_trials(members, kernel, u, dims, seed, trials, tols):
-    """The hull check one trial at a time, with a scalar bisection per trial.
+def hull_by_trials(members, u, dims, seed, trials, tol_rank):
+    """The hull check one trial at a time, each state mixed and evolved by index loops.
 
-    Draws, for each trial in turn, exponential mixing weights and normal kernel
-    coefficients from one generator, skips directions of norm <= tols.rank,
-    halves epsilon from 1 while sigma + eps y has an eigenvalue below
-    -tols.psd (giving up below 1e-7), and evolves the perturbed and
-    unperturbed states one at a time.  Returns the epsilon of every trial
-    that reached the bisection (NaN where it gave up), and the violation and
-    the perturbation eps * y of every trial that found one.
+    The fit P comes from an SVD of the members' marginal coordinates R, each
+    row divided by its norm taken with a loop, truncated to the singular
+    values above ``tol_rank``.  For each trial in turn one generator draws
+    exponential weights a, normalized, then a normal z; c = z - (z R) P,
+    eps is the least a_i / (-c_i) over c_i < 0, and the states a M and
+    (a + eps c) M are evolved one at a time.  Returns the violation and the
+    step eps c M of every trial.
     """
-    rng = np.random.default_rng(seed)
+    from rdl.operators import basis_coords
+
     members = [np.asarray(m) for m in members]
-    kernel = [np.asarray(k) for k in kernel]
-    eps_all, violations, steps = [], [], []
-    if not kernel:
-        return np.array(eps_all), np.array(violations), steps
+    n = len(members)
+    marginals = np.array([ptrace_env_loops(m, dims.d_s, dims.d_e) for m in members])
+    rows = basis_coords(marginals, dims.d_s).real
+    inv = np.array([1 / np.sqrt(sum(x * x for x in row)) for row in rows])
+    left, svals, vt = np.linalg.svd(rows * inv[:, None], full_matrices=False)
+    r = int(np.sum(svals > tol_rank))
+    fit = vt[:r].T @ np.diag(1 / svals[:r]) @ left[:, :r].T @ np.diag(inv)
+    rng = np.random.default_rng(seed)
+    violations, steps = [], []
     for _ in range(trials):
-        weights = rng.exponential(size=len(members))
+        weights = rng.exponential(size=n)
         weights /= weights.sum()
-        sigma = sum(w * m for w, m in zip(weights, members))
-        coeffs = rng.normal(size=len(kernel))
-        y = sum(c * k for c, k in zip(coeffs, kernel))
-        norm = np.sqrt(abs(np.trace(y.conj().T @ y)))
-        if norm <= tols.rank:
-            continue
-        y = y / norm
-        eps = 1.0
-        while np.linalg.eigvalsh(sigma + eps * y)[0] < -tols.psd:
-            eps /= 2.0
-            if eps < 1e-7:
-                eps = np.nan
-                break
-        eps_all.append(eps)
-        if np.isnan(eps):
-            continue
-        after = ptrace_env_loops(u @ (sigma + eps * y) @ u.conj().T, dims.d_s, dims.d_e)
-        before = ptrace_env_loops(u @ sigma @ u.conj().T, dims.d_s, dims.d_e)
-        violations.append(np.abs(after - before).max())
-        steps.append(eps * y)
-    return np.array(eps_all), np.array(violations), steps
+        z = rng.normal(size=n)
+        coeffs = z - (z @ rows) @ fit
+        eps = np.inf
+        for a, c in zip(weights, coeffs):
+            if c < 0:
+                eps = min(eps, a / -c)
+        before = sum(a * m for a, m in zip(weights, members))
+        after = sum((a + eps * c) * m for a, c, m in zip(weights, coeffs, members))
+        out = [ptrace_env_loops(conjugate_loops(u, x), dims.d_s, dims.d_e) for x in (after, before)]
+        violations.append(np.abs(out[0] - out[1]).max())
+        steps.append(after - before)
+    return np.array(violations), steps
 
 
 def assemble_two_qubit_by_kron(params, tol):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import rdl
-import rdl.consistency
 from rdl.cli import main
 from rdl.serialize import family_to_json, load_report_schema, matrix_to_json
 
@@ -248,20 +247,6 @@ def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
     assert "independent" in err
 
 
-def test_sampling_exhaustion_is_numerical_failure(capsys, monkeypatch, full_family_file):
-    monkeypatch.setattr(
-        rdl.consistency, "_positivity_scaling", lambda sigma, y, psd_tol: np.full(len(sigma), np.nan)
-    )
-    code, out, err = run(
-        capsys,
-        "analyze", "--family", full_family_file,
-        "--model", "swap", "--hull", "--seed", "1", "--trials", "3",
-    )
-    assert code == 2
-    assert out == ""
-    assert "numerical failure" in err
-
-
 # Exit code and stderr prefix for every exported error class, as the README's table says.
 EXIT_TABLE = [
     (rdl.DimensionError, 1),
@@ -274,7 +259,6 @@ EXIT_TABLE = [
     (ValueError, 1),
     (OSError, 1),
     (rdl.SingularSystemError, 2),
-    (rdl.SamplingExhaustedError, 2),
     (rdl.IncompleteDomainError, 2),
     (rdl.RdlError, 2),
 ]
@@ -282,10 +266,12 @@ EXIT_TABLE = [
 
 @pytest.mark.parametrize("error, expected", EXIT_TABLE, ids=[e.__name__ for e, _ in EXIT_TABLE])
 def test_error_class_sets_exit_code(capsys, monkeypatch, full_family_file, error, expected):
+    """The error is planted in the members' evolution, which the kernel test and the hull call."""
+
     def fail(*args):
         raise error("planted failure")
 
-    monkeypatch.setattr(rdl.consistency, "_positivity_scaling", fail)
+    monkeypatch.setattr(rdl.Subspace, "evolved_marginals", fail)
     code, out, err = run(
         capsys,
         "analyze", "--family", full_family_file,
@@ -335,6 +321,43 @@ def test_tol_override_env_must_be_numeric(capsys, monkeypatch, full_family_file)
     code, _, err = run(capsys, "analyze", "--family", full_family_file, "--model", "swap")
     assert code == 1
     assert "RDL_TOL_OVERRIDE" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--tol-consistency", "nan"),
+        ("--tol-consistency", "-1"),
+        ("--tol-consistency", "0"),
+        ("--tol-rank", "-1"),
+        ("--tol-rank", "inf"),
+    ],
+)
+def test_tol_flags_must_be_finite_and_positive(capsys, flags):
+    code, out, err = run(capsys, "swap-demo", *flags)
+    name = flags[0].removeprefix("--tol-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"input error: tolerance {name} must be finite and positive")
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-1e-6", "inf"])
+def test_tol_override_env_must_be_finite_and_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("RDL_TOL_OVERRIDE", value)
+    code, out, err = run(capsys, "swap-demo")
+    assert code == 1
+    assert out == ""
+    assert "RDL_TOL_OVERRIDE" in err
+
+
+def test_boolean_json_fields_are_input_errors(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    member = {"rows": True, "cols": True, "data": [[1.0, 0.0]]}
+    path.write_text(json.dumps({"d_s": 2, "d_e": 1, "members": [member]}))
+    code, out, err = run(capsys, "analyze", "--family", str(path), "--model", "swap")
+    assert code == 1
+    assert out == ""
+    assert err == "input error: family member 0: rows/cols must be positive integers\n"
 
 
 def test_tol_flags_reach_report(capsys, full_family_file):

@@ -1,6 +1,7 @@
 """Golden CLI reports: stdout byte for byte, and the exit code.
 
-Each file under ``tests/golden/`` is the stdout of one command.  A report
+Each file under ``tests/golden/`` is the stdout of one command.  A mismatch
+fails with the first differing JSON path and both values there.  A report
 whose floats move on purpose is rewritten by ``tests/golden_delta.py
 --write``, which counts the changed floats and leaves alone any report with
 another kind of difference; such a report is rewritten by running the
@@ -56,4 +57,30 @@ def test_cli_report_matches_golden(name, tmp_path, capsys):
     code = main([str(family) if a == FAMILY else a for a in argv])
     out = capsys.readouterr().out
     assert code == expected_code
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    golden = (GOLDEN / f"{name}.json").read_text()
+    if out != golden:
+        path, old, new = next(
+            leaf_differences(json.loads(golden), json.loads(out)), ("$", "<text>", "<text>")
+        )
+        pytest.fail(f"{name}: report differs from its golden first at {path}: {old!r} -> {new!r}")
+
+
+_MISSING = "<missing>"
+
+
+def leaf_differences(old, new, path="$"):
+    """Yield (path, old, new) for every leaf where two parsed JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from leaf_differences(
+                old.get(key, _MISSING), new.get(key, _MISSING), f"{path}.{key}"
+            )
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            yield f"{path}.length", len(old), len(new)
+        else:
+            for i, (a, b) in enumerate(zip(old, new)):
+                yield from leaf_differences(a, b, f"{path}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        if not (isinstance(old, float) and old != old and new != new):  # NaN on both sides
+            yield path, old, new

@@ -18,9 +18,9 @@ def test_matrix_roundtrip(rng):
     assert np.array_equal(np.signbit(back.imag), np.signbit(a.imag))
 
 
-def test_matrix_from_json_reads_ints_and_bools_as_numbers():
-    back = serialize.matrix_from_json({"rows": 1, "cols": 2, "data": [[1, True], [2**70, 0.5]]})
-    assert np.array_equal(back, [[1 + 1j, 2.0**70 + 0.5j]])
+def test_matrix_from_json_reads_ints_as_numbers():
+    back = serialize.matrix_from_json({"rows": 1, "cols": 2, "data": [[1, 3], [2**70, 0.5]]})
+    assert np.array_equal(back, [[1 + 3j, 2.0**70 + 0.5j]])
 
 
 def test_matrix_json_is_plain_data():
@@ -45,6 +45,10 @@ def test_matrix_json_is_plain_data():
         {"rows": 1, "cols": 1, "data": [[0.0, [0.0]]]},
         {"rows": 1, "cols": 1, "data": [[]]},
         {"rows": 1, "cols": 1, "data": [[0.0, 0.0, 0.0]]},
+        {"rows": True, "cols": True, "data": [[1.0, 0.0]]},
+        {"rows": 1, "cols": 1, "data": [[True, False]]},
+        {"rows": 1, "cols": 2, "data": [[True, 0.5], [0.0, 0.0]]},
+        {"rows": 1, "cols": 2, "data": [[0.5, 0.0], [0.0, False]]},
     ],
 )
 def test_matrix_from_json_rejects_malformed(broken):
@@ -80,6 +84,14 @@ def test_family_from_json_validates_members():
         serialize.family_from_json(obj)
     with pytest.raises(ValueError, match="member 0"):
         serialize.family_from_json({"d_s": 2, "d_e": 2, "members": [{"rows": 1}]})
+
+
+@pytest.mark.parametrize("field", ["d_s", "d_e"])
+def test_family_from_json_rejects_boolean_dimension(field):
+    obj = {"d_s": 2, "d_e": 1, "members": [serialize.matrix_to_json(np.eye(2) / 2)]}
+    obj[field] = True
+    with pytest.raises(rdl.DimensionError, match=f"^{field} must be an integer, got True$"):
+        serialize.family_from_json(obj)
 
 
 def test_dumps_report_is_canonical():
