@@ -191,9 +191,8 @@ def check_hull_consistency(
         return _report([], tols.consistency, pairs_tested=0)
 
     rng = np.random.default_rng(seed)
-    marginals, fit = subspace.marginals, subspace.fit
     evolved = subspace.evolved_marginals(u)
-    n = len(marginals)
+    n = len(subspace.members)
     block = max(1, _BLOCK_ENTRIES // n)
     violations, worst_step = np.zeros(0), None
     for start in range(0, trials, block):
@@ -203,7 +202,7 @@ def check_hull_consistency(
             weights[t] = rng.exponential(size=n)
             z[t] = rng.normal(size=n)
         weights /= weights.sum(axis=1, keepdims=True)
-        coeffs = z - (z @ marginals) @ fit
+        coeffs = z - (z @ subspace.marginals) @ subspace.fit
         steps = coeffs / (-coeffs / weights).max(axis=1, keepdims=True)
         diff = from_basis_coords(steps @ evolved, subspace.dims.d_s)
         first = len(violations)

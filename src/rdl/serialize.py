@@ -82,9 +82,11 @@ def _number_pairs(data: list) -> np.ndarray | None:
     None sends the caller to its entry-by-entry loop, whose message names the
     first bad entry.
     """
-    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
-        return None
-    if bool in set(map(type, chain.from_iterable(data))):
+    if (
+        set(map(type, data)) != {list}
+        or set(map(len, data)) != {2}
+        or bool in set(map(type, chain.from_iterable(data)))
+    ):
         return None
     try:
         pairs = np.array(data)
