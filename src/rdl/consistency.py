@@ -168,10 +168,10 @@ def check_hull_consistency(
     states a M and b M, M the members and b = a + eps c with eps the
     largest step keeping b nonnegative, lie in the hull with equal
     marginals; their evolved marginals differ by eps c E, E the members'
-    evolved marginals, formed once.  The members are mixed as states, so
-    ``subspace`` must come from :func:`build_subspace` of a state family:
-    the coefficients then sum to sqrt(d_s) (c R)_0 = 0, some c_i is
-    negative, and eps is finite.  Trials are drawn one after another from
+    evolved marginals, read from ``subspace``.  The members are mixed as
+    states, so ``subspace`` must come from :func:`build_subspace` of a
+    state family: the coefficients then sum to sqrt(d_s) (c R)_0 = 0, some
+    c_i is negative, and eps is finite.  Trials are drawn one after another from
     one generator and evaluated as stacks, in blocks of
     ``max(1, 2**16 // n)`` trials for n members.
 

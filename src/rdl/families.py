@@ -19,6 +19,7 @@ from .operators import (
 )
 
 _RANGE_SLACK = 1e-12  # coefficient-range checks allow this much roundoff
+_BLOCK_ENTRIES = 2**13  # caps members x d_j^2 per validation block (128 KB complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,28 +138,46 @@ class StateFamily:
 def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Indices, in order, of the matrices in ``stack`` that :func:`require_density` rejects.
 
-    Hermiticity (on one triangle) and trace are tested on the whole stack.
-    Positivity is tested on the members before the first non-Hermitian one,
-    so it never sees a NaN (which fails Hermiticity first): by one Cholesky
-    certificate when that suffices, else by one ``eigvalsh``.
+    The members are read in blocks of ``_BLOCK_ENTRIES // d^2``, up to the
+    block holding the first non-Hermitian one; no later member can be the
+    first rejected.  Each block gets the Hermiticity test on the whole of
+    |X - X^dag| and the trace test.  Positivity is tested on the members
+    before the first non-Hermitian one, so it never sees a NaN (which fails
+    Hermiticity first): by a Cholesky certificate per block, or when one
+    fails, by one ``eigvalsh`` of them all.
     """
-    rows, cols = np.triu_indices(stack.shape[-1])  # |a_ij - conj(a_ji)| is symmetric in i, j
-    herm_dev = np.abs(stack[:, rows, cols] - stack[:, cols, rows].conj()).max(axis=1)
-    non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
-    bad = non_hermitian | ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
-    checked = int(np.argmax(non_hermitian)) if non_hermitian.any() else len(stack)
-    if not _positivity_certified(stack[:checked], tol.psd):
+    n, d = stack.shape[0], stack.shape[-1]
+    block = max(1, _BLOCK_ENTRIES // (d * d))
+    scratch = np.empty((min(block, n), d, d), dtype=complex)  # reused by every block
+    bad = np.zeros(n, dtype=bool)
+    checked, certified = n, True
+    for lo in range(0, n, block):
+        part = stack[lo : lo + block]
+        diff = np.conjugate(part.swapaxes(1, 2), out=scratch[: len(part)])
+        herm_dev = np.abs(np.subtract(part, diff, out=diff)).max(axis=(1, 2))
+        non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
+        trace_dev = np.abs(np.trace(part, axis1=1, axis2=2) - 1.0)
+        bad[lo : lo + len(part)] = non_hermitian | ~(trace_dev <= tol.trace)
+        if non_hermitian.any():
+            checked = lo + int(np.argmax(non_hermitian))
+        certified = certified and _positivity_certified(part[: checked - lo], tol.psd, scratch)
+        if checked < n:
+            break
+    if not certified:
         bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
     return np.flatnonzero(bad)
 
 
-def _positivity_certified(stack: np.ndarray, psd: float) -> bool:
-    """True when a Cholesky factor of every rho + (psd / 2) I exists.
+def _positivity_certified(stack: np.ndarray, psd: float, out: np.ndarray) -> bool:
+    """True when a finite Cholesky factor of every rho + (psd / 2) I exists.
 
     The factor exists only if each min eigenvalue is at least -psd / 2 less
     the factorization's roundoff, so every member then passes the ``eigvalsh``
-    cut at -psd.  The roundoff grows with the side d; below a shift of
-    64 d eps it could reach psd / 2, and the certificate is not tried.
+    cut at -psd.  A factorization can also finish without error and leave
+    NaN in the factor (an entry near the largest float overflows it); that
+    certifies nothing.  The roundoff grows with the side d; below a shift of
+    64 d eps it could reach psd / 2, and the certificate is not tried.  The
+    shifted matrices are written into ``out``, at least as long as ``stack``.
     False means "not certified", not "some member fails".
     """
     d = stack.shape[-1]
@@ -166,10 +185,10 @@ def _positivity_certified(stack: np.ndarray, psd: float) -> bool:
     if not shift > 64 * d * np.finfo(float).eps:
         return False
     try:
-        np.linalg.cholesky(stack + shift * np.eye(d))
+        factor = np.linalg.cholesky(np.add(stack, shift * np.eye(d), out=out[: len(stack)]))
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(factor).all())
 
 
 def _format_matrix(m: np.ndarray) -> str:

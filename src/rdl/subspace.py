@@ -10,7 +10,7 @@ members' Gram matrix, which needs no coordinates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ class Subspace:
     domain: np.ndarray
     span_dim: int
     tol_rank: float
+    _evolved: tuple | None = field(init=False, default=None, repr=False)  # (U, E) of the last call
 
     @property
     def reduced_dim(self) -> int:
@@ -60,11 +61,19 @@ class Subspace:
         return self.span_dim - self.reduced_dim
 
     def evolved_marginals(self, u: np.ndarray) -> np.ndarray:
-        """E, the real coordinates of Tr_E(U rho_i U^dag), one row per member.
+        """E, the real coordinates of Tr_E(U rho_i U^dag), one row per member, read-only.
 
-        ``u`` is taken as already validated.
+        ``u`` is taken as already validated.  E is kept for the last
+        propagator, with a copy of it: a call with equal entries reads it
+        back, so a propagator changed in place gets a fresh E.
         """
-        return basis_coords(_evolved_marginal(u, self.members, self.dims), self.dims.d_s).real
+        memo = self._evolved
+        if memo is None or not np.array_equal(memo[0], u):
+            evolved = basis_coords(_evolved_marginal(u, self.members, self.dims), self.dims.d_s).real
+            evolved.setflags(write=False)
+            memo = (frozen(u), evolved)
+            object.__setattr__(self, "_evolved", memo)
+        return memo[1]
 
     @functools.cached_property
     def residuals(self) -> np.ndarray:

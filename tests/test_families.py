@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl
+from rdl import families
 from rdl.errors import DimensionError, EmptyFamilyError, HermiticityError, NotAStateError
 from oracles import (
     assemble_two_qubit_by_kron,
@@ -120,6 +121,10 @@ def _member(kind, d, rng):
         rho = np.diag([1.5, -0.5] + [0.0] * (d - 2))
     elif kind == "nan":
         rho[d - 1, d - 1] = np.nan
+    elif kind == "huge":
+        rho = _huge_off_diagonal(d)
+    elif kind == "near":
+        rho = _with_lowest_eigenvalue(d, -rdl.DEFAULT_TOL.psd * (1 - 1e-3), rng)
     elif kind == "real":
         rho = np.eye(d) / d
     return rho
@@ -130,7 +135,7 @@ def _member(kind, d, rng):
     d_s=st.sampled_from([2, 3]),
     d_e=st.sampled_from([1, 2, 3]),
     kinds=st.lists(
-        st.sampled_from(["valid", "real", "shape", "hermitian", "trace", "psd", "nan"]),
+        st.sampled_from(["valid", "real", "shape", "hermitian", "trace", "psd", "nan", "huge"]),
         min_size=1,
         max_size=6,
     ),
@@ -192,6 +197,13 @@ def _with_lowest_eigenvalue(d, lowest, rng):
     v = random_unitary(d, rng)
     rho = (v * spectrum) @ v.conj().T
     return (rho + rho.conj().T) / 2
+
+
+def _huge_off_diagonal(d):
+    """I / d with 1e308 at (0, 1) and (1, 0): Hermitian, unit trace, lowest eigenvalue -1e308."""
+    m = np.eye(d, dtype=complex) / d
+    m[0, 1] = m[1, 0] = 1e308
+    return m
 
 
 def _pure(d, rng):
@@ -330,3 +342,54 @@ def test_extract_reads_single_correlation(i, j):
     expected[i, j] = 0.8
     assert np.abs(p.gamma - expected).max() < 1e-12
     assert np.abs(p.alpha).max() < 1e-12
+
+
+def test_a_cholesky_factor_with_nan_certifies_nothing():
+    """The factorization of the 1e308 member finishes without error, in NaN; eigvalsh decides."""
+    dims = rdl.BipartiteDims(2, 2)
+    assert not _assert_validates_like_member_loop((_huge_off_diagonal(4),), dims, rdl.DEFAULT_TOL)
+    with pytest.raises(NotAStateError, match="member 0 .* min eigenvalue -1.000e\\+308"):
+        rdl.StateFamily(dims=dims, members=(_huge_off_diagonal(4),))
+
+
+@pytest.mark.parametrize("per_block", [1, 2])
+@pytest.mark.parametrize(
+    "kinds, first_bad",
+    [
+        (("valid",) * 5 + ("hermitian", "trace", "psd"), 5),
+        (("valid",) * 3 + ("psd", "valid", "hermitian"), 3),
+        (("valid",) * 7 + ("trace",), 7),
+        (("valid",) * 5 + ("psd", "valid", "valid"), 5),
+        (("valid",) * 5 + ("near", "valid", "valid"), None),
+        (("valid",) * 5 + ("huge", "valid", "valid"), 5),
+    ],
+    ids=["hermitian", "psd-then-hermitian", "trace-last", "psd", "cholesky-only", "nan-factor"],
+)
+def test_validation_across_blocks_matches_member_loop(kinds, first_bad, per_block, monkeypatch):
+    """Eight members in blocks of one or two: the first failure sits in a later block.
+
+    "near" members pass the eigvalsh cut but fail the Cholesky certificate,
+    so the family is accepted through the fallback.
+    """
+    dims = rdl.BipartiteDims(2, 3)
+    monkeypatch.setattr(families, "_BLOCK_ENTRIES", per_block * dims.joint**2)
+    rng = np.random.default_rng(len(kinds))
+    members = tuple(_member(k, dims.joint, rng) for k in kinds)
+    accepted = _assert_validates_like_member_loop(members, dims, rdl.DEFAULT_TOL)
+    assert accepted == (first_bad is None)
+    if first_bad is not None:
+        with pytest.raises(rdl.RdlError, match=f"^member {first_bad} "):
+            rdl.StateFamily(dims=dims, members=members)
+
+
+def test_valid_members_are_certified_block_by_block(rng, monkeypatch):
+    dims = rdl.BipartiteDims(2, 3)
+    monkeypatch.setattr(families, "_BLOCK_ENTRIES", 2 * dims.joint**2)
+    members = tuple(rdl.random_density_matrix(dims.joint, rng) for _ in range(7))
+    with (
+        mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor,
+        mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy,
+    ):
+        rdl.StateFamily(dims=dims, members=members)
+    assert spy.call_count == 0
+    assert [len(c.args[0]) for c in factor.call_args_list] == [2, 2, 2, 1]

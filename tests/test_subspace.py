@@ -1,16 +1,23 @@
 """Span, the fit of the members' marginals, and traceless-kernel construction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl
-from rdl import subspace
+from rdl import operators, subspace
 from rdl.errors import DimensionError, InputError, NotInSpanError, RdlError
 from rdl.serialize import analysis_to_json
 from rdl.subspace import Subspace
-from oracles import kernel_by_accumulation, span_dim_by_svd, unit_rows_one_by_one
+from oracles import (
+    kernel_by_accumulation,
+    random_unitary,
+    span_dim_by_svd,
+    unit_rows_one_by_one,
+)
 
 
 def z_eigenstate(sign):
@@ -385,3 +392,53 @@ def test_unit_rows_norms_match_the_row_loop_bit_for_bit(rng):
         want_keep, want_rows = unit_rows_one_by_one(ops, d)
         assert np.array_equal(keep, want_keep)
         assert np.array_equal(rows.view(np.int64), want_rows.view(np.int64))
+
+
+def _spy_reduced_propagator():
+    return mock.patch.object(
+        operators, "_reduced_propagator", wraps=operators._reduced_propagator
+    )
+
+
+def _map_matrix(sub, u):
+    return rdl.build_dynamical_map(rdl.build_assignment(sub), u).matrix
+
+
+def test_analyze_with_the_hull_evolves_the_members_once():
+    """The kernel test, the hull check and the map build share one E."""
+    u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
+    with _spy_reduced_propagator() as spy:
+        a = rdl.analyze(rdl.full_two_qubit_family(), u, hull_seed=0)
+    assert a.hull is not None and a.hull.pairs_tested == 100
+    assert spy.call_count == 1
+
+
+def test_evolved_marginals_are_kept_for_the_last_propagator(rng):
+    fam = rdl.full_two_qubit_family()
+    sub = rdl.build_subspace(fam)
+    u = random_unitary(4, rng)
+    with _spy_reduced_propagator() as spy:
+        rdl.check_subspace_consistency(sub, u)
+        matrix = _map_matrix(sub, u)
+    assert spy.call_count == 1
+    assert not sub.evolved_marginals(u).flags.writeable
+    assert np.array_equal(matrix, _map_matrix(rdl.build_subspace(fam), u))
+
+
+def test_a_propagator_changed_in_place_gets_fresh_evolved_marginals(rng):
+    fam = rdl.full_two_qubit_family()
+    sub = rdl.build_subspace(fam)
+    u = random_unitary(4, rng)
+    rdl.check_subspace_consistency(sub, u)
+    u[...] = random_unitary(4, rng)
+    assert np.array_equal(_map_matrix(sub, u), _map_matrix(rdl.build_subspace(fam), u))
+
+
+def test_alternating_propagators_each_get_their_own_map(rng):
+    fam = rdl.full_two_qubit_family()
+    sub = rdl.build_subspace(fam)
+    us = [random_unitary(4, rng) for _ in range(2)]
+    fresh = [_map_matrix(rdl.build_subspace(fam), u) for u in us]
+    assert not np.array_equal(*fresh)
+    for k in (0, 1, 0, 1):
+        assert np.array_equal(_map_matrix(sub, us[k]), fresh[k])
