@@ -383,6 +383,7 @@ def test_validation_across_blocks_matches_member_loop(kinds, first_bad, per_bloc
 
 
 def test_valid_members_are_certified_block_by_block(rng, monkeypatch):
+    """Seven valid members in blocks of two: one Cholesky per block, no eigvalsh."""
     dims = rdl.BipartiteDims(2, 3)
     monkeypatch.setattr(families, "_BLOCK_ENTRIES", 2 * dims.joint**2)
     members = tuple(rdl.random_density_matrix(dims.joint, rng) for _ in range(7))
