@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionError, InputError, RdlError
+from .errors import DimensionError, InputError, RdlError, SingularSystemError
 from .families import (
     StateFamily,
     constrained_two_qubit_family,
@@ -176,22 +176,6 @@ def _cmd_analyze(args, tols: ToleranceConfig):
     return report
 
 
-def greedy_independent(rows, tol: float, limit: int) -> list[int]:
-    """Indices of the rows that, scanned in order, each grow the rank of the pile.
-
-    A row joins when stacking it keeps the smallest singular value of the
-    pile above ``tol``; the scan stops once ``limit`` rows have joined.
-    """
-    kept, pile = [], []
-    for idx, row in enumerate(rows):
-        if np.linalg.svd(np.vstack(pile + [row]), compute_uv=False)[-1] > tol:
-            kept.append(idx)
-            pile.append(row)
-            if len(kept) == limit:
-                break
-    return kept
-
-
 def _cmd_two_qubit(args, tols: ToleranceConfig):
     model = ModelParams(omega=args.omega, t=args.t)
     u = model_unitary(model)
@@ -217,16 +201,14 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
         planted = LinearityCoefficients(a11=args.a11, b11=b11, a21=args.a21, b21=b21)
 
     member_params = [extract_two_qubit_params(m, tols) for m in family.members]
-    # The affine law is fitted through the first four members whose (1, alpha) are independent.
-    kept = greedy_independent(
-        [np.concatenate(([1.0], p.alpha)) for p in member_params], tols.rank, 4
-    )
-    if len(kept) < 4:
+    try:
+        coeffs = solve_linearity_coefficients(
+            [(p.alpha, p.gamma[0, 0], p.gamma[1, 0]) for p in member_params], tols.rank
+        )
+    except (ValueError, SingularSystemError):
         raise InputError(
             "fewer than 4 members with independent Bloch vectors; cannot fit the affine law"
-        )
-    fit = [member_params[i] for i in kept]
-    coeffs = solve_linearity_coefficients([(p.alpha, p.gamma[0, 0], p.gamma[1, 0]) for p in fit])
+        ) from None
     residuals = linearity_residuals(family, coeffs)
 
     report = analysis_to_json(_analyze(args, family, u, tols), "two-qubit")

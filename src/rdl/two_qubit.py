@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import DimensionError, SingularSystemError
 from .families import StateFamily, extract_two_qubit_params
 from .operators import PAULIS, SIGMA_X, SIGMA_Z, frozen, tensor
-
-_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -102,31 +101,36 @@ class LinearityCoefficients:
         return float(self.a11 + self.b11 @ alpha), float(self.a21 + self.b21 @ alpha)
 
 
-def solve_linearity_coefficients(records) -> LinearityCoefficients:
-    """Fit the affine correlation law through exactly four Bloch records.
+def solve_linearity_coefficients(records, tol_rank: float = DEFAULT_TOL.rank) -> LinearityCoefficients:
+    """Least-squares fit of the affine correlation law over four or more Bloch records.
 
-    ``records`` holds four (alpha, gamma11, gamma21) triples.  The 4x4 system
-    with rows (1, alpha_1, alpha_2, alpha_3) is solved for both gamma
-    channels at once; a condition number beyond 1e12 raises
-    SingularSystemError.
+    ``records`` holds (alpha, gamma11, gamma21) triples.  Both gamma
+    channels are fitted at once on the rows (1, alpha_1, alpha_2, alpha_3),
+    each row and its gammas divided by the row's norm, from one SVD of
+    those unit rows: the fit, like its rank, does not depend on the order
+    of the records.  Fewer than four records raise ValueError; fewer than
+    four singular values above ``tol_rank`` raise SingularSystemError.
     """
     records = list(records)
-    if len(records) != 4:
-        raise ValueError(f"need exactly 4 records, got {len(records)}")
-    m = np.ones((4, 4))
-    rhs = np.zeros((4, 2))
+    if len(records) < 4:
+        raise ValueError(f"need at least 4 records, got {len(records)}")
+    rows = np.ones((len(records), 4))
+    rhs = np.zeros((len(records), 2))
     for row, (alpha, g11, g21) in enumerate(records):
         alpha = np.asarray(alpha, dtype=float)
         if alpha.shape != (3,):
             raise DimensionError(f"record {row}: alpha must be a 3-vector, got {alpha.shape}")
-        m[row, 1:] = alpha
+        rows[row, 1:] = alpha
         rhs[row] = (g11, g21)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > _CONDITION_LIMIT:
+    inv = 1 / np.linalg.norm(rows, axis=1)
+    u, s, vt = np.linalg.svd(rows * inv[:, None], full_matrices=False)
+    rank = int(np.sum(s > tol_rank))
+    if rank < 4:
         raise SingularSystemError(
-            f"Bloch records are too close to dependent: condition number {cond:.3e}"
+            f"Bloch records have rank {rank} < 4 at tolerance {tol_rank:.1e}; "
+            "cannot fit the affine law"
         )
-    sol = np.linalg.solve(m, rhs)
+    sol = vt.T @ ((u.T @ (rhs * inv[:, None])) / s[:, None])
     return LinearityCoefficients(
         a11=float(sol[0, 0]), b11=frozen(sol[1:, 0]), a21=float(sol[0, 1]), b21=frozen(sol[1:, 1])
     )

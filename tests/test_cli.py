@@ -247,6 +247,21 @@ def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
     assert "independent" in err
 
 
+def test_two_qubit_solved_law_does_not_depend_on_member_order(capsys, tmp_path, rng):
+    """The law is fitted over every member at once, so permuting them leaves it in place."""
+    members = [rdl.random_density_matrix(4, rng) for _ in range(10)]
+    solved = []
+    for k, order in enumerate((range(10), rng.permutation(10), rng.permutation(10))):
+        fam = rdl.StateFamily(rdl.BipartiteDims(2, 2), tuple(members[i] for i in order))
+        path = write_family(tmp_path / f"order{k}.json", fam)
+        code, out, _ = run(capsys, "two-qubit", "--members", path)
+        assert code == 3
+        c = json.loads(out)["coefficients_solved"]
+        solved.append(np.array([c["a11"], *c["b11"], c["a21"], *c["b21"]]))
+    assert np.abs(solved[1] - solved[0]).max() < 1e-12
+    assert np.abs(solved[2] - solved[0]).max() < 1e-12
+
+
 # Exit code and stderr prefix for every exported error class, as the README's table says.
 EXIT_TABLE = [
     (rdl.DimensionError, 1),

@@ -88,19 +88,35 @@ def test_coefficients_recovered_from_four_records():
     assert np.abs(got.b21 - coeffs.b21).max() < 1e-12
 
 
-def test_solver_needs_exactly_four_records():
-    rec = (np.zeros(3), 0.0, 0.0)
+def test_coefficients_recovered_from_twelve_records(rng):
+    """Every record enters one least-squares fit, which gives back the planted law."""
+    coeffs = rdl.LinearityCoefficients(
+        a11=-0.25, b11=np.array([0.3, 0.1, -0.2]), a21=0.1, b21=np.array([-0.4, 0.0, 0.25])
+    )
+    records = [(a, *coeffs.predict(a)) for a in rng.uniform(-0.5, 0.5, size=(12, 3))]
+    got = rdl.solve_linearity_coefficients(records)
+    assert abs(got.a11 - coeffs.a11) < 1e-12
+    assert abs(got.a21 - coeffs.a21) < 1e-12
+    assert np.abs(got.b11 - coeffs.b11).max() < 1e-12
+    assert np.abs(got.b21 - coeffs.b21).max() < 1e-12
+
+
+def test_solver_needs_at_least_four_records():
+    alphas = [np.zeros(3), *np.eye(3), np.full(3, 0.5)]
+    records = [(a, 0.1 + a[0], -0.2 * a[2]) for a in alphas]
     with pytest.raises(ValueError):
-        rdl.solve_linearity_coefficients([rec] * 3)
-    with pytest.raises(ValueError):
-        rdl.solve_linearity_coefficients([rec] * 5)
+        rdl.solve_linearity_coefficients(records[:3])
+    got = rdl.solve_linearity_coefficients(records)
+    assert abs(got.a11 - 0.1) < 1e-12 and np.abs(got.b11 - [1, 0, 0]).max() < 1e-12
+    assert abs(got.a21) < 1e-12 and np.abs(got.b21 - [0, 0, -0.2]).max() < 1e-12
 
 
 def test_solver_rejects_degenerate_geometry():
-    # four states on a line in Bloch space cannot pin down the affine law
-    records = [(np.array([x, 0.0, 0.0]), 0.1, 0.2) for x in (0.0, 0.1, 0.2, 0.3)]
-    with pytest.raises(SingularSystemError):
-        rdl.solve_linearity_coefficients(records)
+    # states on a line in Bloch space cannot pin down the affine law, however many
+    for xs in ((0.0, 0.1, 0.2, 0.3), np.linspace(-0.5, 0.5, 12)):
+        records = [(np.array([x, 0.0, 0.0]), 0.1, 0.2) for x in xs]
+        with pytest.raises(SingularSystemError, match="rank 2"):
+            rdl.solve_linearity_coefficients(records)
 
 
 def test_linearity_residuals_vanish_on_constrained_family():
