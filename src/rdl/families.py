@@ -175,7 +175,9 @@ def _positivity_certified(stack: np.ndarray, psd: float, out: np.ndarray) -> boo
     the factorization's roundoff, so every member then passes the ``eigvalsh``
     cut at -psd.  A factorization can also finish without error and leave
     NaN in the factor (an entry near the largest float overflows it); that
-    certifies nothing.  The roundoff grows with the side d; below a shift of
+    certifies nothing.  Only the diagonal needs the test: a non-finite L_ik,
+    k < i, enters L_ii = sqrt(a_ii - sum_k |L_ik|^2), and numpy zeroes the
+    upper triangle.  The roundoff grows with the side d; below a shift of
     64 d eps it could reach psd / 2, and the certificate is not tried.  The
     shifted matrices are written into ``out``, at least as long as ``stack``.
     False means "not certified", not "some member fails".
@@ -188,7 +190,7 @@ def _positivity_certified(stack: np.ndarray, psd: float, out: np.ndarray) -> boo
         factor = np.linalg.cholesky(np.add(stack, shift * np.eye(d), out=out[: len(stack)]))
     except np.linalg.LinAlgError:
         return False
-    return bool(np.isfinite(factor).all())
+    return bool(np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all())
 
 
 def _format_matrix(m: np.ndarray) -> str:
@@ -251,6 +253,9 @@ def constrained_two_qubit_family(
     b21 = np.asarray(b21, dtype=float)
     if b11.shape != (3,) or b21.shape != (3,):
         raise DimensionError(f"b11 and b21 must be 3-vectors, got {b11.shape}, {b21.shape}")
+    for name, value in (("a11", a11), ("a21", a21), ("b11", b11), ("b21", b21)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     members = []
     rejected = []
     for idx, p in enumerate(samples):

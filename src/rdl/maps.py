@@ -180,10 +180,10 @@ class SignedKraus:
         return max_norm(acc - np.eye(d))
 
 
-def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first non-negligible entry is real positive."""
+def _phase_fixed(vec: np.ndarray, tol: float) -> np.ndarray:
+    """Rotate the global phase so the first entry above ``tol`` in modulus is real positive."""
     for entry in vec:
-        if abs(entry) > 1e-12:
+        if abs(entry) > tol:
             return vec * (entry.conjugate() / abs(entry))
     return vec
 
@@ -213,7 +213,8 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
     becomes sqrt(|lambda|) unvec(v) with column-major unvec, carrying the
     sign of its eigenvalue.  Eigenvalues closer than ``tol`` form a cluster
     whose vectors are pinned to a basis of their common eigenspace
-    (:func:`_pinned_clusters`); a global phase fix per vector does the rest.
+    (:func:`_pinned_clusters`); a global phase fix per vector, making its
+    first entry above ``tol`` in modulus real positive, does the rest.
     """
     choi = superop.choi
     dev = max_norm(choi - choi.conj().T)
@@ -229,7 +230,7 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
     for lam, vec in zip(evals, evecs.T):
         if abs(lam) <= tol:
             continue
-        op = np.sqrt(abs(lam)) * _phase_fixed(vec).reshape(d, d, order="F")
+        op = np.sqrt(abs(lam)) * _phase_fixed(vec, tol).reshape(d, d, order="F")
         terms.append((float(np.sign(lam)), frozen(op)))
     return SignedKraus(terms=tuple(terms))
 

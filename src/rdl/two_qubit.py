@@ -35,10 +35,10 @@ class ModelParams:
     t: float
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.t < 0:
-            raise ValueError(f"t must be nonnegative, got {self.t}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        if not 0 <= self.t < np.inf:
+            raise ValueError(f"t must be finite and nonnegative, got {self.t}")
 
     @property
     def angle(self) -> float:

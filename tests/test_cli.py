@@ -262,6 +262,16 @@ def test_two_qubit_solved_law_does_not_depend_on_member_order(capsys, tmp_path, 
     assert np.abs(solved[2] - solved[0]).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "flags", [("--t", "nan"), ("--omega", "inf"), ("--a11", "nan"), ("--b11", "nan,0,0")]
+)
+def test_two_qubit_model_and_law_must_be_finite(capsys, flags):
+    code, out, err = run(capsys, "two-qubit", "--seed", "1", *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"input error: {flags[0].removeprefix('--')} must be finite")
+
+
 # Exit code and stderr prefix for every exported error class, as the README's table says.
 EXIT_TABLE = [
     (rdl.DimensionError, 1),

@@ -304,6 +304,16 @@ def test_constrained_family_range_rejection():
         rdl.constrained_two_qubit_family(5.0, 0.0, np.zeros(3), np.zeros(3), draws)
 
 
+@pytest.mark.parametrize("name", ["a11", "a21", "b11", "b21"])
+def test_constrained_family_rejects_a_non_finite_law(name):
+    """NaN passes every range test, so the law is checked for finiteness on entry."""
+    law = {"a11": 0.1, "a21": 0.0, "b11": np.zeros(3), "b21": np.zeros(3)}
+    law[name] = np.nan if name.startswith("a") else np.array([0.0, np.inf, 0.0])
+    draws = [rdl.TwoQubitParams(alpha=np.zeros(3), beta=np.zeros(3), gamma=np.zeros((3, 3)))]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        rdl.constrained_two_qubit_family(law["a11"], law["a21"], law["b11"], law["b21"], draws)
+
+
 def test_constrained_family_positivity_rejection_records_eigenvalue():
     # a pure product state along z cannot absorb a large gamma_11 overwrite
     g = np.zeros((3, 3))

@@ -165,6 +165,20 @@ def test_degenerate_choi_kraus_operators_are_pinned(rng):
         assert abs(k.completeness_defect() - ref.completeness_defect()) <= 1e-12
 
 
+def test_kraus_phase_pivot_is_the_first_entry_above_tol():
+    """An eigenvector entry below the eigenvalue cut is roundoff-sized; it does not fix the phase."""
+    tol = rdl.DEFAULT_TOL.herm
+    v = np.array([1e-10, 0.6 + 0.3j, 0.5j, 0.4])
+    v /= np.linalg.norm(v)
+    k = rdl.decompose_signed_kraus(choi_superoperator(np.outer(v, v.conj())), tol)
+    [(sign, op)] = k.terms
+    vec = op.ravel(order="F")
+    lead = vec[np.flatnonzero(np.abs(vec) > tol)[0]]
+    assert sign == 1.0
+    assert np.abs(vec - v * (v[1].conjugate() / abs(v[1]))).max() < 1e-12
+    assert lead.real > 0 and abs(lead.imag) <= 1e-15
+
+
 def test_constrained_family_map_is_linear_but_not_cp(rng):
     fam = constrained_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=1.3, t=1.0))

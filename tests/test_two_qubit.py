@@ -9,10 +9,16 @@ from test_consistency import constrained_family
 
 
 def test_model_params_validation():
-    with pytest.raises(ValueError):
-        rdl.ModelParams(omega=0.0, t=1.0)
-    with pytest.raises(ValueError):
-        rdl.ModelParams(omega=1.0, t=-0.5)
+    for omega, t, name in [
+        (0.0, 1.0, "omega"),
+        (np.inf, 1.0, "omega"),
+        (np.nan, 1.0, "omega"),
+        (1.0, -0.5, "t"),
+        (1.0, np.inf, "t"),
+        (1.0, np.nan, "t"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            rdl.ModelParams(omega=omega, t=t)
     assert rdl.ModelParams(omega=2.0, t=0.75).angle == pytest.approx(1.5)
 
 
