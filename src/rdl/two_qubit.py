@@ -101,15 +101,18 @@ class LinearityCoefficients:
         return float(self.a11 + self.b11 @ alpha), float(self.a21 + self.b21 @ alpha)
 
 
-def solve_linearity_coefficients(records, tol_rank: float = DEFAULT_TOL.rank) -> LinearityCoefficients:
+def solve_linearity_coefficients(
+    records, tol_rank: float = DEFAULT_TOL.rank
+) -> LinearityCoefficients:
     """Least-squares fit of the affine correlation law over four or more Bloch records.
 
     ``records`` holds (alpha, gamma11, gamma21) triples.  Both gamma
     channels are fitted at once on the rows (1, alpha_1, alpha_2, alpha_3),
     each row and its gammas divided by the row's norm, from one SVD of
     those unit rows: the fit, like its rank, does not depend on the order
-    of the records.  Fewer than four records raise ValueError; fewer than
-    four singular values above ``tol_rank`` raise SingularSystemError.
+    of the records beyond roundoff.  Fewer than four records raise
+    ValueError; fewer than four singular values above ``tol_rank`` raise
+    SingularSystemError.
     """
     records = list(records)
     if len(records) < 4:
