@@ -3,7 +3,7 @@
 Machine-readable JSON goes to stdout, a short human summary to stderr.
 Exit codes: 0 consistent, 3 inconsistent, 1 input error, 2 numerical failure.
 Reports are byte-identical across runs for identical inputs, seeds, and flag
-order.  Setting RDL_TOL_OVERRIDE replaces every tolerance with its value.
+order.  Only --tol-rank and --tol-consistency change a tolerance.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -105,14 +104,6 @@ def _tolerances(args) -> ToleranceConfig:
         tols = dataclasses.replace(tols, rank=args.tol_rank)
     if args.tol_consistency is not None:
         tols = dataclasses.replace(tols, consistency=args.tol_consistency)
-    override = os.environ.get("RDL_TOL_OVERRIDE")
-    if override is not None:
-        try:
-            tols = tols.override_all(float(override))
-        except ValueError:
-            raise InputError(
-                f"RDL_TOL_OVERRIDE must be a finite positive number, got {override!r}"
-            ) from None
     return tols
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 class ToleranceConfig:
     """Thresholds used by every validation and verdict in the package.
 
-    All checks route through one of these fields so that a single config value
-    can tighten or loosen the whole pipeline at once.  Every field must be
-    finite and positive; ``psd`` may also be 0, the exact positivity floor.
+    Every check reads its threshold from one of these fields, and passing a
+    config is the one way to set them.  Every field must be finite and
+    positive; ``psd`` may also be 0, the exact positivity floor.
     """
 
     herm: float = 1e-9  # max-norm bound on X - X^dag
@@ -28,10 +28,6 @@ class ToleranceConfig:
             value = getattr(self, f.name)
             if not (0 < value < math.inf or f.name == "psd" and value == 0):
                 raise ValueError(f"tolerance {f.name} must be finite and positive, got {value!r}")
-
-    def override_all(self, value: float) -> ToleranceConfig:
-        """Return a copy with every threshold replaced by ``value``."""
-        return ToleranceConfig(**{f.name: float(value) for f in dataclasses.fields(self)})
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -50,7 +50,3 @@ class NotInSpanError(InputError):
 
 class SingularSystemError(RdlError):
     """A linear solve hit a numerically singular coefficient matrix."""
-
-
-class IncompleteDomainError(RdlError):
-    """A map defined only on a proper subspace was requested on the full space."""

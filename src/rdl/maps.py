@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
-from .errors import DimensionError, HermiticityError, IncompleteDomainError, NotInSpanError
+from .errors import DimensionError, HermiticityError, NotInSpanError
 from .operators import (
     BipartiteDims,
     _require_propagator,
@@ -79,17 +79,15 @@ def build_assignment(subspace: Subspace) -> AssignmentMap:
 class Superoperator:
     """Matrix form of the dynamical map on Hermitian-basis coordinates.
 
-    ``extension`` records how the map was completed outside the reduced span:
-    "zero" kills the orthogonal complement, "none" asserts the span already
-    fills the whole operator space.  ``domain_projector`` projects coordinate
-    vectors onto the reduced span.  ``consistency_certified`` is True only
+    The map is fixed only on the reduced span and sends its orthogonal
+    complement to zero.  ``domain_projector`` projects coordinate vectors
+    onto the reduced span.  ``consistency_certified`` is True only
     when the caller supplied a passing consistency report at build time.
     """
 
     d_s: int
     matrix: np.ndarray  # (d_s^2, d_s^2) complex
     choi: np.ndarray  # (d_s^2, d_s^2) complex
-    extension: str
     consistency_certified: bool
     domain_projector: np.ndarray  # (d_s^2, d_s^2) real symmetric
 
@@ -117,28 +115,17 @@ def build_dynamical_map(
     assignment: AssignmentMap,
     u: np.ndarray,
     consistency: ConsistencyReport | None = None,
-    extension: str = "zero",
     tols: ToleranceConfig = DEFAULT_TOL,
 ) -> Superoperator:
     """Superoperator of reduce after conjugate after assign.
 
     The members' evolved marginals E, as real coordinate rows, give the
-    whole matrix at once: its transpose is P E, P the subspace's fit.  With
-    ``extension="zero"`` the orthogonal complement of the span maps to zero;
-    ``extension="none"`` demands the span be the full operator space and
-    raises IncompleteDomainError otherwise.
+    whole matrix at once: its transpose is P E, P the subspace's fit.  The
+    orthogonal complement of the reduced span maps to zero.
     """
-    if extension not in ("zero", "none"):
-        raise ValueError(f'extension must be "zero" or "none", got {extension!r}')
     sub = assignment.subspace
     d_s = sub.dims.d_s
-    dim = d_s * d_s
     u = _require_propagator(u, sub.dims, tols)
-    if extension == "none" and sub.reduced_dim < dim:
-        raise IncompleteDomainError(
-            f"reduced span has dimension {sub.reduced_dim} < {dim}; "
-            'an explicit extension is required (use extension="zero")'
-        )
 
     matrix = (sub.fit @ sub.evolved_marginals(u)).T.astype(complex)
 
@@ -146,7 +133,6 @@ def build_dynamical_map(
         d_s=d_s,
         matrix=frozen(matrix),
         choi=frozen(_choi_from_matrix(matrix, d_s)),
-        extension=extension,
         consistency_certified=bool(consistency is not None and consistency.consistent),
         domain_projector=frozen(sub.domain.T @ sub.domain),
     )

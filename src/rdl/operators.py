@@ -63,10 +63,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.trace(a.conj().T @ b))
 
 
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(abs(hs_inner(a, a))))
-
-
 def _require_square(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:

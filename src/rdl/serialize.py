@@ -176,7 +176,7 @@ def analysis_to_json(a: Analysis, command: str, dump_subspace: bool = False) -> 
             "d_s": a.superoperator.d_s,
             "matrix": matrix_to_json(a.superoperator.matrix),
             "choi": matrix_to_json(a.superoperator.choi),
-            "extension": a.superoperator.extension,
+            "extension": "zero",  # the only completion outside the reduced span
             "consistency_certified": a.superoperator.consistency_certified,
         },
         "kraus": {"terms": [{"e": e, "op": matrix_to_json(op)} for e, op in a.kraus.terms]},

@@ -110,9 +110,9 @@ def solve_linearity_coefficients(
     channels are fitted at once on the rows (1, alpha_1, alpha_2, alpha_3),
     each row and its gammas divided by the row's norm, from one SVD of
     those unit rows: the fit, like its rank, does not depend on the order
-    of the records beyond roundoff.  Fewer than four records raise
-    ValueError; fewer than four singular values above ``tol_rank`` raise
-    SingularSystemError.
+    of the records beyond roundoff.  Fewer than four records, or a record
+    with a non-finite entry, raise ValueError; fewer than four singular
+    values above ``tol_rank`` raise SingularSystemError.
     """
     records = list(records)
     if len(records) < 4:
@@ -125,6 +125,8 @@ def solve_linearity_coefficients(
             raise DimensionError(f"record {row}: alpha must be a 3-vector, got {alpha.shape}")
         rows[row, 1:] = alpha
         rhs[row] = (g11, g21)
+        if not (np.isfinite(rows[row]).all() and np.isfinite(rhs[row]).all()):
+            raise ValueError(f"record {row}: alpha, gamma11 and gamma21 must be finite")
     inv = 1 / np.linalg.norm(rows, axis=1)
     u, s, vt = np.linalg.svd(rows * inv[:, None], full_matrices=False)
     rank = int(np.sum(s > tol_rank))

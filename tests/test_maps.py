@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdl
-from rdl.errors import DimensionError, HermiticityError, IncompleteDomainError
+from rdl.errors import DimensionError, HermiticityError
 from rdl.maps import Superoperator, _choi_from_matrix
 
 from oracles import choi_by_application, conjugate_loops, ptrace_env_loops, random_unitary
@@ -29,7 +29,6 @@ def transpose_superoperator():
         d_s=2,
         matrix=tmat,
         choi=_choi_from_matrix(tmat, 2),
-        extension="zero",
         consistency_certified=False,
         domain_projector=np.eye(4),
     )
@@ -134,7 +133,6 @@ def choi_superoperator(choi):
         d_s=2,
         matrix=np.eye(4, dtype=complex),
         choi=choi,
-        extension="zero",
         consistency_certified=False,
         domain_projector=np.eye(4),
     )
@@ -217,29 +215,6 @@ def test_completeness_defect_tracks_trace_preservation():
     assert np.abs(sop.choi - rdl.tensor(np.diag([1.0, 0.0]), omega)).max() < 1e-12
 
 
-def test_extension_none_requires_full_span():
-    omega = np.diag([0.8, 0.2]).astype(complex)
-    fam = rdl.product_family(
-        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)], omega
-    )
-    sub = rdl.build_subspace(fam)
-    with pytest.raises(IncompleteDomainError):
-        rdl.build_dynamical_map(rdl.build_assignment(sub), rdl.swap_unitary(2), extension="none")
-    # on a full span the two extensions agree
-    fam2 = rdl.full_two_qubit_family()
-    u = rdl.model_unitary(rdl.ModelParams(omega=0.9, t=1.0))
-    sub2 = rdl.build_subspace(fam2)
-    a = rdl.build_dynamical_map(rdl.build_assignment(sub2), u, extension="zero")
-    b = rdl.build_dynamical_map(rdl.build_assignment(sub2), u, extension="none")
-    assert np.abs(a.matrix - b.matrix).max() < 1e-12
-
-
-def test_extension_name_is_validated():
-    sub = rdl.build_subspace(rdl.full_two_qubit_family())
-    with pytest.raises(ValueError):
-        rdl.build_dynamical_map(rdl.build_assignment(sub), np.eye(4), extension="pad")
-
-
 def test_domain_projector_is_identity_on_full_span():
     _, _, sop = pipeline(rdl.full_two_qubit_family(), np.eye(4, dtype=complex))
     assert np.abs(sop.domain_projector - np.eye(4)).max() < 1e-10
@@ -305,7 +280,6 @@ def test_kraus_rejects_nonhermitian_choi():
             d_s=2,
             matrix=np.eye(4, dtype=complex),
             choi=choi,
-            extension="zero",
             consistency_certified=False,
             domain_projector=np.eye(4),
         )

@@ -117,6 +117,15 @@ def test_solver_needs_at_least_four_records():
     assert abs(got.a21) < 1e-12 and np.abs(got.b21 - [0, 0, -0.2]).max() < 1e-12
 
 
+def test_solver_rejects_non_finite_records():
+    """A NaN alpha or an infinite gamma is named on entry, before the SVD sees it."""
+    alphas = [np.zeros(3), *np.eye(3), np.full(3, 0.5)]
+    records = [(a, 0.1 + a[0], -0.2 * a[2]) for a in alphas]
+    for row, bad in ((2, (np.array([np.nan, 0, 0]), 0.1, 0.0)), (1, (np.eye(3)[0], 0.1, np.inf))):
+        with pytest.raises(ValueError, match=f"record {row}: .* must be finite"):
+            rdl.solve_linearity_coefficients([*records[:row], bad, *records[row + 1 :]])
+
+
 def test_solver_rejects_degenerate_geometry():
     # states on a line in Bloch space cannot pin down the affine law, however many
     for xs in ((0.0, 0.1, 0.2, 0.3), np.linspace(-0.5, 0.5, 12)):
