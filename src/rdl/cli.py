@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionError, InputError, RdlError, SingularSystemError
+from .errors import DimensionError, InputError, RdlError
 from .families import (
     StateFamily,
     constrained_two_qubit_family,
@@ -38,11 +38,10 @@ from .serialize import (
 from .two_qubit import (
     LinearityCoefficients,
     ModelParams,
+    affine_law,
     analytic_bloch_step,
-    linearity_residuals,
     model_unitary,
     pauli_eigenstates,
-    solve_linearity_coefficients,
     swap_unitary,
 )
 
@@ -191,18 +190,11 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
         rejected_count = len(rejected)
         planted = LinearityCoefficients(a11=args.a11, b11=b11, a21=args.a21, b21=b21)
 
+    analysis = _analyze(args, family, u, tols)
+    coeffs, residuals = affine_law(analysis.subspace)
     member_params = [extract_two_qubit_params(m, tols) for m in family.members]
-    try:
-        coeffs = solve_linearity_coefficients(
-            [(p.alpha, p.gamma[0, 0], p.gamma[1, 0]) for p in member_params], tols.rank
-        )
-    except (ValueError, SingularSystemError):
-        raise InputError(
-            "fewer than 4 members with independent Bloch vectors; cannot fit the affine law"
-        ) from None
-    residuals = linearity_residuals(family, coeffs)
 
-    report = analysis_to_json(_analyze(args, family, u, tols), "two-qubit")
+    report = analysis_to_json(analysis, "two-qubit")
     report["family"]["rejected"] = rejected_count
     report["model"] = {"omega": model.omega, "t": model.t}
     report["coefficients_planted"] = None if planted is None else coefficients_to_json(planted)
@@ -290,7 +282,7 @@ def _summary_lines(report: dict) -> list[str]:
     if v is not None:
         m = report["map"]
         lines.append(
-            f"map: extension={m['extension']}, certified={'yes' if m['consistency_certified'] else 'no'}; "
+            f"map: certified={'yes' if m['consistency_certified'] else 'no'}; "
             f"hermitian={'yes' if v['hermitian_preserving'] else 'no'}, "
             f"trace={'yes' if v['trace_preserving'] else 'no'}, "
             f"completely positive={'yes' if v['completely_positive'] else 'no'}"

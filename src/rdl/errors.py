@@ -46,7 +46,3 @@ class NotInSpanError(InputError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class SingularSystemError(RdlError):
-    """A linear solve hit a numerically singular coefficient matrix."""

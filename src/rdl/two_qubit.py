@@ -1,4 +1,4 @@
-"""Closed-form two-qubit model, the linearity-coefficient solve, and the swap propagator.
+"""Closed-form two-qubit model, its affine law read off the marginal fit, and the swap propagator.
 
 The model couples the system's third Pauli axis to the environment's first:
 H = (omega/2) s3 (x) s1, so the propagator is
@@ -12,7 +12,9 @@ Under conjugation by U the reduced Bloch vector moves as
     alpha_3' = alpha_3
 
 which is linear in the state exactly when gamma_11 and gamma_21 are affine
-functions of alpha across the family.
+functions of alpha across the family.  That is U-consistency written in
+Bloch coordinates, so :func:`affine_law` reads the law off the same fit of
+the members' marginals that the kernel test uses.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
-from .errors import DimensionError, SingularSystemError
-from .families import StateFamily, extract_two_qubit_params
-from .operators import PAULIS, SIGMA_X, SIGMA_Z, frozen, tensor
+from .errors import DimensionError, InputError
+from .operators import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, frozen, tensor
+from .subspace import Subspace
+
+_CORRELATIONS = frozen(np.array([tensor(SIGMA_X, SIGMA_X), tensor(SIGMA_Y, SIGMA_X)]))  # gamma11, gamma21
 
 
 @dataclass(frozen=True)
@@ -101,60 +104,32 @@ class LinearityCoefficients:
         return float(self.a11 + self.b11 @ alpha), float(self.a21 + self.b21 @ alpha)
 
 
-def solve_linearity_coefficients(
-    records, tol_rank: float = DEFAULT_TOL.rank
-) -> LinearityCoefficients:
-    """Least-squares fit of the affine correlation law over four or more Bloch records.
+def affine_law(subspace: Subspace) -> tuple[LinearityCoefficients, np.ndarray]:
+    """The affine law fitted over a two-qubit family, and each member's residual.
 
-    ``records`` holds (alpha, gamma11, gamma21) triples.  Both gamma
-    channels are fitted at once on the rows (1, alpha_1, alpha_2, alpha_3),
-    each row and its gammas divided by the row's norm, from one SVD of
-    those unit rows: the fit, like its rank, does not depend on the order
-    of the records beyond roundoff.  Fewer than four records, or a record
-    with a non-finite entry, raise ValueError; fewer than four singular
-    values above ``tol_rank`` raise SingularSystemError.
+    In hermitian_basis(2) = (I, s1, s2, s3) / sqrt(2) a member's marginal
+    row is R_i = (1, alpha_i) / sqrt(2), so the subspace's fit P, taken on
+    the unit rows of R, is the least-squares fit on the unit rows of
+    (1, alpha), ranked against ``tol_rank`` the same way.  With g the
+    members' (gamma11, gamma21), one row each, the law is P g / sqrt(2) and
+    the residuals are g - R (P g), shape (n, 2).  A family that is not 2x2
+    raises DimensionError; a reduced rank below 4 raises InputError.
     """
-    records = list(records)
-    if len(records) < 4:
-        raise ValueError(f"need at least 4 records, got {len(records)}")
-    rows = np.ones((len(records), 4))
-    rhs = np.zeros((len(records), 2))
-    for row, (alpha, g11, g21) in enumerate(records):
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.shape != (3,):
-            raise DimensionError(f"record {row}: alpha must be a 3-vector, got {alpha.shape}")
-        rows[row, 1:] = alpha
-        rhs[row] = (g11, g21)
-        if not (np.isfinite(rows[row]).all() and np.isfinite(rhs[row]).all()):
-            raise ValueError(f"record {row}: alpha, gamma11 and gamma21 must be finite")
-    inv = 1 / np.linalg.norm(rows, axis=1)
-    u, s, vt = np.linalg.svd(rows * inv[:, None], full_matrices=False)
-    rank = int(np.sum(s > tol_rank))
-    if rank < 4:
-        raise SingularSystemError(
-            f"Bloch records have rank {rank} < 4 at tolerance {tol_rank:.1e}; "
+    if (subspace.dims.d_s, subspace.dims.d_e) != (2, 2):
+        raise DimensionError("the affine law is defined for two-qubit families")
+    if subspace.reduced_dim < 4:
+        raise InputError(
+            "fewer than 4 members with independent Bloch vectors "
+            f"(rank {subspace.reduced_dim} at tolerance {subspace.tol_rank:.1e}); "
             "cannot fit the affine law"
         )
-    sol = vt.T @ ((u.T @ (rhs * inv[:, None])) / s[:, None])
-    return LinearityCoefficients(
-        a11=float(sol[0, 0]), b11=frozen(sol[1:, 0]), a21=float(sol[0, 1]), b21=frozen(sol[1:, 1])
+    g = np.trace(_CORRELATIONS @ subspace.members[:, None], axis1=-2, axis2=-1).real
+    fitted = subspace.fit @ g
+    law = fitted / np.sqrt(2.0)
+    coeffs = LinearityCoefficients(
+        a11=float(law[0, 0]), b11=frozen(law[1:, 0]), a21=float(law[0, 1]), b21=frozen(law[1:, 1])
     )
-
-
-def linearity_residuals(family: StateFamily, coeffs: LinearityCoefficients) -> np.ndarray:
-    """Per-member deviation of (gamma11, gamma21) from the affine law.
-
-    Coefficients are re-extracted from each member by Pauli projection, so
-    this checks the stored matrices, not any cached parameters.
-    """
-    if family.dims.d_s != 2 or family.dims.d_e != 2:
-        raise DimensionError("linearity residuals are defined for two-qubit families")
-    out = np.zeros((len(family), 2))
-    for idx, member in enumerate(family.members):
-        p = extract_two_qubit_params(member, family.tol)
-        pred11, pred21 = coeffs.predict(p.alpha)
-        out[idx] = (p.gamma[0, 0] - pred11, p.gamma[1, 0] - pred21)
-    return out
+    return coeffs, g - subspace.marginals @ fitted
 
 
 def pauli_eigenstates() -> tuple[np.ndarray, ...]:

@@ -14,6 +14,7 @@ import numpy as np
 import rdl
 from rdl.cli import main as cli_main
 from oracles import conjugate_loops, kron_loops, ptrace_env_loops, random_unitary
+from test_two_qubit import law_error, law_family
 
 PLANTED = dict(
     a11=0.15, a21=-0.1, b11=np.array([0.1, 0.0, 0.05]), b21=np.array([0.0, 0.1, 0.0])
@@ -162,27 +163,20 @@ def test_criterion_4_hull_sampling_agrees_with_kernel_test():
 
 
 def test_criterion_5_coefficient_recovery_from_tetrad():
-    """100 planted affine laws recovered exactly from four canonical records."""
+    """100 planted affine laws recovered from four two-qubit states, alpha = 0 and 0.1 e_i."""
     rng = np.random.default_rng(55)
-    tetrad = [np.zeros(3), np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]]
+    tetrad = [np.zeros(3), *(0.1 * np.eye(3))]
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
         truth = rdl.LinearityCoefficients(
-            a11=rng.uniform(-1, 1),
-            b11=rng.uniform(-1, 1, size=3),
-            a21=rng.uniform(-1, 1),
-            b21=rng.uniform(-1, 1, size=3),
+            a11=rng.uniform(-0.4, 0.4),
+            b11=rng.uniform(-0.4, 0.4, size=3),
+            a21=rng.uniform(-0.4, 0.4),
+            b21=rng.uniform(-0.4, 0.4, size=3),
         )
-        records = [(a, *truth.predict(a)) for a in tetrad]
-        got = rdl.solve_linearity_coefficients(records)
-        worst = max(
-            worst,
-            abs(got.a11 - truth.a11),
-            abs(got.a21 - truth.a21),
-            float(np.abs(got.b11 - truth.b11).max()),
-            float(np.abs(got.b21 - truth.b21).max()),
-        )
+        got, _ = rdl.affine_law(rdl.build_subspace(law_family(truth, tetrad)))
+        worst = max(worst, law_error(got, truth))
     elapsed = time.perf_counter() - t0
     _criterion(5, worst <= 1e-12 and elapsed < 1.0, f"worst recovery error {worst:.3e}, {elapsed:.3f}s")
 

@@ -283,7 +283,6 @@ EXIT_TABLE = [
     (rdl.InputError, 1),
     (ValueError, 1),
     (OSError, 1),
-    (rdl.SingularSystemError, 2),
     (rdl.RdlError, 2),
 ]
 

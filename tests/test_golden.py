@@ -1,4 +1,4 @@
-"""Golden CLI reports: stdout byte for byte, and the exit code.
+"""Golden CLI reports: stdout byte for byte, the exit code, and the report schema.
 
 Each file under ``tests/golden/`` is the stdout of one command.  A mismatch
 fails with the first differing JSON path and both values there.  A report
@@ -15,11 +15,12 @@ coordinate order at d = 3 and d = 6 is pinned too.
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import rdl
 from rdl.cli import main
-from rdl.serialize import family_to_json
+from rdl.serialize import family_to_json, load_report_schema
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -58,6 +59,7 @@ def test_cli_report_matches_golden(name, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == expected_code
     golden = (GOLDEN / f"{name}.json").read_text()
+    jsonschema.validate(json.loads(golden), load_report_schema())
     if out != golden:
         path, old, new = next(
             leaf_differences(json.loads(golden), json.loads(out)), ("$", "<text>", "<text>")

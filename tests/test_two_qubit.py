@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 import rdl
-from rdl.errors import SingularSystemError
 
+from oracles import pauli_coefficients_by_kron
 from test_consistency import constrained_family
 
 
@@ -78,75 +78,127 @@ def test_analytic_step_leaves_z_component_alone(rng):
     assert out[2] == pytest.approx(p.alpha[2])
 
 
+def law_family(law, alphas):
+    """Two-qubit states with Bloch vectors ``alphas``, beta = 0, and gamma11, gamma21 from ``law``.
+
+    Every other gamma entry is 0, so each member is a state while |alpha| + |gamma| <= 1.
+    """
+    members = []
+    for alpha in alphas:
+        gamma = np.zeros((3, 3))
+        gamma[0, 0], gamma[1, 0] = law.predict(alpha)
+        params = rdl.TwoQubitParams(alpha=alpha, beta=np.zeros(3), gamma=gamma)
+        members.append(rdl.assemble_two_qubit(params))
+    return rdl.StateFamily(rdl.BipartiteDims(2, 2), tuple(members))
+
+
+def law_error(got, want):
+    return max(
+        abs(got.a11 - want.a11),
+        abs(got.a21 - want.a21),
+        float(np.abs(got.b11 - want.b11).max()),
+        float(np.abs(got.b21 - want.b21).max()),
+    )
+
+
 def test_coefficients_recovered_from_four_records():
     coeffs = rdl.LinearityCoefficients(
         a11=0.3, b11=np.array([0.2, -0.1, 0.4]), a21=-0.2, b21=np.array([0.0, 0.3, -0.3])
     )
-    alphas = [np.zeros(3), np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0])]
-    records = []
-    for a in alphas:
-        g11, g21 = coeffs.predict(a)
-        records.append((a, g11, g21))
-    got = rdl.solve_linearity_coefficients(records)
-    assert abs(got.a11 - coeffs.a11) < 1e-12
-    assert abs(got.a21 - coeffs.a21) < 1e-12
-    assert np.abs(got.b11 - coeffs.b11).max() < 1e-12
-    assert np.abs(got.b21 - coeffs.b21).max() < 1e-12
+    fam = law_family(coeffs, [np.zeros(3), *(0.1 * np.eye(3))])
+    got, residuals = rdl.affine_law(rdl.build_subspace(fam))
+    assert law_error(got, coeffs) < 1e-12
+    assert residuals.shape == (4, 2) and np.abs(residuals).max() < 1e-12
 
 
 def test_coefficients_recovered_from_twelve_records(rng):
-    """Every record enters one least-squares fit, which gives back the planted law."""
+    """Every member enters one least-squares fit, which gives back the planted law."""
     coeffs = rdl.LinearityCoefficients(
         a11=-0.25, b11=np.array([0.3, 0.1, -0.2]), a21=0.1, b21=np.array([-0.4, 0.0, 0.25])
     )
-    records = [(a, *coeffs.predict(a)) for a in rng.uniform(-0.5, 0.5, size=(12, 3))]
-    got = rdl.solve_linearity_coefficients(records)
-    assert abs(got.a11 - coeffs.a11) < 1e-12
-    assert abs(got.a21 - coeffs.a21) < 1e-12
-    assert np.abs(got.b11 - coeffs.b11).max() < 1e-12
-    assert np.abs(got.b21 - coeffs.b21).max() < 1e-12
+    fam = law_family(coeffs, rng.uniform(-0.25, 0.25, size=(12, 3)))
+    got, residuals = rdl.affine_law(rdl.build_subspace(fam))
+    assert law_error(got, coeffs) < 1e-12
+    assert residuals.shape == (12, 2) and np.abs(residuals).max() < 1e-12
 
 
 def test_solver_needs_at_least_four_records():
-    alphas = [np.zeros(3), *np.eye(3), np.full(3, 0.5)]
-    records = [(a, 0.1 + a[0], -0.2 * a[2]) for a in alphas]
-    with pytest.raises(ValueError):
-        rdl.solve_linearity_coefficients(records[:3])
-    got = rdl.solve_linearity_coefficients(records)
-    assert abs(got.a11 - 0.1) < 1e-12 and np.abs(got.b11 - [1, 0, 0]).max() < 1e-12
-    assert abs(got.a21) < 1e-12 and np.abs(got.b21 - [0, 0, -0.2]).max() < 1e-12
-
-
-def test_solver_rejects_non_finite_records():
-    """A NaN alpha or an infinite gamma is named on entry, before the SVD sees it."""
-    alphas = [np.zeros(3), *np.eye(3), np.full(3, 0.5)]
-    records = [(a, 0.1 + a[0], -0.2 * a[2]) for a in alphas]
-    for row, bad in ((2, (np.array([np.nan, 0, 0]), 0.1, 0.0)), (1, (np.eye(3)[0], 0.1, np.inf))):
-        with pytest.raises(ValueError, match=f"record {row}: .* must be finite"):
-            rdl.solve_linearity_coefficients([*records[:row], bad, *records[row + 1 :]])
+    law = rdl.LinearityCoefficients(
+        a11=0.1, b11=np.array([1.0, 0, 0]), a21=0.0, b21=np.array([0, 0, -0.2])
+    )
+    fam = law_family(law, 0.2 * np.array([np.zeros(3), *np.eye(3), np.full(3, 0.5)]))
+    with pytest.raises(rdl.InputError, match="fewer than 4 members"):
+        rdl.affine_law(rdl.build_subspace(rdl.StateFamily(fam.dims, fam.members[:3])))
+    got, _ = rdl.affine_law(rdl.build_subspace(fam))
+    assert law_error(got, law) < 1e-12
 
 
 def test_solver_rejects_degenerate_geometry():
     # states on a line in Bloch space cannot pin down the affine law, however many
+    flat = rdl.LinearityCoefficients(a11=0.1, b11=np.zeros(3), a21=0.2, b21=np.zeros(3))
     for xs in ((0.0, 0.1, 0.2, 0.3), np.linspace(-0.5, 0.5, 12)):
-        records = [(np.array([x, 0.0, 0.0]), 0.1, 0.2) for x in xs]
-        with pytest.raises(SingularSystemError, match="rank 2"):
-            rdl.solve_linearity_coefficients(records)
+        fam = law_family(flat, [np.array([x, 0.0, 0.0]) for x in xs])
+        with pytest.raises(rdl.InputError, match="independent Bloch vectors .*rank 2"):
+            rdl.affine_law(rdl.build_subspace(fam))
 
 
 def test_linearity_residuals_vanish_on_constrained_family():
     fam = constrained_family()
-    coeffs = rdl.LinearityCoefficients(
+    planted = rdl.LinearityCoefficients(
         a11=0.15, b11=np.array([0.1, 0.0, 0.05]), a21=-0.1, b21=np.array([0.0, 0.1, 0.0])
     )
-    res = rdl.linearity_residuals(fam, coeffs)
-    assert res.shape == (len(fam), 2)
-    assert np.abs(res).max() < 1e-12
-    # and they do not vanish for the wrong coefficients
-    wrong = rdl.LinearityCoefficients(
-        a11=0.35, b11=np.array([0.1, 0.0, 0.05]), a21=-0.1, b21=np.array([0.0, 0.1, 0.0])
-    )
-    assert np.abs(rdl.linearity_residuals(fam, wrong)).max() > 0.1
+    got, residuals = rdl.affine_law(rdl.build_subspace(fam))
+    assert residuals.shape == (len(fam), 2)
+    assert np.abs(residuals).max() < 1e-12
+    assert law_error(got, planted) < 1e-12
+    # and they do not vanish where the correlations follow no affine law
+    _, residuals = rdl.affine_law(rdl.build_subspace(rdl.full_two_qubit_family()))
+    assert np.abs(residuals).max() > 0.1
+
+
+def test_affine_law_needs_a_two_qubit_family(rng):
+    members = tuple(rdl.random_density_matrix(6, rng) for _ in range(8))
+    sub = rdl.build_subspace(rdl.StateFamily(rdl.BipartiteDims(2, 3), members))
+    with pytest.raises(rdl.DimensionError, match="two-qubit"):
+        rdl.affine_law(sub)
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_kernel_violation_is_the_law_residual_in_closed_form(rng, constrained):
+    """Under the model propagator the kernel test's violation is |sin wt| / 2 max_i ||res_i||_2.
+
+    The evolved marginal of g_i moves by sin(wt) (-res21, res11) in Bloch
+    coordinates, a matrix whose largest entry is |sin wt| ||res_i||_2 / 2.
+    The law itself is the least-squares fit on the unit rows of (1, alpha),
+    with alpha and gamma read by loop Pauli traces.
+    """
+    for case in range(5):
+        if constrained:
+            a = rng.uniform(-0.3, 0.3, size=8)
+            draws = [rdl.sample_two_qubit_params(rng, 0.3) for _ in range(12)]
+            fam, _ = rdl.constrained_two_qubit_family(a[0], a[1], a[2:5], a[5:], draws)
+        else:
+            members = tuple(rdl.random_density_matrix(4, rng) for _ in range(5 + case))
+            fam = rdl.StateFamily(rdl.BipartiteDims(2, 2), members)
+        params = rdl.ModelParams(omega=rng.uniform(0.2, 3.0), t=rng.uniform(0.1, 2.0))
+        sub = rdl.build_subspace(fam)
+        report = rdl.check_subspace_consistency(sub, rdl.model_unitary(params))
+        law, residuals = rdl.affine_law(sub)
+        closed = abs(np.sin(params.angle)) / 2 * np.linalg.norm(residuals, axis=1).max()
+        assert abs(report.max_violation - closed) <= 1e-13
+        assert report.consistent == constrained
+
+        rows, g = [], []
+        for member in fam.members:
+            alpha, _, gamma = pauli_coefficients_by_kron(member)
+            rows.append([1.0, *alpha])
+            g.append([gamma[0, 0], gamma[1, 0]])
+        rows, g = np.array(rows), np.array(g)
+        w = 1 / np.linalg.norm(rows, axis=1)[:, None]
+        sol = np.linalg.lstsq(rows * w, g * w, rcond=None)[0]
+        got = np.column_stack([[law.a11, *law.b11], [law.a21, *law.b21]])
+        assert np.abs(got - sol).max() <= 1e-12
+        assert np.abs(residuals - (g - rows @ sol)).max() <= 1e-12
 
 
 def test_swap_experiment_is_constant_cp_map():
