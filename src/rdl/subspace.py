@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import DimensionError, InputError, RdlError
+from .errors import RdlError
 from .families import StateFamily
 from .operators import (
     BipartiteDims,
@@ -85,7 +85,7 @@ class Subspace:
     @functools.cached_property
     def span_basis(self) -> np.ndarray:
         """Orthonormal Hermitian basis of the members' span, one (span_dim, d_j, d_j) stack."""
-        _, rows = _unit_rows(self.members, self.dims.joint)
+        rows = _unit_rows(self.members, self.dims.joint)
         _, _, vt = np.linalg.svd(rows, full_matrices=False)
         basis = from_basis_coords(vt[: self.span_dim], self.dims.joint)
         basis.setflags(write=False)
@@ -105,37 +105,19 @@ class Subspace:
         return basis
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a contiguous real matrix.
-
-    A row whose squared norm overflows, or falls below the smallest normal
-    float, has its norm taken again scaled by its largest entry.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        sq = np.vecdot(rows, rows)
-    norms = np.sqrt(sq)  # on contiguous rows, bit for bit np.linalg.norm per row
-    redo = np.flatnonzero(np.isinf(sq) | (sq < np.finfo(float).tiny))
-    scale = np.abs(rows[redo]).max(axis=1, initial=0.0)
-    redo, scale = redo[scale > 0], scale[scale > 0]
-    scaled = rows[redo] / scale[:, None]
-    norms[redo] = scale * np.sqrt(np.vecdot(scaled, scaled))
-    return norms
-
-
-def _unit_rows(ops: np.ndarray, d: int):
-    """Indices and unit-normalized real coordinates of the operators of nonzero norm."""
+def _unit_rows(ops: np.ndarray, d: int) -> np.ndarray:
+    """Unit-normalized real coordinates of the operators, one row each."""
     rows = np.ascontiguousarray(basis_coords(ops, d).real)
-    norms = _row_norms(rows)
-    keep = np.flatnonzero(norms > 0)
-    return keep, rows[keep] / norms[keep, None]
+    return rows / np.sqrt(np.vecdot(rows, rows))[:, None]  # bit for bit np.linalg.norm per row
 
 
 def _full_rank_certified(stack: np.ndarray, gram: np.ndarray, tol_rank: float) -> bool:
     """True when a Cholesky factor proves every singular value of the unit rows above 2 tol_rank.
 
     The rows of :func:`_unit_rows` are the coordinates of H_i / ||H_i||, H_i
-    the Hermitian part of x_i = H_i + A_i.  Their Gram matrix needs no
-    coordinates.  ``gram`` is V V^T, V the stack's float view (n, m) with
+    the Hermitian part of x_i = H_i + A_i: members are Hermitian only within
+    the family's ``tol.herm``.  Their Gram matrix needs no coordinates.
+    ``gram`` is V V^T, V the stack's float view (n, m) with
     m = 2 d^2 and rows v_i, so G_ij = Re tr(x_i^dag x_j) =
     tr(H_i H_j) + Re tr(A_i^dag A_j): the cross terms are imaginary.  The
     second term is the Gram matrix of the anti-Hermitian parts, and
@@ -159,17 +141,15 @@ def _full_rank_certified(stack: np.ndarray, gram: np.ndarray, tol_rank: float) -
     sigma_min > 2 tol_rank, and the SVD of the computed rows counts every
     row while its own roundoff stays under tol_rank.  With tol_rank not
     above ``floor``, which bounds the same kinds of error, the SVD's count
-    is itself roundoff, and the certificate is not tried; nor when a Gram
-    entry overflows or a diagonal one is zero or small enough to underflow.
-    False means "not certified", not "rank deficient".
+    is itself roundoff, and the certificate is not tried.  A state's Gram
+    diagonal is tr(rho^2) >= 1/d, so neither it nor any entry, at most 1,
+    leaves the range of normal floats.  False means "not certified", not
+    "rank deficient".
     """
     n, d = len(stack), stack.shape[-1]
     m = 2 * d * d
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    floor = (3 * m + n + 8) * n * np.finfo(float).eps
     sq = np.diagonal(gram)
-    if not (np.isfinite(gram).all() and sq.min() > tiny / eps):
-        return False
-    floor = (3 * m + n + 8) * n * eps
     anti = np.maximum(sq - np.einsum("nab,nba->n", stack, stack).real, 0) / 2
     shift = 2 * floor + np.sum(anti / sq) + 4 * tol_rank**2
     if not (floor < tol_rank and shift < 1):
@@ -182,49 +162,32 @@ def _full_rank_certified(stack: np.ndarray, gram: np.ndarray, tol_rank: float) -
     return True
 
 
-def _require_finite(stack: np.ndarray) -> None:
-    """Raise InputError naming the first operator with a NaN or infinite entry."""
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    if len(bad):
-        raise InputError(f"operator {bad[0]} has a non-finite entry")
-
-
 def _span_rank(stack: np.ndarray, d: int, tol_rank: float) -> int:
     """Number of singular values of the unit coordinate rows above ``tol_rank``.
 
-    Up to d^2 operators are first offered to :func:`_full_rank_certified`;
-    the SVD runs only when the certificate fails.  The Gram diagonal is
-    finite only if every entry is, so a finite one spares the entry scan;
-    an infinite one with finite entries has overflowed and goes to the SVD.
+    Up to d^2 members are first offered to :func:`_full_rank_certified`;
+    the SVD runs only when the certificate fails.
     """
     n = len(stack)
     if n <= d * d:
-        flat = np.ascontiguousarray(stack).reshape(n, -1).view(float)
-        with np.errstate(over="ignore"):  # an overflowed diagonal sends the count to the SVD
-            gram = flat @ flat.T
-        if not np.isfinite(np.diagonal(gram)).all():
-            _require_finite(stack)
-        elif _full_rank_certified(stack, gram, tol_rank):
+        flat = stack.reshape(n, -1).view(float)
+        if _full_rank_certified(stack, flat @ flat.T, tol_rank):
             return n
-    else:
-        _require_finite(stack)
-    _, rows = _unit_rows(stack, d)
-    if not len(rows):
-        raise DimensionError("all supplied operators are zero")
-    return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
+    return int(np.sum(np.linalg.svd(_unit_rows(stack, d), compute_uv=False) > tol_rank))
 
 
 def _marginal_fit(stack: np.ndarray, dims: BipartiteDims, tol_rank: float):
     """R, P and the domain rows of :class:`Subspace`, from one SVD of D R.
 
     A row of D R is zero, and its member counts as kernel, when the
-    member's marginal is within ``tol_rank`` of the member's own norm: a
-    relative cut, so the split does not depend on the stack's scale.
+    member's marginal is within ``tol_rank`` of the member's own norm.  A
+    state's marginal has at least 1/sqrt(d_s) of its norm, so only a rank
+    tolerance near that reaches the cut.
     """
     n, d_s = len(stack), dims.d_s
     marginals = np.ascontiguousarray(basis_coords(partial_trace_env(stack, dims), d_s).real)
-    norms = _row_norms(marginals)
-    sizes = _row_norms(np.ascontiguousarray(stack).reshape(n, -1).view(float))
+    flat = stack.reshape(n, -1).view(float)
+    norms, sizes = np.sqrt(np.vecdot(marginals, marginals)), np.sqrt(np.vecdot(flat, flat))
     inv = np.divide(1.0, norms, out=np.zeros(n), where=norms > tol_rank * sizes)
     u, s, vt = np.linalg.svd(marginals * inv[:, None], full_matrices=False)
     r = int(np.sum(s > tol_rank))
@@ -232,42 +195,19 @@ def _marginal_fit(stack: np.ndarray, dims: BipartiteDims, tol_rank: float):
     return frozen(marginals), frozen(fit), frozen(vt[:r])
 
 
-def build_subspace_from_operators(
-    ops,
-    dims: BipartiteDims,
-    tol_rank: float = DEFAULT_TOL.rank,
-) -> Subspace:
-    """Span construction for arbitrary Hermitian joint operators.
+def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> Subspace:
+    """Span rank of the family and the fit of its marginals, read from ``family.stack`` in place.
 
-    Same machinery as :func:`build_subspace` but without density-matrix
-    validation, so callers can hand in a custom operator subspace directly.
-    ``ops`` is a sequence of operators or a stack (n, d_j, d_j); a read-only
-    complex stack, such as ``StateFamily.stack``, is used without a copy.
     The span rank counts the singular values above ``tol_rank`` of the
-    operators' unit-normalized Hermitian coordinates.  When n <= d_j^2, one
-    Cholesky factorization of the operators' scaled Gram matrix first tries
-    to certify all n of them (:func:`_full_rank_certified`), and the
-    coordinates and their SVD are built only when it fails.  The marginals'
-    rank, ``reduced_dim``, counts the singular values of their
-    unit-normalized coordinates above ``tol_rank`` (:func:`_marginal_fit`).
-    An operator with a NaN or infinite entry raises InputError.
+    members' unit-normalized coordinates.  When n <= d_j^2, one Cholesky
+    factorization of the members' scaled Gram matrix first tries to certify
+    all n of them (:func:`_full_rank_certified`), and the coordinates and
+    their SVD are built only when it fails.  The marginals' rank,
+    ``reduced_dim``, counts the singular values of their unit-normalized
+    coordinates above ``tol_rank`` (:func:`_marginal_fit`).
     """
-    if not isinstance(ops, np.ndarray):
-        ops = list(ops)
-    if not len(ops):
-        raise DimensionError("need at least one operator to span a subspace")
-    d_j = dims.joint
-    for idx, op in enumerate(ops):
-        if np.shape(op) != (d_j, d_j):
-            raise DimensionError(
-                f"operator {idx} has shape {np.shape(op)}, expected ({d_j}, {d_j})"
-            )
-
-    stack = np.asarray(ops, dtype=complex)
-    if stack is ops and ops.flags.writeable:
-        stack = np.array(stack)  # the caller's array stays the caller's
-    stack.setflags(write=False)
-    span_dim = _span_rank(stack, d_j, tol_rank)
+    stack, dims = family.stack, family.dims
+    span_dim = _span_rank(stack, dims.joint, tol_rank)
     marginals, fit, domain = _marginal_fit(stack, dims, tol_rank)
     if len(domain) > span_dim:
         raise RdlError(
@@ -283,8 +223,3 @@ def build_subspace_from_operators(
         span_dim=span_dim,
         tol_rank=tol_rank,
     )
-
-
-def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> Subspace:
-    """Span rank of the family and the fit of its marginals."""
-    return build_subspace_from_operators(family.stack, family.dims, tol_rank)

@@ -223,33 +223,14 @@ def validate_members_one_by_one(members, dims, tol):
 
 
 def unit_rows_one_by_one(ops, d):
-    """Indices and unit-normalized real coordinates of the operators of nonzero norm.
-
-    Each row's norm is one ``np.linalg.norm`` call, row after row; a row
-    whose squared norm overflows or falls below the smallest normal float is
-    first divided by its largest entry, and the norm multiplied back.
-    """
+    """Unit-normalized real coordinates of the operators, each row's norm one ``np.linalg.norm`` call."""
     from rdl.operators import basis_coords
 
-    def norm(c):
-        with np.errstate(over="ignore", under="ignore"):
-            sq, scale = np.dot(c, c), np.abs(c).max()
-        if np.isfinite(sq) and sq >= np.finfo(float).tiny or not scale > 0:
-            return np.linalg.norm(c)
-        return scale * np.linalg.norm(c / scale)
-
     rows = basis_coords(np.asarray(ops, dtype=complex), d).real
-    norms = np.array([norm(c) for c in rows])
-    keep = np.flatnonzero(norms > 0)
-    return keep, rows[keep] / norms[keep, None]
+    return np.array([c / np.linalg.norm(c) for c in rows])
 
 
 def span_dim_by_svd(ops, d, tol_rank):
-    """Span rank counted from every singular value of the unit coordinate rows above ``tol_rank``.
-
-    Zero operators have no row; all of them zero gives 0.
-    """
-    _, rows = unit_rows_one_by_one(ops, d)
-    if not len(rows):
-        return 0
+    """Span rank counted from every singular value of the unit coordinate rows above ``tol_rank``."""
+    rows = unit_rows_one_by_one(ops, d)
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))

@@ -118,14 +118,14 @@ def test_swap_demo_defaults(capsys):
 
 def test_hull_run_builds_the_subspace_once(capsys, monkeypatch):
     """The hull check reads the pipeline's Subspace instead of building its own."""
-    build = rdl.subspace.build_subspace_from_operators
+    build = rdl.pipeline.build_subspace
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(rdl.subspace, "build_subspace_from_operators", counted)
+    monkeypatch.setattr(rdl.pipeline, "build_subspace", counted)
     code, out, _ = run(
         capsys,
         "two-qubit", "--samples", "12", "--scale", "0.3",
@@ -304,6 +304,17 @@ def test_error_class_sets_exit_code(capsys, monkeypatch, full_family_file, error
     assert code == expected
     assert out == ""
     assert err == f"{prefix}: planted failure\n"
+
+
+def test_rank_split_too_close_to_the_tolerance_exits_2(capsys, tmp_path, rank_split_family):
+    """A real family whose marginals outrank its span at --tol-rank 0.06: numerical failure."""
+    path = write_family(tmp_path / "split.json", rank_split_family)
+    code, out, err = run(
+        capsys, "analyze", "--family", path, "--model", "swap", "--tol-rank", "0.06"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: the marginals have rank 2 in a span of rank 1;")
 
 
 def test_swap_demo_rejects_unequal_dims(capsys, tmp_path, rng):

@@ -1,13 +1,16 @@
-"""README's quick start, executed, with the values its comments state."""
+"""README's quick start and command-line synopsis, checked against the code."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 
 import rdl
+from rdl.cli import _build_parser
 
 README = Path(__file__).parent.parent / "README.md"
+FLAG = r"--[a-z][a-z0-9-]*"
 
 
 def quick_start() -> dict:
@@ -38,3 +41,40 @@ def test_quick_start_matches_its_comments():
     phi, rho = ns["phi"], ns["rho"]
     by_matrix = rdl.from_basis_coords(phi.matrix @ rdl.basis_coords(rho, 2), 2)
     assert np.abs(phi.apply(rho) - by_matrix).max() < 1e-14
+
+
+def synopsis_flags() -> dict:
+    """The flags README's ``## Command line`` synopsis names, per subcommand.
+
+    A line ``rdl NAME ...`` starts a subcommand, indented lines continue the
+    entry above them, and the ``COMMON:`` entry lists the flags of every
+    subcommand whose entry says ``[COMMON]``.
+    """
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.DOTALL).group(1)
+    entries, name = {}, None
+    for line in block.splitlines():
+        head = re.match(r"(?:rdl ([a-z-]+)|(COMMON):)", line)
+        if head:
+            name = head.group(1) or head.group(2)
+            entries[name] = ""
+        if line.strip():
+            entries[name] += line
+    common = set(re.findall(FLAG, entries.pop("COMMON")))
+    return {
+        name: set(re.findall(FLAG, text)) | (common if "[COMMON]" in text else set())
+        for name, text in entries.items()
+    }
+
+
+def test_command_line_synopsis_names_every_flag():
+    (subcommands,) = (
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    accepted = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.items()
+    }
+    assert synopsis_flags() == accepted
