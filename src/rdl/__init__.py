@@ -32,7 +32,6 @@ from .families import (
     full_two_qubit_family,
     product_family,
     random_density_matrix,
-    random_two_qubit_params,
     sample_two_qubit_params,
 )
 from .maps import (
@@ -51,11 +50,9 @@ from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    adjoint_action,
     basis_coords,
     from_basis_coords,
     hermitian_basis,
-    hs_inner,
     max_norm,
     min_eigenvalue,
     partial_trace_env,
@@ -72,7 +69,6 @@ from .two_qubit import (
     ModelParams,
     affine_law,
     analytic_bloch_step,
-    bloch_vector,
     model_unitary,
     pauli_eigenstates,
     swap_unitary,
@@ -108,13 +104,11 @@ __all__ = [
     "ToleranceConfig",
     "TwoQubitParams",
     "UnitarityError",
-    "adjoint_action",
     "affine_law",
     "analyze",
     "analytic_bloch_step",
     "assemble_two_qubit",
     "basis_coords",
-    "bloch_vector",
     "build_assignment",
     "build_dynamical_map",
     "build_subspace",
@@ -127,7 +121,6 @@ __all__ = [
     "from_basis_coords",
     "full_two_qubit_family",
     "hermitian_basis",
-    "hs_inner",
     "max_norm",
     "min_eigenvalue",
     "model_unitary",
@@ -135,7 +128,6 @@ __all__ = [
     "pauli_eigenstates",
     "product_family",
     "random_density_matrix",
-    "random_two_qubit_params",
     "require_density",
     "require_hermitian",
     "require_unitary",

@@ -109,8 +109,10 @@ def _tolerances(args) -> ToleranceConfig:
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
     except json.JSONDecodeError as err:
         raise InputError(
             f"malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}"
@@ -178,6 +180,8 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
     else:
         if args.seed is None:
             raise InputError("sampling members requires --seed")
+        if args.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {args.seed}")
         if args.samples < 1:
             raise InputError(f"--samples must be at least 1, got {args.samples}")
         b11 = _parse_triple(args.b11, "--b11")
@@ -290,23 +294,26 @@ def _summary_lines(report: dict) -> list[str]:
     return lines
 
 
+def _write_report(text: str, out: str | None) -> None:
+    """Write the report to stdout, and to ``out`` when given."""
+    target = "stdout"
+    try:
+        sys.stdout.write(text)
+        if out is not None:
+            target = out
+            Path(out).write_text(text)
+    except OSError as err:
+        raise InputError(f"cannot write {target}: {err}") from None
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = args.run(args, _tolerances(args))
-        text = dumps_report(report)
-        sys.stdout.write(text)
-        if args.out is not None:
-            try:
-                Path(args.out).write_text(text)
-            except OSError as err:
-                raise InputError(f"cannot write {args.out}: {err}") from None
-    except (InputError, ValueError, OSError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 1
+        _write_report(dumps_report(report), args.out)
     except RdlError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 2
+        print(f"{err.kind}: {err}", file=sys.stderr)
+        return err.exit_code
 
     code = 0 if report["consistent"] else 3
     for line in _summary_lines(report):

@@ -6,6 +6,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -27,7 +29,7 @@ class ToleranceConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if not (0 < value < math.inf or f.name == "psd" and value == 0):
-                raise ValueError(f"tolerance {f.name} must be finite and positive, got {value!r}")
+                raise InputError(f"tolerance {f.name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

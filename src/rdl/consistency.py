@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
+from .errors import InputError
 from .families import StateFamily
 from .operators import (
     _evolved_marginal,
@@ -180,15 +181,17 @@ def check_hull_consistency(
     Any equal-marginal pair differs by a kernel element, so in exact
     arithmetic the two verdicts agree; near the tolerance they can differ.
 
-    Requires an explicit ``seed``.  The witness is the step eps c M of the
-    first worst trial.
+    Requires an explicit nonnegative ``seed``.  The witness is the step
+    eps c M of the first worst trial.
     """
     u = _require_propagator(u, subspace.dims, tols)
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise InputError(f"need at least one trial, got {trials}")
     if subspace.kernel_dim == 0:
         return _report([], tols.consistency, pairs_tested=0)
 
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     evolved = subspace.evolved_marginals(u)
     n = len(subspace.members)

@@ -4,12 +4,20 @@
 class RdlError(Exception):
     """Base class for every error raised by this package.
 
-    Errors that are not an :class:`InputError` are numerical failures.
+    Each class carries the command line's exit status for it and the words
+    its stderr line starts with.  Errors that are not an :class:`InputError`
+    are numerical failures.
     """
 
+    exit_code = 2
+    kind = "numerical failure"
 
-class InputError(RdlError):
+
+class InputError(RdlError, ValueError):
     """The caller's input is at fault: shapes, states, propagators, files or flags."""
+
+    exit_code = 1
+    kind = "input error"
 
 
 class DimensionError(InputError):

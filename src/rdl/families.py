@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionError, EmptyFamilyError, NotAStateError
+from .errors import DimensionError, EmptyFamilyError, InputError, NotAStateError
 from .operators import (
     PAULIS,
     BipartiteDims,
@@ -50,7 +50,7 @@ class TwoQubitParams:
         for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             worst = float(np.max(np.abs(arr)))
             if worst > 1.0 + _RANGE_SLACK:
-                raise ValueError(f"{name} entries must lie in [-1, 1], worst is {worst:.6g}")
+                raise InputError(f"{name} entries must lie in [-1, 1], worst is {worst:.6g}")
         object.__setattr__(self, "alpha", frozen(alpha))
         object.__setattr__(self, "beta", frozen(beta))
         object.__setattr__(self, "gamma", frozen(gamma))
@@ -154,7 +154,8 @@ def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     for lo in range(0, n, block):
         part = stack[lo : lo + block]
         diff = np.conjugate(part.swapaxes(1, 2), out=scratch[: len(part)])
-        herm_dev = np.abs(np.subtract(part, diff, out=diff)).max(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # an infinite diagonal gives inf - inf = NaN
+            herm_dev = np.abs(np.subtract(part, diff, out=diff)).max(axis=(1, 2))
         non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
         trace_dev = np.abs(np.trace(part, axis1=1, axis2=2) - 1.0)
         bad[lo : lo + len(part)] = non_hermitian | ~(trace_dev <= tol.trace)
@@ -255,7 +256,7 @@ def constrained_two_qubit_family(
         raise DimensionError(f"b11 and b21 must be 3-vectors, got {b11.shape}, {b21.shape}")
     for name, value in (("a11", a11), ("a21", a21), ("b11", b11), ("b21", b21)):
         if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise InputError(f"{name} must be finite, got {value}")
     members = []
     rejected = []
     for idx, p in enumerate(samples):
@@ -311,18 +312,13 @@ def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_two_qubit_params(rng: np.random.Generator) -> TwoQubitParams:
-    """Coefficients of a random valid two-qubit state."""
-    return extract_two_qubit_params(random_density_matrix(4, rng))
-
-
 def sample_two_qubit_params(rng: np.random.Generator, scale: float = 1.0) -> TwoQubitParams:
     """Uniform draw of all fifteen coefficients from [-scale, scale].
 
     No positivity guarantee; downstream assembly rejects bad draws.
     """
     if not 0 < scale <= 1.0:
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
+        raise InputError(f"scale must lie in (0, 1], got {scale}")
     return TwoQubitParams(
         alpha=rng.uniform(-scale, scale, size=3),
         beta=rng.uniform(-scale, scale, size=3),

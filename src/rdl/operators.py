@@ -58,11 +58,6 @@ def max_norm(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.trace(a.conj().T @ b))
-
-
 def _require_square(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -72,7 +67,8 @@ def _require_square(x: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def require_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm, what: str = "matrix") -> np.ndarray:
     x = _require_square(x, what)
-    dev = max_norm(x - x.conj().T)
+    with np.errstate(invalid="ignore"):  # an infinite diagonal gives inf - inf = NaN
+        dev = max_norm(x - x.conj().T)
     if not dev <= tol:  # written so that a NaN deviation fails too
         raise HermiticityError(f"{what} is not Hermitian: max |X - X^dag| = {dev:.3e} > {tol:.3e}")
     return x
@@ -176,15 +172,6 @@ def _evolved_marginal(u: np.ndarray, x: np.ndarray, dims: BipartiteDims) -> np.n
     d_s, d_j = dims.d_s, dims.joint
     y = x.reshape(-1, d_j * d_j) @ _reduced_propagator(u, dims).T
     return y.reshape(x.shape[:-2] + (d_s, d_s))
-
-
-def adjoint_action(u: np.ndarray, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Conjugation U X U^dag, with ``u`` validated as unitary."""
-    u = require_unitary(u, tol.unitary, "propagator")
-    x = _require_square(x, "operator")
-    if x.shape != u.shape:
-        raise DimensionError(f"operator shape {x.shape} does not match propagator {u.shape}")
-    return u @ x @ u.conj().T
 
 
 @functools.lru_cache(maxsize=None)

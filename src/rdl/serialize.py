@@ -1,8 +1,8 @@
 """JSON wire formats.
 
 Complex matrices travel as {"rows": n, "cols": n, "data": [[re, im], ...]}
-with entries flattened in row-major order.  Malformed input raises ValueError
-with enough context to locate the problem.
+with entries flattened in row-major order.  Malformed input raises an
+InputError with enough context to locate the problem.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
+from .errors import InputError
 from .families import StateFamily
 from .operators import BipartiteDims
 from .pipeline import Analysis
@@ -28,7 +29,7 @@ SCHEMA_ID = "rdl/2"
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
-        raise ValueError(f"can only serialize 2-d arrays, got ndim {a.ndim}")
+        raise InputError(f"can only serialize 2-d arrays, got ndim {a.ndim}")
     rows, cols = a.shape
     return {
         "rows": int(rows),
@@ -39,16 +40,16 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what}: expected an object, got {type(obj).__name__}")
+        raise InputError(f"{what}: expected an object, got {type(obj).__name__}")
     for key in ("rows", "cols", "data"):
         if key not in obj:
-            raise ValueError(f"{what}: missing key {key!r}")
+            raise InputError(f"{what}: missing key {key!r}")
     rows, cols = obj["rows"], obj["cols"]
     if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
-        raise ValueError(f"{what}: rows/cols must be positive integers")
+        raise InputError(f"{what}: rows/cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise ValueError(
+        raise InputError(
             f"{what}: data must hold rows*cols = {rows * cols} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
@@ -63,11 +64,11 @@ def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
             or len(entry) != 2
             or not all(isinstance(v, float) or _is_int(v) for v in entry)
         ):
-            raise ValueError(f"{what}: entry {idx} must be a [re, im] pair, got {entry!r}")
+            raise InputError(f"{what}: entry {idx} must be a [re, im] pair, got {entry!r}")
         try:
             out[idx] = complex(entry[0], entry[1])
         except OverflowError:
-            raise ValueError(f"{what}: entry {idx} has a part too large for a float") from None
+            raise InputError(f"{what}: entry {idx} has a part too large for a float") from None
     return out.reshape(rows, cols)
 
 
@@ -106,18 +107,18 @@ def family_to_json(family: StateFamily) -> dict:
 
 def family_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> StateFamily:
     if not isinstance(obj, dict):
-        raise ValueError(f"family: expected an object, got {type(obj).__name__}")
+        raise InputError(f"family: expected an object, got {type(obj).__name__}")
     for key in ("d_s", "d_e", "members"):
         if key not in obj:
-            raise ValueError(f"family: missing key {key!r}")
+            raise InputError(f"family: missing key {key!r}")
     if not isinstance(obj["members"], list):
-        raise ValueError("family: members must be a list")
+        raise InputError("family: members must be a list")
     members = [
         matrix_from_json(m, what=f"family member {i}") for i, m in enumerate(obj["members"])
     ]
     label = obj.get("label", "")
     if not isinstance(label, str):
-        raise ValueError("family: label must be a string")
+        raise InputError("family: label must be a string")
     dims = BipartiteDims(d_s=obj["d_s"], d_e=obj["d_e"])
     return StateFamily(dims=dims, members=tuple(members), label=label, tol=tol)
 

@@ -39,9 +39,9 @@ class ModelParams:
 
     def __post_init__(self):
         if not 0 < self.omega < np.inf:
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+            raise InputError(f"omega must be finite and positive, got {self.omega}")
         if not 0 <= self.t < np.inf:
-            raise ValueError(f"t must be finite and nonnegative, got {self.t}")
+            raise InputError(f"t must be finite and nonnegative, got {self.t}")
 
     @property
     def angle(self) -> float:
@@ -65,14 +65,6 @@ def swap_unitary(d: int) -> np.ndarray:
         for j in range(d):
             u[j * d + i, i * d + j] = 1.0
     return u
-
-
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """(tr(s1 rho), tr(s2 rho), tr(s3 rho)) of a qubit operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise DimensionError(f"expected a 2x2 matrix, got {rho.shape}")
-    return np.array([np.trace(p @ rho).real for p in PAULIS])
 
 
 def analytic_bloch_step(alpha, gamma11: float, gamma21: float, angle: float) -> np.ndarray:

@@ -50,6 +50,12 @@ def conjugate_loops(u, x):
     return out
 
 
+def bloch_by_entries(rho):
+    """(tr(s_x rho), tr(s_y rho), tr(s_z rho)) of a Hermitian 2x2 matrix, read off its entries."""
+    rho = np.asarray(rho)
+    return np.array([2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
 def pairwise_by_loops(members, u, dims, tols):
     """The pairwise check over every pair i < j in turn, each state evolved by index loops.
 

@@ -13,7 +13,14 @@ import numpy as np
 
 import rdl
 from rdl.cli import main as cli_main
-from oracles import conjugate_loops, kron_loops, ptrace_env_loops, random_unitary
+from rdl.operators import _evolved_marginal
+from oracles import (
+    bloch_by_entries,
+    conjugate_loops,
+    kron_loops,
+    ptrace_env_loops,
+    random_unitary,
+)
 from test_two_qubit import law_error, law_family
 
 PLANTED = dict(
@@ -42,11 +49,11 @@ def test_criterion_1_analytic_step_matches_exact_dynamics():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(100):
-        p = rdl.random_two_qubit_params(rng)
+        p = rdl.extract_two_qubit_params(rdl.random_density_matrix(4, rng))
         angle = rng.uniform(0.05, 6.2)
         u = rdl.model_unitary(rdl.ModelParams(omega=angle, t=1.0))
         rho = rdl.assemble_two_qubit(p)
-        exact = rdl.bloch_vector(rdl.partial_trace_env(rdl.adjoint_action(u, rho), DIMS22))
+        exact = bloch_by_entries(rdl.partial_trace_env(u @ rho @ u.conj().T, DIMS22))
         step = rdl.analytic_bloch_step(p.alpha, p.gamma[0, 0], p.gamma[1, 0], angle)
         worst = max(worst, float(np.abs(step - exact).max()))
     elapsed = time.perf_counter() - t0
@@ -71,7 +78,7 @@ def test_criterion_2_constrained_family_is_consistent_and_predictive():
     worst = 0.0
     for sigma in heldout.members[:50]:
         marg = rdl.partial_trace_env(sigma, DIMS22)
-        direct = rdl.partial_trace_env(rdl.adjoint_action(u, sigma), DIMS22)
+        direct = rdl.partial_trace_env(u @ sigma @ u.conj().T, DIMS22)
         worst = max(worst, rdl.max_norm(sop.apply(marg) - direct))
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -90,7 +97,7 @@ def test_criterion_3_full_family_fails_with_witness_and_growing_distance():
     sub = rdl.build_subspace(fam)
     rep = rdl.check_subspace_consistency(sub, u)
     w = rep.witness
-    recomputed = rdl.max_norm(rdl.partial_trace_env(rdl.adjoint_action(u, w), fam.dims))
+    recomputed = rdl.max_norm(rdl.partial_trace_env(u @ w @ u.conj().T, fam.dims))
     witness_gap = abs(recomputed - rep.max_violation)
 
     # equal marginals going in, distance 0.4 coming out
@@ -100,8 +107,8 @@ def test_criterion_3_full_family_fails_with_witness_and_growing_distance():
         rdl.partial_trace_env(sigma_a, DIMS22), rdl.partial_trace_env(sigma_b, DIMS22)
     )
     after = rdl.trace_distance(
-        rdl.partial_trace_env(rdl.adjoint_action(u, sigma_a), DIMS22),
-        rdl.partial_trace_env(rdl.adjoint_action(u, sigma_b), DIMS22),
+        rdl.partial_trace_env(u @ sigma_a @ u.conj().T, DIMS22),
+        rdl.partial_trace_env(u @ sigma_b @ u.conj().T, DIMS22),
     )
     elapsed = time.perf_counter() - t0
     ok = (
@@ -242,7 +249,7 @@ def test_criterion_7_swap_model_is_constant_and_completely_positive():
 
 
 def test_criterion_8_primitives_match_loop_oracles():
-    """Tensor, partial trace, and conjugation agree with index-loop references."""
+    """Tensor, partial trace, and the evolved marginal agree with index-loop references."""
     rng = np.random.default_rng(88)
     worst = 0.0
     for k in range(50):
@@ -258,7 +265,8 @@ def test_criterion_8_primitives_match_loop_oracles():
             worst, rdl.max_norm(rdl.partial_trace_env(x, dims) - ptrace_env_loops(x, d_s, d_e))
         )
         u = random_unitary(n, rng)
-        worst = max(worst, rdl.max_norm(rdl.adjoint_action(u, x) - conjugate_loops(u, x)))
+        evolved = ptrace_env_loops(conjugate_loops(u, x), d_s, d_e)
+        worst = max(worst, rdl.max_norm(_evolved_marginal(u, x, dims) - evolved))
     _criterion(8, worst <= 1e-12, f"worst oracle deviation {worst:.3e} over 50 instances")
 
 

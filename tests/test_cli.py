@@ -179,6 +179,48 @@ def test_missing_family_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_non_utf8_family_file_names_its_path(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "analyze", "--family", str(path), "--model", "swap")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"input error: cannot read {path}: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "analyze", "--family", str(path), "--model", "swap")
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {path}: JSON nested too deeply\n"
+
+
+def test_out_flag_naming_a_directory_is_input_error(capsys, tmp_path, full_family_file):
+    code, out, err = run(
+        capsys, "analyze", "--family", full_family_file, "--model", "swap", "--out", str(tmp_path)
+    )
+    assert code == 1
+    assert json.loads(out)["command"] == "analyze"  # stdout is written first
+    assert err == f"input error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_infinite_diagonal_entry_is_one_input_error_line(capsys, tmp_path):
+    """inf - inf on the diagonal is NaN, refused as non-Hermitian without a RuntimeWarning."""
+    obj = family_to_json(rdl.full_two_qubit_family())
+    obj["members"][1]["data"][0][0] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", "--family", str(path), "--model", "swap")
+    assert code == 1
+    assert out == ""
+    assert err == "input error: member 1 is not Hermitian: max |X - X^dag| = nan > 1.000e-09\n"
+
+
 def test_malformed_json_reports_location(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d_s": 2,\n  "oops"')
@@ -237,6 +279,19 @@ def test_two_qubit_generation_requires_seed(capsys):
     assert "--seed" in err or "seed" in err
 
 
+@pytest.mark.parametrize("hull", [False, True])
+def test_negative_seed_is_input_error(capsys, full_family_file, hull):
+    """Both sampling paths refuse a negative seed: the member draws and the hull."""
+    if hull:
+        argv = ["analyze", "--family", full_family_file, "--model", "swap", "--hull"]
+    else:
+        argv = ["two-qubit"]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "input error: seed must be nonnegative, got -1\n"
+
+
 def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
     rho = np.diag([0.6, 0.4]).astype(complex)
     omega = np.eye(2, dtype=complex) / 2
@@ -272,38 +327,49 @@ def test_two_qubit_model_and_law_must_be_finite(capsys, flags):
     assert err.startswith(f"input error: {flags[0].removeprefix('--')} must be finite")
 
 
-# Exit code and stderr prefix for every exported error class, as the README's table says.
-EXIT_TABLE = [
-    (rdl.DimensionError, 1),
-    (rdl.UnitarityError, 1),
-    (rdl.HermiticityError, 1),
-    (rdl.NotAStateError, 1),
-    (rdl.EmptyFamilyError, 1),
-    (rdl.NotInSpanError, 1),
-    (rdl.InputError, 1),
-    (ValueError, 1),
-    (OSError, 1),
-    (rdl.RdlError, 2),
-]
+# Every exception class the package exports.
+EXPORTED_ERRORS = sorted(
+    (
+        obj
+        for obj in map(vars(rdl).get, rdl.__all__)
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    ),
+    key=lambda e: e.__name__,
+)
 
 
-@pytest.mark.parametrize("error, expected", EXIT_TABLE, ids=[e.__name__ for e, _ in EXIT_TABLE])
-def test_error_class_sets_exit_code(capsys, monkeypatch, full_family_file, error, expected):
-    """The error is planted in the members' evolution, which the kernel test and the hull call."""
+def planted_run(monkeypatch, error, family_file):
+    """argv of a hull run on ``family_file``, with ``error`` planted in the members' evolution.
+
+    The kernel test and the hull both call that evolution.
+    """
 
     def fail(*args):
         raise error("planted failure")
 
     monkeypatch.setattr(rdl.Subspace, "evolved_marginals", fail)
-    code, out, err = run(
-        capsys,
-        "analyze", "--family", full_family_file,
-        "--model", "swap", "--hull", "--seed", "1", "--trials", "3",
-    )
-    prefix = "input error" if expected == 1 else "numerical failure"
-    assert code == expected
+    return [
+        "analyze", "--family", family_file, "--model", "swap", "--hull", "--seed", "1", "--trials", "3"
+    ]
+
+
+@pytest.mark.parametrize("error", EXPORTED_ERRORS, ids=[e.__name__ for e in EXPORTED_ERRORS])
+def test_error_class_sets_exit_code(capsys, monkeypatch, full_family_file, error):
+    code, out, err = run(capsys, *planted_run(monkeypatch, error, full_family_file))
+    prefix = "input error" if error.exit_code == 1 else "numerical failure"
+    assert code == error.exit_code
     assert out == ""
     assert err == f"{prefix}: planted failure\n"
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_foreign_error_propagates_out_of_main(capsys, monkeypatch, full_family_file, error):
+    """A ValueError or OSError that is no RdlError is a fault of the program, not an input error."""
+    argv = planted_run(monkeypatch, error, full_family_file)
+    with pytest.raises(error, match="^planted failure$") as info:
+        main(argv)
+    assert type(info.value) is error
+    assert capsys.readouterr() == ("", "")
 
 
 def test_rank_split_too_close_to_the_tolerance_exits_2(capsys, tmp_path, rank_split_family):
@@ -395,12 +461,11 @@ def test_tolerance_environment_variable_is_ignored(capsys, monkeypatch):
 
 
 def test_exit_table_covers_every_exported_error():
-    """An error class added to or dropped from the package needs its row in EXIT_TABLE."""
-    exported = {
-        obj
-        for obj in map(vars(rdl).get, rdl.__all__)
-        if isinstance(obj, type) and issubclass(obj, Exception)
-    }
-    listed = [error for error, _ in EXIT_TABLE]
-    assert len(listed) == len(set(listed))
-    assert set(listed) == exported | {ValueError, OSError}
+    """Every exported error class carries its exit status: 1 for an input error, 2 otherwise."""
+    assert {rdl.RdlError, rdl.InputError} <= set(EXPORTED_ERRORS)
+    for error in EXPORTED_ERRORS:
+        assert issubclass(error, rdl.RdlError)
+        is_input = issubclass(error, rdl.InputError)
+        assert error.exit_code == (1 if is_input else 2)
+        assert error.kind == ("input error" if is_input else "numerical failure")
+    assert issubclass(rdl.InputError, ValueError)

@@ -50,7 +50,7 @@ def test_full_family_is_inconsistent_at_quarter_period():
     # the witness sits in the traceless kernel and reproduces the violation
     w = rep.witness
     assert rdl.max_norm(rdl.partial_trace_env(w, fam.dims)) < 1e-10
-    evolved = rdl.partial_trace_env(rdl.adjoint_action(u, w), fam.dims)
+    evolved = rdl.partial_trace_env(u @ w @ u.conj().T, fam.dims)
     assert abs(rdl.max_norm(evolved) - rep.max_violation) < 1e-12
 
 
@@ -259,7 +259,7 @@ def test_hull_witness_is_positivity_preserving_perturbation():
     w = rep.witness
     assert w is not None
     assert rdl.max_norm(rdl.partial_trace_env(w, fam.dims)) < 1e-10
-    evolved = rdl.partial_trace_env(rdl.adjoint_action(u, w), fam.dims)
+    evolved = rdl.partial_trace_env(u @ w @ u.conj().T, fam.dims)
     assert abs(rdl.max_norm(evolved) - rep.max_violation) < 1e-12
 
 

@@ -34,7 +34,7 @@ def test_assemble_product_of_z_eigenstates():
 
 def test_extract_inverts_assemble(rng):
     for _ in range(10):
-        p = rdl.random_two_qubit_params(rng)
+        p = rdl.extract_two_qubit_params(rdl.random_density_matrix(4, rng))
         q = rdl.extract_two_qubit_params(rdl.assemble_two_qubit(p))
         assert np.abs(q.alpha - p.alpha).max() < 1e-12
         assert np.abs(q.beta - p.beta).max() < 1e-12
@@ -103,6 +103,9 @@ def test_state_family_validation():
         rdl.StateFamily(dims=dims, members=(np.eye(4),))
     with pytest.raises((HermiticityError, NotAStateError)):
         rdl.StateFamily(dims=dims, members=(np.diag([np.nan, 0.5, 0.25, 0.25]),))
+    # An infinite diagonal entry gives inf - inf = NaN, without a RuntimeWarning
+    with pytest.raises(HermiticityError, match="^member 1 is not Hermitian: .* = nan"):
+        rdl.StateFamily(dims=dims, members=(np.eye(4) / 4, np.diag([np.inf, 0.5, 0.25, 0.25])))
     fam = rdl.StateFamily(dims=dims, members=(np.eye(4) / 4,), label="one")
     assert len(fam) == 1
     assert np.abs(fam.reduced()[0] - np.eye(2) / 2).max() < 1e-15

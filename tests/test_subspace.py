@@ -43,7 +43,7 @@ def test_span_basis_is_hermitian_orthonormal():
     sub = rdl.build_subspace(rdl.full_two_qubit_family())
     for e in sub.span_basis:
         assert np.abs(e - e.conj().T).max() < 1e-12
-    gram = np.array([[rdl.hs_inner(a, b) for b in sub.span_basis] for a in sub.span_basis])
+    gram = np.array([[np.vdot(a, b) for b in sub.span_basis] for a in sub.span_basis])
     assert np.abs(gram - np.eye(sub.span_dim)).max() < 1e-12
 
 
@@ -53,7 +53,7 @@ def test_kernel_elements_have_vanishing_marginal():
     for y in sub.kernel_basis:
         assert np.abs(y - y.conj().T).max() < 1e-12
         assert rdl.max_norm(rdl.partial_trace_env(y, fam.dims)) < 1e-10
-    gram = np.array([[rdl.hs_inner(a, b) for b in sub.kernel_basis] for a in sub.kernel_basis])
+    gram = np.array([[np.vdot(a, b) for b in sub.kernel_basis] for a in sub.kernel_basis])
     assert np.abs(gram - np.eye(sub.kernel_dim)).max() < 1e-10
 
 
@@ -67,7 +67,7 @@ def test_members_decompose_into_lift_plus_kernel(rng):
         gap = m - lam.apply(rdl.partial_trace_env(m, fam.dims))
         assert rdl.max_norm(rdl.partial_trace_env(gap, fam.dims)) < 1e-9
         # the gap stays inside the span
-        coords = np.array([rdl.hs_inner(e, gap) for e in sub.span_basis])
+        coords = np.array([np.vdot(e, gap) for e in sub.span_basis])
         recon = sum(c * e for c, e in zip(coords, sub.span_basis))
         assert rdl.max_norm(gap - recon) < 1e-9
 
@@ -153,13 +153,13 @@ def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_join
 
     assert sub.kernel_dim == sub.span_dim - sub.reduced_dim
     assert np.abs(kernel - kernel.conj().transpose(0, 2, 1)).max(initial=0.0) <= 1e-12
-    gram = np.array([[rdl.hs_inner(a, b) for b in kernel] for a in kernel]).reshape(
+    gram = np.array([[np.vdot(a, b) for b in kernel] for a in kernel]).reshape(
         sub.kernel_dim, sub.kernel_dim
     )
     assert np.abs(gram - np.eye(sub.kernel_dim)).max(initial=0.0) <= 1e-12
     assert np.abs(rdl.partial_trace_env(kernel, dims)).max(initial=0.0) <= 1e-12
     for y in kernel:
-        recon = sum(rdl.hs_inner(e, y) * e for e in sub.span_basis)
+        recon = sum(np.vdot(e, y) * e for e in sub.span_basis)
         assert rdl.max_norm(y - recon) <= 1e-12
 
 

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 import rdl
 
-from oracles import pauli_coefficients_by_kron
+from oracles import bloch_by_entries, pauli_coefficients_by_kron
 from test_consistency import constrained_family
 
 
@@ -54,7 +54,7 @@ def test_bloch_vector_of_pauli_eigenstates():
     expected = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     for s, e in zip(states, expected):
         rdl.require_density(s)
-        assert np.abs(rdl.bloch_vector(s) - np.array(e)).max() < 1e-12
+        assert np.abs(bloch_by_entries(s) - np.array(e)).max() < 1e-12
 
 
 def test_analytic_step_matches_exact_dynamics(rng):
@@ -65,15 +65,15 @@ def test_analytic_step_matches_exact_dynamics(rng):
         else:
             u = rdl.model_unitary(rdl.ModelParams(omega=angle, t=1.0))
         for _ in range(5):
-            p = rdl.random_two_qubit_params(rng)
+            p = rdl.extract_two_qubit_params(rdl.random_density_matrix(4, rng))
             rho = rdl.assemble_two_qubit(p)
-            out = rdl.partial_trace_env(rdl.adjoint_action(u, rho), dims)
+            out = rdl.partial_trace_env(u @ rho @ u.conj().T, dims)
             got = rdl.analytic_bloch_step(p.alpha, p.gamma[0, 0], p.gamma[1, 0], angle)
-            assert np.abs(got - rdl.bloch_vector(out)).max() < 1e-11
+            assert np.abs(got - bloch_by_entries(out)).max() < 1e-11
 
 
 def test_analytic_step_leaves_z_component_alone(rng):
-    p = rdl.random_two_qubit_params(rng)
+    p = rdl.extract_two_qubit_params(rdl.random_density_matrix(4, rng))
     out = rdl.analytic_bloch_step(p.alpha, p.gamma[0, 0], p.gamma[1, 0], 1.7)
     assert out[2] == pytest.approx(p.alpha[2])
 
