@@ -8,7 +8,6 @@ that map, its signed operator-sum form, and the complete-positivity verdict.
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import (
     ConsistencyReport,
-    check_hull_consistency,
     check_pairwise_consistency,
     check_subspace_consistency,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "build_assignment",
     "build_dynamical_map",
     "build_subspace",
-    "check_hull_consistency",
     "check_pairwise_consistency",
     "check_subspace_consistency",
     "constrained_two_qubit_family",

@@ -3,9 +3,9 @@
 The reduced dynamics of a family is linear exactly when the span of the
 family passes the kernel test below: every spanned operator with vanishing
 environment partial trace must still have vanishing partial trace after
-conjugation by the propagator.  The pairwise and hull checks probe the same
-condition through finitely many state pairs: member pairs, and sampled pairs
-of the members' convex hull.
+conjugation by the propagator.  The pairwise check probes the same condition
+through the member pairs that share a marginal.  The kernel test's
+violations also bound every equal-marginal pair of the members' convex hull.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import InputError
 from .families import StateFamily
 from .operators import (
     _evolved_marginal,
@@ -27,7 +26,7 @@ from .operators import (
 from .subspace import Subspace
 
 _MARGINAL_FACTOR = 10.0  # violations in (tol, 10 tol] are flagged as marginal
-_BLOCK_ENTRIES = 2**16  # caps hull trials x members and candidate pairs x d_s^2 per block
+_BLOCK_ENTRIES = 2**16  # caps candidate pairs x d_s^2 per block of the pairwise check
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +86,34 @@ def check_subspace_consistency(
     marginal vanishes.  Its max-norm as a matrix is reported against
     ``tols.consistency``; the first worst g_i is the witness.
     """
+    return _kernel_test(subspace, u, tols)[0]
+
+
+def _kernel_test(
+    subspace: Subspace, u: np.ndarray, tols: ToleranceConfig, hull: bool = False
+) -> tuple[ConsistencyReport, ConsistencyReport | None]:
+    """:func:`check_subspace_consistency`, and with ``hull`` the bound it puts on the hull.
+
+    Convex weights a and b with equal marginals have (b - a) R = 0, so
+    (b - a) M = sum_i (b - a)_i g_i, and its evolved marginal has max-norm at
+    most |b - a|_1 r <= 2 r, r the kernel test's violation.  The hull report
+    judges 2 r against ``tols.consistency`` with the witness 2 g_k, k the
+    first worst member; it samples no pairs.  Both reports read one E.
+    """
     u = _require_propagator(u, subspace.dims, tols)
     d_s = subspace.dims.d_s
     members, marginals, fit = subspace.members, subspace.marginals, subspace.fit
     evolved = subspace.evolved_marginals(u)
     error = from_basis_coords(evolved - marginals @ (fit @ evolved), d_s)
     viol = np.abs(error).max(axis=(1, 2))
-    return _report(
-        viol,
-        tols.consistency,
-        lambda k: members[k] - np.tensordot(marginals[k] @ fit, members, axes=1),
-    )
+
+    def residual(k):
+        return members[k] - np.tensordot(marginals[k] @ fit, members, axes=1)
+
+    report = _report(viol, tols.consistency, residual)
+    if not hull:
+        return report, None
+    return report, _report(2 * viol, tols.consistency, lambda k: 2 * residual(k))
 
 
 def check_pairwise_consistency(
@@ -152,69 +168,4 @@ def check_pairwise_consistency(
         tols.consistency,
         lambda k: members[first[k]] - members[second[k]],
         len(first),
-    )
-
-
-def check_hull_consistency(
-    subspace: Subspace,
-    u: np.ndarray,
-    seed: int,
-    trials: int = 100,
-    tols: ToleranceConfig = DEFAULT_TOL,
-) -> ConsistencyReport:
-    """Sampled equal-marginal state pairs of the members' convex hull.
-
-    Each trial draws convex weights a and a direction c = z (I - R P), R the
-    members' marginals and P the subspace's fit, so that c R = 0.  The
-    states a M and b M, M the members and b = a + eps c with eps the
-    largest step keeping b nonnegative, lie in the hull with equal
-    marginals; their evolved marginals differ by eps c E, E the members'
-    evolved marginals, read from ``subspace``.  The members are states, so
-    the coefficients sum to sqrt(d_s) (c R)_0 = 0, some c_i is negative,
-    and eps is finite.  Trials are drawn one after another from
-    one generator and evaluated as stacks, in blocks of
-    ``max(1, 2**16 // n)`` trials for n members.
-
-    The step eps c M is a combination of the kernel test's member
-    residuals with coefficients of total weight |b - a|_1 <= 2, so the
-    violation is at most twice that of :func:`check_subspace_consistency`.
-    Any equal-marginal pair differs by a kernel element, so in exact
-    arithmetic the two verdicts agree; near the tolerance they can differ.
-
-    Requires an explicit nonnegative ``seed``.  The witness is the step
-    eps c M of the first worst trial.
-    """
-    u = _require_propagator(u, subspace.dims, tols)
-    if trials < 1:
-        raise InputError(f"need at least one trial, got {trials}")
-    if subspace.kernel_dim == 0:
-        return _report([], tols.consistency, pairs_tested=0)
-
-    if seed < 0:
-        raise InputError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(seed)
-    evolved = subspace.evolved_marginals(u)
-    n = len(subspace.members)
-    block = max(1, _BLOCK_ENTRIES // n)
-    violations, worst_step = np.zeros(0), None
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        weights, z = np.empty((size, n)), np.empty((size, n))
-        for t in range(size):  # the draws keep their trial-by-trial order
-            weights[t] = rng.exponential(size=n)
-            z[t] = rng.normal(size=n)
-        weights /= weights.sum(axis=1, keepdims=True)
-        coeffs = z - (z @ subspace.marginals) @ subspace.fit
-        steps = coeffs / (-coeffs / weights).max(axis=1, keepdims=True)
-        diff = from_basis_coords(steps @ evolved, subspace.dims.d_s)
-        first = len(violations)
-        violations = np.concatenate([violations, np.abs(diff).max(axis=(1, 2))])
-        # Keep only the step of the first worst trial so far: the one _report asks for.
-        if (worst := int(np.argmax(violations))) >= first:
-            worst_step = steps[worst - first]
-    return _report(
-        violations,
-        tols.consistency,
-        lambda k: np.tensordot(worst_step, subspace.members, axes=1),
-        trials,
     )

@@ -80,16 +80,14 @@ class Superoperator:
     """Matrix form of the dynamical map on Hermitian-basis coordinates.
 
     The map is fixed only on the reduced span and sends its orthogonal
-    complement to zero.  ``domain_projector`` projects coordinate vectors
-    onto the reduced span.  ``consistency_certified`` is True only
-    when the caller supplied a passing consistency report at build time.
+    complement to zero.  ``consistency_certified`` is True only when the
+    caller supplied a passing consistency report at build time.
     """
 
     d_s: int
     matrix: np.ndarray  # (d_s^2, d_s^2) complex
     choi: np.ndarray  # (d_s^2, d_s^2) complex
     consistency_certified: bool
-    domain_projector: np.ndarray  # (d_s^2, d_s^2) real symmetric
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Image of a d_s x d_s operator, or of each operator in a stack (..., d_s, d_s)."""
@@ -134,7 +132,6 @@ def build_dynamical_map(
         matrix=frozen(matrix),
         choi=frozen(_choi_from_matrix(matrix, d_s)),
         consistency_certified=bool(consistency is not None and consistency.consistent),
-        domain_projector=frozen(sub.domain.T @ sub.domain),
     )
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import ConsistencyReport, check_hull_consistency, check_subspace_consistency
+from .consistency import ConsistencyReport, _kernel_test
 from .families import StateFamily
 from .maps import (
     MapVerdicts,
@@ -25,7 +25,7 @@ from .subspace import Subspace, build_subspace
 class Analysis:
     """Everything one pass of the pipeline produces for a family and a propagator.
 
-    ``hull`` is None unless the sampled hull check was asked for.  The map is
+    ``hull`` is None unless the hull bound was asked for.  The map is
     built whatever the verdict; ``superoperator.consistency_certified`` says
     whether the kernel test passed.
     """
@@ -40,7 +40,7 @@ class Analysis:
 
     @property
     def consistent(self) -> bool:
-        """The kernel test passed, and so did the hull check if it ran."""
+        """The kernel test passed, and so did the hull bound if it was asked for."""
         return bool(self.consistency.consistent and (self.hull is None or self.hull.consistent))
 
 
@@ -49,26 +49,22 @@ def analyze(
     u: np.ndarray,
     tols: ToleranceConfig = DEFAULT_TOL,
     *,
-    hull_seed: int | None = None,
-    hull_trials: int = 100,
+    hull: bool = False,
 ) -> Analysis:
     """Run the whole decision for ``family`` under the propagator ``u``.
 
-    The Subspace is built once.  With ``hull_seed`` set,
-    :func:`check_hull_consistency` also samples ``hull_trials`` equal-marginal
-    state pairs of it from that seed.
+    The Subspace is built once.  With ``hull``, the Analysis also carries the
+    bound, twice the kernel test's violation, on every equal-marginal pair of
+    the members' convex hull, read off the same evolved marginals.
     """
     sub = build_subspace(family, tols.rank)
-    report = check_subspace_consistency(sub, u, tols)
-    hull = None
-    if hull_seed is not None:
-        hull = check_hull_consistency(sub, u, hull_seed, hull_trials, tols)
+    report, hull_report = _kernel_test(sub, u, tols, hull)
     superop = build_dynamical_map(build_assignment(sub), u, consistency=report, tols=tols)
     return Analysis(
         family=family,
         subspace=sub,
         consistency=report,
-        hull=hull,
+        hull=hull_report,
         superoperator=superop,
         kraus=decompose_signed_kraus(superop, tols.herm),
         verdicts=verdicts(superop, tols.psd),

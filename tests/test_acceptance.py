@@ -17,6 +17,7 @@ from rdl.operators import _evolved_marginal
 from oracles import (
     bloch_by_entries,
     conjugate_loops,
+    hull_by_trials,
     kron_loops,
     ptrace_env_loops,
     random_unitary,
@@ -129,7 +130,11 @@ def test_criterion_3_full_family_fails_with_witness_and_growing_distance():
 
 
 def test_criterion_4_hull_sampling_agrees_with_kernel_test():
-    """20 instances, half linear, half not: sampled check matches the kernel check."""
+    """20 instances, half linear, half not: the hull bound matches the kernel check.
+
+    The bound is twice the kernel violation, and no equal-marginal hull pair
+    that the sampling oracle draws exceeds it.
+    """
     t0 = time.perf_counter()
     instances = []
     for k in range(10):
@@ -154,18 +159,22 @@ def test_criterion_4_hull_sampling_agrees_with_kernel_test():
         )
         instances.append((fam, swap, False))
 
-    mismatches = []
+    mismatches, worst = [], 0.0
     for k, (fam, u, expect) in enumerate(instances):
-        sub = rdl.build_subspace(fam)
-        kernel = rdl.check_subspace_consistency(sub, u)
-        hull = rdl.check_hull_consistency(sub, u, seed=1000 + k, trials=100)
+        a = rdl.analyze(fam, u, hull=True)
+        kernel, hull = a.consistency, a.hull
         if not (kernel.consistent == hull.consistent == expect):
             mismatches.append((k, kernel.consistent, hull.consistent, expect))
+        if hull.max_violation != 2 * kernel.max_violation:
+            mismatches.append((k, "bound", hull.max_violation, kernel.max_violation))
+        sampled, _ = hull_by_trials(fam.members, u, fam.dims, 1000 + k, 100, a.subspace.tol_rank)
+        worst = max(worst, sampled.max() - hull.max_violation)
     elapsed = time.perf_counter() - t0
     _criterion(
         4,
-        not mismatches and elapsed < 10.0,
-        f"20 instances, mismatches {mismatches}, {elapsed:.2f}s",
+        not mismatches and worst <= 1e-12 and elapsed < 10.0,
+        f"20 instances, mismatches {mismatches}, sampled pairs exceed the bound by "
+        f"at most {worst:.1e}, {elapsed:.2f}s",
     )
 
 
@@ -279,7 +288,7 @@ def test_criterion_9_cli_reports_are_reproducible(tmp_path):
     argv = [
         "analyze", "--family", str(fpath),
         "--model", "two-qubit", "--omega", "1.1", "--t", "1.0",
-        "--hull", "--seed", "42", "--trials", "50",
+        "--hull",
     ]
     outputs = []
     for _ in range(2):

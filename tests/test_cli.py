@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, report shape, determinism."""
 
+import ast
 import json
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -85,12 +87,14 @@ def test_analyze_hull_and_dump(capsys, full_family_file):
         capsys,
         "analyze", "--family", full_family_file,
         "--model", "two-qubit", "--omega", "0.9", "--t", "1.0",
-        "--hull", "--seed", "5", "--trials", "10", "--dump-subspace",
+        "--hull", "--dump-subspace",
     )
     assert code == 3
     rep = json.loads(out)
     jsonschema.validate(rep, load_report_schema())
-    assert rep["hull_consistency"]["pairs_tested"] == 10
+    hull = rep["hull_consistency"]
+    assert hull["pairs_tested"] is None
+    assert hull["max_violation"] == 2 * rep["consistency"]["max_violation"]
     assert len(rep["subspace"]["detail"]["kernel_basis"]) == 12
 
 
@@ -117,7 +121,7 @@ def test_swap_demo_defaults(capsys):
 
 
 def test_hull_run_builds_the_subspace_once(capsys, monkeypatch):
-    """The hull check reads the pipeline's Subspace instead of building its own."""
+    """The hull bound reads the pipeline's Subspace instead of building its own."""
     build = rdl.pipeline.build_subspace
     calls = []
 
@@ -132,15 +136,40 @@ def test_hull_run_builds_the_subspace_once(capsys, monkeypatch):
         "--hull", "--seed", "7", "--trials", "20",
     )
     assert code == 0
-    assert json.loads(out)["hull_consistency"]["pairs_tested"] == 20
+    assert json.loads(out)["hull_consistency"]["pairs_tested"] is None
     assert len(calls) == 1
+
+
+def benchmark_flagship() -> tuple[str, ...]:
+    """``CliCaseStudy.flagship`` of ``perfbench/workloads.py``, read without importing it."""
+    source = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ClassDef) and node.name == "CliCaseStudy":
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "flagship":
+                    return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/workloads.py defines no CliCaseStudy.flagship")
+
+
+def test_benchmark_flagship_command_line_still_passes(capsys):
+    """The benchmark's flagship runs with ``--trials K --seed k`` appended and must pass its check.
+
+    The workload requires exit 0, a consistent ``hull_consistency`` and a map
+    that is not completely positive; a change to the command line that breaks
+    any of them fails here first.
+    """
+    code, out, _ = run(capsys, *benchmark_flagship(), "--trials", "20", "--seed", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["consistent"] is True
+    assert rep["hull_consistency"] is not None and rep["hull_consistency"]["consistent"]
+    assert rep["verdicts"]["completely_positive"] is False
 
 
 def test_reports_are_byte_deterministic(capsys, full_family_file):
     args = (
         "analyze", "--family", full_family_file,
-        "--model", "two-qubit", "--omega", "1.1", "--t", "1.0",
-        "--hull", "--seed", "42", "--trials", "20",
+        "--model", "two-qubit", "--omega", "1.1", "--t", "1.0", "--hull",
     )
     _, out1, err1 = run(capsys, *args)
     _, out2, err2 = run(capsys, *args)
@@ -226,7 +255,18 @@ def test_malformed_json_reports_location(capsys, tmp_path):
     bad.write_text('{"d_s": 2,\n  "oops"')
     code, _, err = run(capsys, "analyze", "--family", str(bad), "--model", "swap")
     assert code == 1
-    assert "line 2" in err
+    assert err == f"input error: {bad}: malformed JSON at line 2, column 9: Expecting ':' delimiter\n"
+
+
+def test_malformed_json_names_the_broken_file_of_two(capsys, tmp_path):
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps([matrix_to_json(np.eye(2, dtype=complex) / 2)]))
+    omega = tmp_path / "omega.json"
+    omega.write_text('{"rows": 2,\n "cols"')
+    code, out, err = run(capsys, "swap-demo", "--states", str(states), "--omega-e", str(omega))
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: {omega}: malformed JSON at line 2, column 8: Expecting ':' delimiter\n"
 
 
 def test_invalid_state_in_family(capsys, tmp_path):
@@ -265,31 +305,36 @@ def test_model_two_qubit_needs_omega_and_t(capsys, full_family_file):
     assert "--omega" in err
 
 
-def test_hull_requires_seed(capsys, full_family_file):
-    code, _, err = run(
-        capsys, "analyze", "--family", full_family_file, "--model", "swap", "--hull"
-    )
-    assert code == 1
-    assert "--seed" in err
-
-
 def test_two_qubit_generation_requires_seed(capsys):
     code, _, err = run(capsys, "two-qubit", "--samples", "4")
     assert code == 1
     assert "--seed" in err or "seed" in err
 
 
-@pytest.mark.parametrize("hull", [False, True])
-def test_negative_seed_is_input_error(capsys, full_family_file, hull):
-    """Both sampling paths refuse a negative seed: the member draws and the hull."""
-    if hull:
-        argv = ["analyze", "--family", full_family_file, "--model", "swap", "--hull"]
-    else:
-        argv = ["two-qubit"]
-    code, out, err = run(capsys, *argv, "--seed", "-1")
+def test_negative_seed_is_input_error(capsys):
+    """The member draws, the one path that samples, refuse a negative seed."""
+    code, out, err = run(capsys, "two-qubit", "--seed", "-1")
     assert code == 1
     assert out == ""
     assert err == "input error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "swap-demo"])
+def test_commands_that_draw_nothing_take_no_seed(capsys, full_family_file, command):
+    argv = [command]
+    if command == "analyze":
+        argv += ["--family", full_family_file, "--model", "swap"]
+    code, out, err = run(capsys, *argv, "--hull", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "input error: unrecognized arguments: --seed 1\n"
+
+
+def test_trials_is_accepted_and_ignored(capsys, full_family_file):
+    argv = ["analyze", "--family", full_family_file, "--model", "swap", "--hull"]
+    plain = run(capsys, *argv)
+    assert run(capsys, *argv, "--trials", "1000") == plain
+    assert run(capsys, *argv, "--trials", "0") == plain
 
 
 def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
@@ -341,7 +386,7 @@ EXPORTED_ERRORS = sorted(
 def planted_run(monkeypatch, error, family_file):
     """argv of a hull run on ``family_file``, with ``error`` planted in the members' evolution.
 
-    The kernel test and the hull both call that evolution.
+    The kernel test and the hull bound read that one evolution.
     """
 
     def fail(*args):
@@ -349,7 +394,7 @@ def planted_run(monkeypatch, error, family_file):
 
     monkeypatch.setattr(rdl.Subspace, "evolved_marginals", fail)
     return [
-        "analyze", "--family", family_file, "--model", "swap", "--hull", "--seed", "1", "--trials", "3"
+        "analyze", "--family", family_file, "--model", "swap", "--hull", "--trials", "3"
     ]
 
 

@@ -106,9 +106,7 @@ def test_identity_propagator_is_always_consistent():
 ENTRIES = {
     "kernel": lambda fam, u: rdl.check_subspace_consistency(rdl.build_subspace(fam), u),
     "pairwise": lambda fam, u: rdl.check_pairwise_consistency(fam, u),
-    "hull": lambda fam, u: rdl.check_hull_consistency(
-        rdl.build_subspace(fam), u, seed=0, trials=5
-    ),
+    "hull": lambda fam, u: rdl.analyze(fam, u, hull=True),
     "map": lambda fam, u: rdl.build_dynamical_map(
         rdl.build_assignment(rdl.build_subspace(fam)), u
     ),
@@ -236,45 +234,50 @@ def test_sorted_sweep_matches_loop_oracle(make, block, pairs, rng):
 
 
 def test_hull_agrees_with_kernel_test_and_is_deterministic():
+    """The hull bound is twice the kernel test's violation, bit for bit, and samples nothing."""
     fam = rdl.full_two_qubit_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    rep1 = rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=42, trials=25)
-    rep2 = rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=42, trials=25)
-    assert not rep1.consistent
-    assert rep1.max_violation == rep2.max_violation
-    assert rep1.pairs_tested == rep2.pairs_tested == 25
+    a1, a2 = rdl.analyze(fam, u, hull=True), rdl.analyze(fam, u, hull=True)
+    assert not a1.hull.consistent and not a1.consistent
+    assert a1.hull.max_violation == a2.hull.max_violation == 2 * a1.consistency.max_violation
+    assert a1.hull.pairs_tested is None
 
     good = constrained_family()
     u2 = rdl.model_unitary(rdl.ModelParams(omega=1.3, t=1.0))
-    rep3 = rdl.check_hull_consistency(rdl.build_subspace(good), u2, seed=42, trials=25)
-    assert rep3.consistent
-    assert rep3.max_violation < 1e-10
+    a3 = rdl.analyze(good, u2, hull=True)
+    assert a3.hull.consistent and a3.hull.witness is None
+    assert a3.hull.max_violation == 2 * a3.consistency.max_violation < 1e-10
+    assert rdl.analyze(good, u2).hull is None
 
 
 def test_hull_witness_is_positivity_preserving_perturbation():
-    """The witness is the step between two states of the hull with equal marginals."""
+    """The witness is 2 g_k for the first worst member k.
+
+    Its evolved marginal realizes the bound, and a small step along it keeps
+    a state of the hull a state, with the same marginal.
+    """
     fam = rdl.full_two_qubit_family()
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    rep = rdl.check_hull_consistency(rdl.build_subspace(fam), u, seed=3, trials=10)
-    w = rep.witness
+    a = rdl.analyze(fam, u, hull=True)
+    w = a.hull.witness
     assert w is not None
+    assert np.array_equal(w, 2 * a.consistency.witness)
     assert rdl.max_norm(rdl.partial_trace_env(w, fam.dims)) < 1e-10
     evolved = rdl.partial_trace_env(u @ w @ u.conj().T, fam.dims)
-    assert abs(rdl.max_norm(evolved) - rep.max_violation) < 1e-12
+    assert abs(rdl.max_norm(evolved) - a.hull.max_violation) < 1e-12
+    centre = fam.stack.mean(axis=0)
+    step = np.linalg.eigvalsh(centre)[0] / np.linalg.norm(w, 2) / 2
+    assert np.linalg.eigvalsh(centre + step * w)[0] > 0
 
 
 def test_hull_vacuous_without_kernel(rng):
+    """With an empty kernel every member residual is roundoff, and so is the bound."""
     states = [rdl.random_density_matrix(2, rng) for _ in range(3)]
     fam = rdl.product_family(states, rdl.random_density_matrix(2, rng))
-    rep = rdl.check_hull_consistency(rdl.build_subspace(fam), rdl.swap_unitary(2), seed=0)
-    assert rep.consistent
-    assert rep.pairs_tested == 0
-
-
-def test_hull_rejects_zero_trials():
-    sub = rdl.build_subspace(rdl.full_two_qubit_family())
-    with pytest.raises(ValueError):
-        rdl.check_hull_consistency(sub, np.eye(4, dtype=complex), seed=0, trials=0)
+    a = rdl.analyze(fam, rdl.swap_unitary(2), hull=True)
+    assert a.subspace.kernel_dim == 0
+    assert a.hull.consistent and a.hull.max_violation < 1e-14
+    assert a.hull.pairs_tested is None
 
 
 def product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint):
@@ -393,59 +396,6 @@ def test_residual_test_agrees_with_kernel_basis_route(
         assert abs(rdl.max_norm(evolved) - rep.max_violation) <= 1e-12
 
 
-def _pure_state(d, rng):
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return np.outer(v, v.conj()) / np.vdot(v, v).real
-
-
-@settings(max_examples=60)
-@given(
-    d_s=st.sampled_from([2, 3]),
-    d_e=st.sampled_from([1, 2, 3]),
-    n_sys=st.integers(2, 3),
-    n_env=st.integers(2, 3),
-    n_joint=st.integers(0, 2),
-    pure=st.booleans(),
-    entangling=st.booleans(),
-    block=st.sampled_from([None, 1, 3]),
-    seed=st.integers(0, 2**16),
-)
-def test_stacked_hull_matches_trial_loop(
-    d_s, d_e, n_sys, n_env, n_joint, pure, entangling, block, seed
-):
-    """The stacked hull check against the trial-by-trial loop, block boundaries included.
-
-    ``block`` trials per block (one block when None).  Pure members put the
-    hull's states on the boundary of the state body.
-    """
-    rng = np.random.default_rng(seed)
-    dims = rdl.BipartiteDims(d_s, d_e)
-    state = _pure_state if pure else rdl.random_density_matrix
-    systems = [state(d_s, rng) for _ in range(n_sys)]
-    envs = [state(d_e, rng) for _ in range(n_env)]
-    members = [rdl.tensor(r, w) for r in systems for w in envs]
-    members += [state(dims.joint, rng) for _ in range(n_joint)]
-    fam = rdl.StateFamily(dims=dims, members=tuple(members))
-    u = random_propagator(rng, dims, entangling)
-    trials = 7
-    sub = rdl.build_subspace(fam)
-
-    entries = rdl.consistency._BLOCK_ENTRIES if block is None else block * len(members)
-    spy = mock.Mock(wraps=rdl.consistency._report)
-    with mock.patch.object(rdl.consistency, "_report", spy), \
-            mock.patch.object(rdl.consistency, "_BLOCK_ENTRIES", entries):
-        rep = rdl.check_hull_consistency(sub, u, seed, trials)
-    if sub.kernel_dim == 0:
-        assert rep.consistent and rep.pairs_tested == 0
-        return
-    viol, steps = hull_by_trials(fam.members, u, dims, seed, trials, sub.tol_rank)
-    assert rep.pairs_tested == trials
-    assert np.abs(spy.call_args.args[0] - viol).max() <= 1e-12
-    assert abs(rep.max_violation - viol.max()) <= 1e-12
-    if not rep.consistent:
-        assert np.abs(rep.witness - steps[int(np.argmax(viol))]).max() <= 1e-12
-
-
 @settings(max_examples=80)
 @given(
     d_s=st.sampled_from([2, 3]),
@@ -460,10 +410,11 @@ def test_stacked_hull_matches_trial_loop(
 def test_hull_violation_is_at_most_twice_the_kernel_test(
     d_s, d_e, n_sys, n_env, n_joint, entangling, seed
 ):
-    """Each hull step weighs the member residuals by |b - a|_1 <= 2.
+    """Each sampled hull step weighs the member residuals by |b - a|_1 <= 2.
 
-    So the hull's violation is at most twice the kernel test's, and the two
-    verdicts agree wherever the kernel violation lies outside the grey band
+    So every trial of the sampling oracle stays within the reported bound,
+    which is twice the kernel test's violation exactly, and the two verdicts
+    agree wherever the kernel violation lies outside the grey band
     [tol / 10, 10 tol].  The pinned example's earlier sampler, which pushed
     mixtures along unit kernel directions out of the hull, reported 2.57
     times the kernel violation.
@@ -471,10 +422,12 @@ def test_hull_violation_is_at_most_twice_the_kernel_test(
     rng = np.random.default_rng(seed)
     fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
     u = random_propagator(rng, fam.dims, entangling)
-    sub = rdl.build_subspace(fam)
-    kernel = rdl.check_subspace_consistency(sub, u)
-    hull = rdl.check_hull_consistency(sub, u, seed=seed, trials=50)
-    assert hull.max_violation <= 2 * kernel.max_violation + 1e-12
+    a = rdl.analyze(fam, u, hull=True)
+    kernel, hull = a.consistency, a.hull
+    assert hull.max_violation == 2 * kernel.max_violation
+    if a.subspace.kernel_dim:
+        trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 10, a.subspace.tol_rank)
+        assert trials.max() <= hull.max_violation + 1e-12
     tol = DEFAULT_TOL.consistency
     if not tol / 10 <= kernel.max_violation <= 10 * tol:
         assert hull.consistent == kernel.consistent

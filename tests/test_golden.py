@@ -35,18 +35,18 @@ CASES = {
     ),
     "analyze-full-dump": (
         ["analyze", "--family", FAMILY, "--model", "two-qubit", "--omega", "1.5707963267948966",
-         "--t", "1", "--hull", "--seed", "5", "--trials", "20", "--dump-subspace"],
+         "--t", "1", "--hull", "--trials", "20", "--dump-subspace"],
         3,
     ),
     "analyze-full-swap": (["analyze", "--family", FAMILY, "--model", "swap"], 3),
     "analyze-3x2-dump": (
         ["analyze", "--family", str(INPUTS / "family-3x2.json"),
          "--unitary", str(INPUTS / "unitary-3x2.json"), "--dump-subspace",
-         "--hull", "--seed", "3", "--trials", "20"],
+         "--hull", "--trials", "20"],
         3,
     ),
     "swap-demo": (["swap-demo"], 0),
-    "swap-demo-hull": (["swap-demo", "--hull", "--seed", "1", "--trials", "20"], 0),
+    "swap-demo-hull": (["swap-demo", "--hull", "--trials", "20"], 0),
 }
 
 

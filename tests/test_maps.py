@@ -30,7 +30,6 @@ def transpose_superoperator():
         matrix=tmat,
         choi=_choi_from_matrix(tmat, 2),
         consistency_certified=False,
-        domain_projector=np.eye(4),
     )
 
 
@@ -74,9 +73,10 @@ def test_map_matches_application_oracle(d_s, d_e, n, rng):
     lam = rdl.build_assignment(sub)
     sop = rdl.build_dynamical_map(lam, u)
     assert sub.reduced_dim == min(n, d_s * d_s)
+    projector = sub.domain.T @ sub.domain
 
     def phi(e):
-        inside = rdl.from_basis_coords(sop.domain_projector @ rdl.basis_coords(e, d_s), d_s)
+        inside = rdl.from_basis_coords(projector @ rdl.basis_coords(e, d_s), d_s)
         return ptrace_env_loops(conjugate_loops(u, lam.apply(inside)), d_s, d_e)
 
     assert np.abs(sop.choi - choi_by_application(phi, d_s)).max() < 1e-12
@@ -134,7 +134,6 @@ def choi_superoperator(choi):
         matrix=np.eye(4, dtype=complex),
         choi=choi,
         consistency_certified=False,
-        domain_projector=np.eye(4),
     )
 
 
@@ -216,8 +215,8 @@ def test_completeness_defect_tracks_trace_preservation():
 
 
 def test_domain_projector_is_identity_on_full_span():
-    _, _, sop = pipeline(rdl.full_two_qubit_family(), np.eye(4, dtype=complex))
-    assert np.abs(sop.domain_projector - np.eye(4)).max() < 1e-10
+    sub = rdl.build_subspace(rdl.full_two_qubit_family())
+    assert np.abs(sub.domain.T @ sub.domain - np.eye(4)).max() < 1e-10
 
 
 @pytest.mark.parametrize("d_s, d_e", [(2, 2), (3, 2)])
@@ -229,7 +228,7 @@ def test_map_kills_complement_of_partial_reduced_span(d_s, d_e, rng):
     fam = rdl.StateFamily(dims=dims, members=tuple(rdl.tensor(r, w) for r in systems for w in envs))
     sub, _, sop = pipeline(fam, random_unitary(dims.joint, rng))
     assert sub.reduced_dim == 2
-    complement = np.eye(d_s * d_s) - sop.domain_projector
+    complement = np.eye(d_s * d_s) - sub.domain.T @ sub.domain
     assert np.abs(sop.matrix @ complement).max() <= 1e-14
 
 
@@ -281,8 +280,7 @@ def test_kraus_rejects_nonhermitian_choi():
             matrix=np.eye(4, dtype=complex),
             choi=choi,
             consistency_certified=False,
-            domain_projector=np.eye(4),
-        )
+            )
         with pytest.raises(HermiticityError):
             rdl.decompose_signed_kraus(sop)
 

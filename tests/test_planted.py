@@ -10,14 +10,20 @@ Rodriguez-Rosario et al. (J. Phys. A 41, 205301 (2008)), must give a
 completely positive map under every U.
 """
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdl
 from rdl import DEFAULT_TOL
+from rdl.cli import main
+from rdl.serialize import family_to_json, matrix_to_json
 
-from oracles import kernel_test_by_basis, random_unitary
+from oracles import hull_by_trials, kernel_test_by_basis, random_unitary
 
 
 def mixed_state(d, rng):
@@ -88,16 +94,13 @@ def test_planted_family_is_consistent_with_the_closed_form_map(d_s, d_e, extra, 
     assert a.verdicts.completely_positive
 
 
-@settings(max_examples=40)
-@planted_cases
-def test_planted_violation_matches_its_closed_form(d_s, d_e, extra, seed):
-    """delta J on member j violates by delta |Tr_E(U J U^dag)|_max max_i |delta_ij - (R P)_ij|.
+def planted_violation(rng, d_s, d_e, extra):
+    """A planted violation: the propagator, delta -> the family with delta J, and the slope.
 
-    J is marginal-free, so R and P do not move and only E_j does.  The
-    verdict flips where that value crosses the consistency tolerance, and
-    the hull check's violation stays within twice that value.
+    J is marginal-free, orthogonal to K_U and of unit spectral norm, so R and
+    P do not move and only E_j does: delta J violates by delta times the
+    slope |Tr_E(U J U^dag)|_max max_i |delta_ij - (R P)_ij|.
     """
-    rng = np.random.default_rng(seed)
     fam, u, _, kernel = planted_family(rng, d_s, d_e, extra)
     dims = fam.dims
     h = rng.normal(size=(dims.joint,) * 2) + 1j * rng.normal(size=(dims.joint,) * 2)
@@ -109,23 +112,58 @@ def test_planted_violation_matches_its_closed_form(d_s, d_e, extra, seed):
     plant /= np.linalg.norm(plant, 2)
     j = int(rng.integers(len(fam)))
 
-    def report(delta):
+    def planted(delta):
         members = list(fam.members)
         members[j] = members[j] + delta * plant
-        sub = rdl.build_subspace(rdl.StateFamily(dims=dims, members=tuple(members)))
-        return sub, rdl.check_subspace_consistency(sub, u)
+        return rdl.StateFamily(dims=dims, members=tuple(members))
 
-    sub, rep = report(1e-9)
+    sub = rdl.build_subspace(fam)
     lift = np.eye(len(fam))[:, j] - sub.marginals @ sub.fit[:, j]
     evolved = rdl.partial_trace_env(u @ plant @ u.conj().T, dims)
-    slope = rdl.max_norm(evolved) * np.abs(lift).max()
-    assert abs(rep.max_violation - 1e-9 * slope) < 1e-13
-    hull = rdl.check_hull_consistency(sub, u, seed=seed, trials=20)
-    assert hull.max_violation <= 2e-9 * slope + 1e-13
+    return u, planted, rdl.max_norm(evolved) * np.abs(lift).max()
+
+
+@settings(max_examples=40)
+@planted_cases
+def test_planted_violation_matches_its_closed_form(d_s, d_e, extra, seed):
+    """delta J on member j violates by delta |Tr_E(U J U^dag)|_max max_i |delta_ij - (R P)_ij|.
+
+    The kernel verdict flips where that value crosses the consistency
+    tolerance.  The hull bound is exactly twice that value, no hull pair the
+    oracle samples exceeds it, and its verdict flips where the value crosses
+    half the tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    u, planted, slope = planted_violation(rng, d_s, d_e, extra)
+    fam = planted(1e-9)
+    a = rdl.analyze(fam, u, hull=True)
+    assert abs(a.consistency.max_violation - 1e-9 * slope) < 1e-13
+    assert a.hull.max_violation == 2 * a.consistency.max_violation
+    trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 5, a.subspace.tol_rank)
+    assert trials.max() <= a.hull.max_violation + 1e-12
 
     cut = DEFAULT_TOL.consistency / slope
     for factor in (0.5, 0.99, 1.01, 2.0):
-        assert report(factor * cut)[1].consistent == (factor < 1)
+        assert rdl.analyze(planted(factor * cut), u).consistent == (factor < 1)
+    for factor in (0.5, 0.99, 1.01, 1.5):
+        half = rdl.analyze(planted(factor * cut / 2), u, hull=True)
+        assert half.consistency.consistent
+        assert half.hull.consistent == half.consistent == (factor < 1)
+
+
+def test_hull_flag_flips_the_exit_status_at_half_the_cut(tmp_path):
+    """On the command line, --hull exits 3 once the planted violation passes tol / 2."""
+    u, planted, slope = planted_violation(np.random.default_rng(5), 2, 2, 3)
+    unitary = tmp_path / "u.json"
+    unitary.write_text(json.dumps(matrix_to_json(u)))
+    cut = DEFAULT_TOL.consistency / slope
+    for factor in (0.99, 1.01):
+        family = tmp_path / f"family-{factor}.json"
+        family.write_text(json.dumps(family_to_json(planted(factor * cut / 2))))
+        argv = ["analyze", "--family", str(family), "--unitary", str(unitary)]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+            assert main([*argv, "--hull"]) == (0 if factor < 1 else 3)
 
 
 @given(

@@ -325,11 +325,11 @@ def _map_matrix(sub, u):
 
 
 def test_analyze_with_the_hull_evolves_the_members_once():
-    """The kernel test, the hull check and the map build share one E."""
+    """The kernel test, the hull bound and the map build share one E."""
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
     with _spy_reduced_propagator() as spy:
-        a = rdl.analyze(rdl.full_two_qubit_family(), u, hull_seed=0)
-    assert a.hull is not None and a.hull.pairs_tested == 100
+        a = rdl.analyze(rdl.full_two_qubit_family(), u, hull=True)
+    assert a.hull is not None and a.hull.max_violation == 2 * a.consistency.max_violation
     assert spy.call_count == 1
 
 
