@@ -30,10 +30,10 @@ from .pipeline import analyze
 from .serialize import (
     analysis_to_json,
     coefficients_to_json,
-    dumps_report,
     family_from_json,
     matrix_from_json,
     matrix_to_json,
+    write_report,
 )
 from .two_qubit import (
     LinearityCoefficients,
@@ -295,14 +295,21 @@ def _summary_lines(report: dict) -> list[str]:
     return lines
 
 
-def _write_report(text: str, out: str | None) -> None:
-    """Write the report to stdout, and to ``out`` when given."""
+def _write_report(report: dict, out: str | None) -> None:
+    """Stream the report's text to stdout, then to ``out`` when given.
+
+    The text is written as it is serialized and never held whole.  The
+    report is built in full before the first byte, so every input error has
+    been raised by then; only a program fault (a TypeError from a leaf that
+    is no JSON value) can leave a partial report on stdout.
+    """
     target = "stdout"
     try:
-        sys.stdout.write(text)
+        write_report(report, sys.stdout.write)
         if out is not None:
             target = out
-            Path(out).write_text(text)
+            with open(out, "w") as fh:
+                write_report(report, fh.write)
     except OSError as err:
         raise InputError(f"cannot write {target}: {err}") from None
 
@@ -311,7 +318,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         report = args.run(args, _tolerances(args))
-        _write_report(dumps_report(report), args.out)
+        _write_report(report, args.out)
     except RdlError as err:
         print(f"{err.kind}: {err}", file=sys.stderr)
         return err.exit_code

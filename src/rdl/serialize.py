@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+from collections.abc import Callable
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -191,16 +192,30 @@ def analysis_to_json(a: Analysis, command: str, dump_subspace: bool = False) -> 
     }
 
 
-def dumps_report(report: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline.
+def write_report(report: dict, write: Callable[[str], object]) -> None:
+    """Send the canonical text of ``report`` through ``write``, piece by piece.
 
-    Byte for byte what ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``
-    writes, without the pure-Python encoder that ``indent`` selects: a list of
-    [float, float] pairs (matrix data) is written as one block.
+    Sorted keys, two-space indent, trailing newline: byte for byte what
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"`` writes, without
+    the pure-Python encoder that ``indent`` selects.  Each list of
+    [float, float] pairs (matrix data) is one piece; every other piece is one
+    scalar, bracket or key with its separator and indent.  So a ``write``
+    that streams the pieces holds no more of the text than one matrix at a
+    time.  A leaf that is no JSON value raises TypeError once the pieces
+    before it have gone out.
+    """
+    _write(report, "\n", write)
+    write("\n")
+
+
+def dumps_report(report: dict) -> str:
+    """The canonical text of ``report`` as one string.
+
+    It is ``write_report`` collected into a list and joined, so the string
+    and a streamed report are the same bytes.
     """
     out: list[str] = []
-    _write(report, "\n", out)
-    out.append("\n")
+    write_report(report, out.append)
     return "".join(out)
 
 
@@ -236,41 +251,41 @@ def _pair_block(items, nl: str) -> str | None:
     return "[" + inner + "[" + nested + text + inner + "]" + nl + "]"
 
 
-def _write(o, nl: str, out: list[str]) -> None:
-    """Append the JSON text of ``o`` to ``out``; ``nl`` is the newline and indent of its line.
+def _write(o, nl: str, write: Callable[[str], object]) -> None:
+    """Send the JSON text of ``o`` through ``write``; ``nl`` is the newline and indent of its line.
 
     Types are tried in the order of ``json.encoder._make_iterencode``.
     """
     if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
+        write(encode_basestring_ascii(o))
     elif o is None:
-        out.append("null")
+        write("null")
     elif o is True:
-        out.append("true")
+        write("true")
     elif o is False:
-        out.append("false")
+        write("false")
     elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        write(int.__repr__(o))
     elif isinstance(o, float):
-        out.append(_float_text(o))
+        write(_float_text(o))
     elif isinstance(o, (list, tuple)):
         if not o:
-            out.append("[]")
+            write("[]")
             return
         block = _pair_block(o, nl)
         if block is not None:
-            out.append(block)
+            write(block)
             return
         inner = nl + "  "
         sep = "["
         for v in o:
-            out.append(sep + inner)
-            _write(v, inner, out)
+            write(sep + inner)
+            _write(v, inner, write)
             sep = ","
-        out.append(nl + "]")
+        write(nl + "]")
     elif isinstance(o, dict):
         if not o:
-            out.append("{}")
+            write("{}")
             return
         for key in o:
             if not isinstance(key, str):
@@ -278,10 +293,10 @@ def _write(o, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         sep = "{"
         for key in sorted(o):
-            out.append(sep + inner + encode_basestring_ascii(key) + ": ")
-            _write(o[key], inner, out)
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write(o[key], inner, write)
             sep = ","
-        out.append(nl + "}")
+        write(nl + "}")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

@@ -148,7 +148,10 @@ def hull_by_trials(members, u, dims, seed, trials, tol_rank):
     exponential weights a, normalized, then a normal z; c = z - (z R) P,
     eps is the least a_i / (-c_i) over c_i < 0, and the states a M and
     (a + eps c) M are evolved one at a time.  Returns the violation and the
-    step eps c M of every trial.
+    step eps c M of every trial.  When the rows of R are independent
+    (r = n), no combination of members has a zero marginal and c is
+    roundoff; such a trial, like one with no c_i < 0, takes eps = 0: a zero
+    step with violation 0.
     """
     from rdl.operators import basis_coords
 
@@ -171,6 +174,8 @@ def hull_by_trials(members, u, dims, seed, trials, tol_rank):
         for a, c in zip(weights, coeffs):
             if c < 0:
                 eps = min(eps, a / -c)
+        if r == n or eps == np.inf:
+            eps = 0.0
         before = sum(a * m for a, m in zip(weights, members))
         after = sum((a + eps * c) * m for a, c, m in zip(weights, coeffs, members))
         out = [ptrace_env_loops(conjugate_loops(u, x), dims.d_s, dims.d_e) for x in (after, before)]

@@ -2,7 +2,9 @@
 
 import ast
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -177,14 +179,37 @@ def test_reports_are_byte_deterministic(capsys, full_family_file):
     assert err1 == err2
 
 
-def test_out_flag_duplicates_stdout(capsys, tmp_path, full_family_file):
+@pytest.mark.parametrize("extra", [[], ["--dump-subspace"]], ids=["plain", "dump-subspace"])
+def test_out_flag_duplicates_stdout(capsys, tmp_path, full_family_file, extra):
+    """The report is streamed twice, stdout then ``--out``; the two byte streams agree."""
     target = tmp_path / "report.json"
     code, out, _ = run(
         capsys,
-        "analyze", "--family", full_family_file, "--model", "swap", "--out", str(target),
+        "analyze", "--family", full_family_file, "--model", "swap", "--out", str(target), *extra,
     )
     assert code in (0, 3)
-    assert target.read_text() == out
+    assert target.read_bytes() == out.encode()
+    assert (json.loads(out)["subspace"]["detail"] is not None) == bool(extra)
+
+
+def test_stdout_write_failure_is_input_error_and_skips_out(
+    capsys, monkeypatch, tmp_path, full_family_file
+):
+    """A reader that goes away after the first piece: one error line, and no ``--out`` file."""
+    pieces = []
+
+    def write(text):
+        if pieces:
+            raise BrokenPipeError(32, "Broken pipe")
+        pieces.append(text)
+
+    target = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+    code = main(["analyze", "--family", full_family_file, "--model", "swap", "--out", str(target)])
+    assert code == 1
+    assert len(pieces) == 1
+    assert capsys.readouterr().err == "input error: cannot write stdout: [Errno 32] Broken pipe\n"
+    assert not target.exists()
 
 
 def test_missing_subcommand_is_input_error(capsys):

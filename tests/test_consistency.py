@@ -425,9 +425,24 @@ def test_hull_violation_is_at_most_twice_the_kernel_test(
     a = rdl.analyze(fam, u, hull=True)
     kernel, hull = a.consistency, a.hull
     assert hull.max_violation == 2 * kernel.max_violation
-    if a.subspace.kernel_dim:
-        trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 10, a.subspace.tol_rank)
-        assert trials.max() <= hull.max_violation + 1e-12
+    trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 10, a.subspace.tol_rank)
+    assert trials.max() <= hull.max_violation + 1e-12
     tol = DEFAULT_TOL.consistency
     if not tol / 10 <= kernel.max_violation <= 10 * tol:
         assert hull.consistent == kernel.consistent
+
+
+def test_hull_oracle_takes_zero_steps_without_a_kernel():
+    """One member fixes every combination by its marginal, so c = z - (z R) P is roundoff.
+
+    Stepping to the hull's edge along roundoff would cross the whole hull,
+    and with no c_i < 0 the step would be inf; the oracle takes zero steps.
+    """
+    fam = product_and_joint_family(np.random.default_rng(0), 2, 1, 1, 1, 0)
+    u = np.eye(2, dtype=complex)
+    a = rdl.analyze(fam, u, hull=True)
+    assert a.subspace.kernel_dim == 0
+    trials, steps = hull_by_trials(fam.members, u, fam.dims, 0, 10, a.subspace.tol_rank)
+    assert not trials.any()
+    assert not np.any(steps)
+    assert a.hull.consistent

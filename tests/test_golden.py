@@ -13,7 +13,11 @@ coordinate order at d = 3 and d = 6 is pinned too.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -23,6 +27,7 @@ from rdl.cli import main
 from rdl.serialize import family_to_json, load_report_schema
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 INPUTS = GOLDEN / "inputs"
 FAMILY = "FAMILY"
 
@@ -65,6 +70,28 @@ def test_cli_report_matches_golden(name, tmp_path, capsys):
             leaf_differences(json.loads(golden), json.loads(out)), ("$", "<text>", "<text>")
         )
         pytest.fail(f"{name}: report differs from its golden first at {path}: {old!r} -> {new!r}")
+
+
+def test_cli_report_is_streamed_in_pieces(monkeypatch):
+    """The dump report reaches stdout as it is serialized, never as one string."""
+    argv, expected_code = CASES["analyze-3x2-dump"]
+    pieces = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
+    assert main(argv) == expected_code
+    golden = (GOLDEN / "analyze-3x2-dump.json").read_text()
+    assert "".join(pieces) == golden
+    assert max(map(len, pieces)) <= len(golden) / 10
+
+
+def test_cli_report_matches_golden_through_a_real_stdout():
+    """``python -m rdl.cli`` writes through a block-buffered stdout, not pytest's capture."""
+    argv, expected_code = CASES["analyze-3x2-dump"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdl.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == expected_code, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "analyze-3x2-dump.json").read_bytes()
 
 
 _MISSING = "<missing>"
