@@ -143,6 +143,8 @@ def _resolve_unitary(args, family: StateFamily):
     sources = [s for s in (args.unitary, args.model) if s is not None]
     if len(sources) != 1:
         raise InputError("exactly one propagator source is required: --unitary FILE or --model")
+    if args.model != "two-qubit" and (args.omega is not None or args.t is not None):
+        raise InputError("--omega and --t apply only to --model two-qubit")
     if args.unitary is not None:
         u = matrix_from_json(_load_json(args.unitary), what="propagator")
         return u, {"kind": "file"}

@@ -209,18 +209,17 @@ def product_family(
     if not states_s:
         raise EmptyFamilyError("no system states supplied")
     omega_e = require_density(np.asarray(omega_e, dtype=complex), tol, "environment state")
-    d_e = omega_e.shape[0]
-    d_s = np.asarray(states_s[0]).shape[0]
-    dims = BipartiteDims(d_s=int(d_s), d_e=int(d_e))
-    members = []
-    for idx, s in enumerate(states_s):
+    states = []
+    for idx, s in enumerate(states_s):  # each state is validated before its side is read
         s = require_density(np.asarray(s, dtype=complex), tol, f"system state {idx}")
-        if s.shape[0] != d_s:
-            raise DimensionError(f"system state {idx} has side {s.shape[0]}, expected {d_s}")
-        members.append(tensor(s, omega_e))
+        if states and len(s) != len(states[0]):
+            raise DimensionError(f"system state {idx} has side {len(s)}, expected {len(states[0])}")
+        states.append(s)
+    dims = BipartiteDims(d_s=len(states[0]), d_e=len(omega_e))
     if label is None:
         label = f"product family, omega_e={_format_matrix(omega_e)}"
-    return StateFamily(dims=dims, members=tuple(members), label=label, tol=tol)
+    members = tuple(tensor(s, omega_e) for s in states)
+    return StateFamily(dims=dims, members=members, label=label, tol=tol)
 
 
 @dataclass(frozen=True)

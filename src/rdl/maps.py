@@ -6,8 +6,8 @@ The dynamical map is the composition
 
 where the assignment lifts a system operator into the spanned subspace as
 a combination of the members, weighted by the subspace's fit of their
-marginals.  The superoperator acts on
-Hermitian-basis coordinates; the Choi matrix uses the unnormalized convention
+marginals.  The superoperator is a real matrix on Hermitian-basis
+coordinates; the Choi matrix derived from it uses the unnormalized convention
 
     choi = sum_jk |j><k| (x) Phi(|j><k|)
 
@@ -17,13 +17,13 @@ equals the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport
-from .errors import DimensionError, HermiticityError, NotInSpanError
+from .errors import DimensionError, InputError, NotInSpanError
 from .operators import (
     BipartiteDims,
     _require_propagator,
@@ -46,17 +46,15 @@ class AssignmentMap:
 
     subspace: Subspace
 
-    def apply(self, x: np.ndarray, tol: float | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction.
 
         Raises NotInSpanError, carrying the worst residual, when the lift's
-        marginal misses any operator by more than ``tol`` in max-norm
-        (defaults to the subspace's rank tolerance).
+        marginal misses any operator by more than the subspace's rank
+        tolerance in max-norm.
         """
         sub = self.subspace
-        d_s = sub.dims.d_s
-        if tol is None:
-            tol = sub.tol_rank
+        d_s, tol = sub.dims.d_s, sub.tol_rank
         x = np.asarray(x, dtype=complex)
         weights = basis_coords(x, d_s) @ sub.fit
         worst = max_norm(x - from_basis_coords(weights @ sub.marginals, d_s))
@@ -79,15 +77,25 @@ def build_assignment(subspace: Subspace) -> AssignmentMap:
 class Superoperator:
     """Matrix form of the dynamical map on Hermitian-basis coordinates.
 
-    The map is fixed only on the reduced span and sends its orthogonal
-    complement to zero.  ``consistency_certified`` is True only when the
-    caller supplied a passing consistency report at build time.
+    The map preserves Hermiticity, so ``matrix`` is real; ``choi`` is derived
+    from it once.  The map is fixed only on the reduced span and sends its
+    orthogonal complement to zero.  ``consistency_certified`` is True only
+    when the caller supplied a passing consistency report at build time.
     """
 
     d_s: int
-    matrix: np.ndarray  # (d_s^2, d_s^2) complex
-    choi: np.ndarray  # (d_s^2, d_s^2) complex
+    matrix: np.ndarray  # read-only float (d_s^2, d_s^2)
     consistency_certified: bool
+    choi: np.ndarray = field(init=False, repr=False)  # read-only (d_s^2, d_s^2), exactly Hermitian
+
+    def __post_init__(self):
+        matrix, side = np.asarray(self.matrix), self.d_s * self.d_s
+        if matrix.shape != (side, side):
+            raise DimensionError(f"map matrix has shape {matrix.shape}, expected ({side}, {side})")
+        if matrix.dtype.kind not in "iuf" or not np.isfinite(matrix).all():
+            raise InputError(f"map matrix must be real and finite, got {matrix.dtype} entries")
+        object.__setattr__(self, "matrix", frozen(np.asarray(matrix, dtype=float)))
+        object.__setattr__(self, "choi", frozen(_choi_from_matrix(self.matrix, self.d_s)))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Image of a d_s x d_s operator, or of each operator in a stack (..., d_s, d_s)."""
@@ -104,6 +112,7 @@ class MapVerdicts:
 
 
 def _choi_from_matrix(matrix: np.ndarray, d_s: int) -> np.ndarray:
+    """Exactly Hermitian for a real ``matrix``, which keeps |j><k| and |k><j| conjugate."""
     units = np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s)  # unit j * d_s + k is |j><k|
     outs = from_basis_coords((matrix @ basis_coords(units, d_s).T).T, d_s)
     return outs.reshape(d_s, d_s, d_s, d_s).transpose(0, 2, 1, 3).reshape(d_s * d_s, d_s * d_s)
@@ -122,15 +131,10 @@ def build_dynamical_map(
     orthogonal complement of the reduced span maps to zero.
     """
     sub = assignment.subspace
-    d_s = sub.dims.d_s
     u = _require_propagator(u, sub.dims, tols)
-
-    matrix = (sub.fit @ sub.evolved_marginals(u)).T.astype(complex)
-
     return Superoperator(
-        d_s=d_s,
-        matrix=frozen(matrix),
-        choi=frozen(_choi_from_matrix(matrix, d_s)),
+        d_s=sub.dims.d_s,
+        matrix=(sub.fit @ sub.evolved_marginals(u)).T,
         consistency_certified=bool(consistency is not None and consistency.consistent),
     )
 
@@ -199,14 +203,7 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
     (:func:`_pinned_clusters`); a global phase fix per vector, making its
     first entry above ``tol`` in modulus real positive, does the rest.
     """
-    choi = superop.choi
-    dev = max_norm(choi - choi.conj().T)
-    if not dev <= tol:  # written so that a NaN deviation fails too
-        raise HermiticityError(
-            f"Choi matrix is not Hermitian (max deviation {dev:.3e}); "
-            "the map does not preserve Hermiticity"
-        )
-    evals, evecs = np.linalg.eigh((choi + choi.conj().T) / 2.0)
+    evals, evecs = np.linalg.eigh(superop.choi)
     evecs = _pinned_clusters(evals, evecs, tol)
     d = superop.d_s
     terms = []
@@ -221,23 +218,16 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
 def verdicts(superop: Superoperator, tol: float = DEFAULT_TOL.psd) -> MapVerdicts:
     """Hermiticity preservation, trace preservation, and complete positivity.
 
-    All three are read off the Choi matrix: Hermiticity of choi, partial
-    trace over the output factor against the identity, and the minimum
-    eigenvalue against -tol.
+    A real map matrix preserves Hermiticity by construction.  The other two
+    are read off the Choi matrix: its partial trace over the output factor
+    against the identity, and its minimum eigenvalue against -tol.
     """
-    choi = superop.choi
     d_s = superop.d_s
-    herm = max_norm(choi - choi.conj().T) <= tol
-    tp = (
-        max_norm(partial_trace_env(choi, BipartiteDims(d_s, d_s)) - np.eye(d_s)) <= tol
-    )
-    if herm:
-        lo = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
-    else:
-        lo = float(np.min(np.linalg.eigvals(choi).real))
+    tp = max_norm(partial_trace_env(superop.choi, BipartiteDims(d_s, d_s)) - np.eye(d_s)) <= tol
+    lo = float(np.linalg.eigvalsh(superop.choi)[0])
     return MapVerdicts(
-        hermitian_preserving=herm,
+        hermitian_preserving=True,
         trace_preserving=tp,
-        completely_positive=herm and lo >= -tol,
+        completely_positive=lo >= -tol,
         choi_min_eigenvalue=lo,
     )

@@ -132,6 +132,28 @@ def choi_by_application(apply_fn, d):
     return out
 
 
+def matrix_from_choi(choi, d):
+    """Hermitian-basis matrix M[a, b] = tr(B_a Phi(B_b)) of the map whose Choi matrix is ``choi``.
+
+    Phi(X) = Tr_1[(X^T (x) I) choi] is summed block by block:
+    sum_jk X[j, k] choi[(j, :), (k, :)].  The result is complex; a Hermitian
+    ``choi`` leaves its imaginary part at roundoff.
+    """
+    from rdl.operators import hermitian_basis
+
+    choi = np.asarray(choi)
+    basis = hermitian_basis(d)
+
+    def phi(x):
+        out = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            for k in range(d):
+                out += x[j, k] * choi[j * d : (j + 1) * d, k * d : (k + 1) * d]
+        return out
+
+    return np.array([[np.trace(a @ phi(b)) for b in basis] for a in basis])
+
+
 def random_unitary(d, rng):
     """Haar-ish unitary from the QR decomposition of a Ginibre matrix."""
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -324,6 +324,22 @@ def test_both_unitary_sources_rejected(capsys, tmp_path, full_family_file):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("flag", ["--omega", "--t"])
+@pytest.mark.parametrize("source", ["unitary", "swap"])
+def test_omega_and_t_need_the_two_qubit_model(capsys, tmp_path, full_family_file, flag, source):
+    """A coupling or a time that no propagator reads is an input error, not silently dropped."""
+    if source == "unitary":
+        upath = tmp_path / "u.json"
+        upath.write_text(json.dumps(matrix_to_json(np.eye(4, dtype=complex))))
+        argv = ("--unitary", str(upath))
+    else:
+        argv = ("--model", "swap")
+    code, out, err = run(capsys, "analyze", "--family", full_family_file, *argv, flag, "1.0")
+    assert code == 1
+    assert out == ""
+    assert "--omega and --t apply only to --model two-qubit" in err
+
+
 def test_model_two_qubit_needs_omega_and_t(capsys, full_family_file):
     code, _, err = run(capsys, "analyze", "--family", full_family_file, "--model", "two-qubit")
     assert code == 1

@@ -331,11 +331,12 @@ def test_batched_checks_match_loop_oracles(
 
     sub = rdl.build_subspace(fam)
     rep = rdl.check_subspace_consistency(sub, u)
-    lam = rdl.build_assignment(sub)
     # Roundoff in the lift grows with its weights: ill-conditioned marginals need large ones.
     bound = 1e-12 * max(1.0, np.abs(sub.fit).max())
     for m, g in zip(members, sub.residuals):
-        lift = lam.apply(ptrace_env_loops(m, d_s, d_e), tol=np.inf)
+        # The lift of the loop-traced marginal, without the span check of AssignmentMap.apply.
+        weights = rdl.basis_coords(ptrace_env_loops(m, d_s, d_e), d_s) @ sub.fit
+        lift = np.tensordot(weights, sub.members, axes=1)
         assert np.abs(g - (m - lift)).max() <= bound
     viol = [rdl.max_norm(evolved_marginal(g)) for g in sub.residuals]
     worst = max(viol)

@@ -266,6 +266,20 @@ def test_product_family_marginals(rng):
         assert np.abs(rdl.partial_trace_env(member, fam.dims) - s).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ([0.5], "system state 0 must be square"),
+        ([np.eye(2) / 2, [0.5]], "system state 1 must be square"),
+        ([np.eye(2) / 2, np.eye(3) / 3], "system state 1 has side 3, expected 2"),
+    ],
+    ids=["scalar-first", "vector-second", "sides-differ"],
+)
+def test_product_family_rejects_misshapen_system_states(states, message):
+    with pytest.raises(DimensionError, match=message):
+        rdl.product_family(states, np.eye(2) / 2)
+
+
 def test_full_two_qubit_family_shape():
     fam = rdl.full_two_qubit_family()
     assert len(fam) == 16

@@ -8,10 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rdl
-from rdl.errors import DimensionError, HermiticityError
-from rdl.maps import Superoperator, _choi_from_matrix
+from rdl.errors import DimensionError, InputError
+from rdl.maps import Superoperator
 
-from oracles import choi_by_application, conjugate_loops, ptrace_env_loops, random_unitary
+from oracles import (
+    choi_by_application,
+    conjugate_loops,
+    matrix_from_choi,
+    ptrace_env_loops,
+    random_unitary,
+)
 from test_consistency import constrained_family, product_and_joint_family, random_propagator
 
 
@@ -24,13 +30,7 @@ def pipeline(family, u, **kw):
 
 def transpose_superoperator():
     """The transpose map, entered through its known coordinate matrix."""
-    tmat = np.diag([1.0, 1.0, -1.0, 1.0]).astype(complex)
-    return Superoperator(
-        d_s=2,
-        matrix=tmat,
-        choi=_choi_from_matrix(tmat, 2),
-        consistency_certified=False,
-    )
+    return Superoperator(d_s=2, matrix=np.diag([1.0, 1.0, -1.0, 1.0]), consistency_certified=False)
 
 
 def test_assignment_lifts_marginals_back(rng):
@@ -128,13 +128,12 @@ def test_decomposition_is_deterministic():
 
 
 def choi_superoperator(choi):
-    """A 2-qubit-Choi superoperator entered through its Choi matrix alone."""
-    return Superoperator(
-        d_s=2,
-        matrix=np.eye(4, dtype=complex),
-        choi=choi,
-        consistency_certified=False,
-    )
+    """The qubit map with the Hermitian Choi matrix ``choi``, entered through its real matrix."""
+    matrix = matrix_from_choi(choi, 2)
+    assert np.abs(matrix.imag).max() <= 1e-15
+    sop = Superoperator(d_s=2, matrix=matrix.real, consistency_certified=False)
+    assert np.abs(sop.choi - choi).max() <= 1e-15
+    return sop
 
 
 def test_degenerate_choi_kraus_operators_are_pinned(rng):
@@ -270,19 +269,50 @@ def test_map_dimension_mismatch():
         rdl.build_dynamical_map(rdl.build_assignment(sub), np.eye(6, dtype=complex))
 
 
-def test_kraus_rejects_nonhermitian_choi():
-    for choi in (
-        np.array([[0, 1], [0, 0]], dtype=complex).repeat(2, 0).repeat(2, 1),
-        np.diag([np.nan, 1, 1, 1]).astype(complex),  # NaN must not pass as Hermitian
-    ):
-        sop = Superoperator(
-            d_s=2,
-            matrix=np.eye(4, dtype=complex),
-            choi=choi,
-            consistency_certified=False,
-            )
-        with pytest.raises(HermiticityError):
-            rdl.decompose_signed_kraus(sop)
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        (np.eye(4, dtype=complex), InputError),
+        (np.diag([np.nan, 1.0, 1.0, 1.0]), InputError),
+        (np.diag([1.0, np.inf, 1.0, 1.0]), InputError),
+        (np.eye(3), DimensionError),
+        (np.eye(4)[None], DimensionError),
+    ],
+    ids=["complex", "nan", "inf", "misshapen", "stacked"],
+)
+def test_superoperator_refuses_a_matrix_that_is_not_real_finite_and_square(matrix, error):
+    with pytest.raises(error):
+        Superoperator(d_s=2, matrix=matrix, consistency_certified=False)
+
+
+@given(d_s=st.integers(2, 6), scale=st.sampled_from([1e-12, 1.0, 1e6]), seed=st.integers(0, 2**16))
+def test_choi_of_a_real_matrix_is_exactly_hermitian(d_s, scale, seed):
+    matrix = scale * np.random.default_rng(seed).normal(size=(d_s * d_s, d_s * d_s))
+    sop = Superoperator(d_s=d_s, matrix=matrix, consistency_certified=False)
+    assert sop.matrix.dtype == np.float64 and not sop.matrix.flags.writeable
+    assert np.array_equal(sop.choi, sop.choi.conj().T)
+    assert not sop.choi.flags.writeable
+
+
+@given(
+    d_s=st.sampled_from([2, 3]),
+    d_e=st.sampled_from([1, 2, 3]),
+    n_sys=st.integers(1, 3),
+    n_env=st.integers(1, 3),
+    n_joint=st.integers(0, 3),
+    entangling=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_pipeline_map_is_real_with_an_exactly_hermitian_choi(
+    d_s, d_e, n_sys, n_env, n_joint, entangling, seed
+):
+    rng = np.random.default_rng(seed)
+    fam = product_and_joint_family(rng, d_s, d_e, n_sys, n_env, n_joint)
+    a = rdl.analyze(fam, random_propagator(rng, fam.dims, entangling))
+    sop = a.superoperator
+    assert sop.matrix.dtype == np.float64
+    assert np.array_equal(sop.choi, sop.choi.conj().T)
+    assert a.verdicts.hermitian_preserving
 
 
 def test_cp_map_never_grows_trace_distance(rng):
