@@ -21,18 +21,7 @@ from .errors import (
     RdlError,
     UnitarityError,
 )
-from .families import (
-    RejectedSample,
-    StateFamily,
-    TwoQubitParams,
-    assemble_two_qubit,
-    constrained_two_qubit_family,
-    extract_two_qubit_params,
-    full_two_qubit_family,
-    product_family,
-    random_density_matrix,
-    sample_two_qubit_params,
-)
+from .families import StateFamily, product_family, random_density_matrix
 from .maps import (
     AssignmentMap,
     MapVerdicts,
@@ -66,10 +55,17 @@ from .subspace import Subspace, build_subspace
 from .two_qubit import (
     LinearityCoefficients,
     ModelParams,
+    RejectedSample,
+    TwoQubitParams,
     affine_law,
     analytic_bloch_step,
+    assemble_two_qubit,
+    constrained_two_qubit_family,
+    extract_two_qubit_params,
+    full_two_qubit_family,
     model_unitary,
     pauli_eigenstates,
+    sample_two_qubit_params,
     swap_unitary,
 )
 

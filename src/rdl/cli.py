@@ -18,13 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DimensionError, InputError, RdlError
-from .families import (
-    StateFamily,
-    constrained_two_qubit_family,
-    extract_two_qubit_params,
-    product_family,
-    sample_two_qubit_params,
-)
+from .families import StateFamily, product_family
 from .operators import max_norm, trace_distance
 from .pipeline import analyze
 from .serialize import (
@@ -39,9 +33,11 @@ from .two_qubit import (
     LinearityCoefficients,
     ModelParams,
     affine_law,
-    analytic_bloch_step,
+    bloch_table,
+    constrained_two_qubit_family,
     model_unitary,
     pauli_eigenstates,
+    sample_two_qubit_params,
     swap_unitary,
 )
 
@@ -200,7 +196,6 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
 
     analysis = analyze(family, u, tols, hull=args.hull)
     coeffs, residuals = affine_law(analysis.subspace)
-    member_params = [extract_two_qubit_params(m, tols) for m in family.members]
 
     report = analysis_to_json(analysis, "two-qubit")
     report["family"]["rejected"] = rejected_count
@@ -208,18 +203,7 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
     report["coefficients_planted"] = None if planted is None else coefficients_to_json(planted)
     report["coefficients_solved"] = coefficients_to_json(coeffs)
     report["residuals"] = [[float(r[0]), float(r[1])] for r in residuals]
-    report["bloch_table"] = [
-        {
-            "alpha": [float(x) for x in p.alpha],
-            "gamma11": float(p.gamma[0, 0]),
-            "gamma21": float(p.gamma[1, 0]),
-            "alpha_out": [
-                float(x)
-                for x in analytic_bloch_step(p.alpha, p.gamma[0, 0], p.gamma[1, 0], model.angle)
-            ],
-        }
-        for p in member_params
-    ]
+    report["bloch_table"] = bloch_table(family.stack, model.angle)
     return report
 
 

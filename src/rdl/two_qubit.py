@@ -23,11 +23,192 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError
-from .operators import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, frozen, tensor
+from .config import DEFAULT_TOL, ToleranceConfig
+from .errors import DimensionError, EmptyFamilyError, InputError, NotAStateError
+from .families import StateFamily
+from .operators import (
+    PAULIS, SIGMA_X, SIGMA_Z, BipartiteDims, frozen, require_density, require_hermitian, tensor
+)
 from .subspace import Subspace
 
-_CORRELATIONS = frozen(np.array([tensor(SIGMA_X, SIGMA_X), tensor(SIGMA_Y, SIGMA_X)]))  # gamma11, gamma21
+_RANGE_SLACK = 1e-12  # coefficient-range checks allow this much roundoff
+
+
+@dataclass(frozen=True, eq=False)
+class TwoQubitParams:
+    """Coefficients of a two-qubit state in the product-Pauli expansion.
+
+    rho = (1/4) (I + sum_i alpha_i s_i (x) I + sum_j beta_j I (x) s_j
+                   + sum_ij gamma_ij s_i (x) s_j)
+
+    with s_1, s_2, s_3 the Pauli matrices.  alpha and beta are the system and
+    environment Bloch vectors; gamma holds the correlation coefficients, row
+    index on the system side.  All entries must lie in [-1, 1]; positivity of
+    the assembled matrix is a separate check.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+
+    def __post_init__(self):
+        alpha = np.asarray(self.alpha, dtype=float)
+        beta = np.asarray(self.beta, dtype=float)
+        gamma = np.asarray(self.gamma, dtype=float)
+        if alpha.shape != (3,) or beta.shape != (3,) or gamma.shape != (3, 3):
+            raise DimensionError(
+                f"expected shapes (3,), (3,), (3, 3); got {alpha.shape}, {beta.shape}, {gamma.shape}"
+            )
+        for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+            worst = float(np.max(np.abs(arr)))
+            if worst > 1.0 + _RANGE_SLACK:
+                raise InputError(f"{name} entries must lie in [-1, 1], worst is {worst:.6g}")
+        object.__setattr__(self, "alpha", frozen(alpha))
+        object.__setattr__(self, "beta", frozen(beta))
+        object.__setattr__(self, "gamma", frozen(gamma))
+
+
+def _product_paulis() -> np.ndarray:
+    """The 16 product Paulis: I (x) I, then per axis i, s_i (x) I, I (x) s_i, s_i (x) s_1..3."""
+    eye = np.eye(2)
+    table = [tensor(eye, eye)]
+    for p in PAULIS:
+        table += [tensor(p, eye), tensor(eye, p)] + [tensor(p, q) for q in PAULIS]
+    return frozen(np.array(table))
+
+
+_PRODUCT_PAULIS = _product_paulis()  # (16, 4, 4); rows 1..15 are one block of 5 per axis
+
+
+def _pauli_blocks(stack: np.ndarray) -> np.ndarray:
+    """tr(P rho) for the 15 non-identity product Paulis P, over a (..., 4, 4) stack.
+
+    Shape (..., 3, 5), one row per axis i as in the table: [..., i, 0] is
+    alpha_i, [..., i, 1] is beta_i and [..., i, 2 + j] is gamma_ij.
+    """
+    traces = np.trace(_PRODUCT_PAULIS[1:] @ stack[..., None, :, :], axis1=-2, axis2=-1)
+    return traces.real.reshape(*stack.shape[:-2], 3, 5)
+
+
+def assemble_two_qubit(params: TwoQubitParams, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Build the 4x4 density matrix for ``params``.
+
+    The terms are summed one after another in table order.  Raises
+    NotAStateError (carrying the minimum eigenvalue) when the coefficients
+    do not describe a positive matrix.
+    """
+    blocks = np.column_stack([params.alpha, params.beta, params.gamma])
+    coeffs = np.concatenate([[1.0], blocks.ravel()])
+    rho = np.add.reduce(coeffs[:, None, None] * _PRODUCT_PAULIS, axis=0) / 4.0
+    return require_density(rho, tol, "assembled two-qubit state")
+
+
+def extract_two_qubit_params(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> TwoQubitParams:
+    """Read the product-Pauli coefficients back off a 4x4 Hermitian matrix.
+
+    Exact inverse of :func:`assemble_two_qubit`:
+    alpha_i = tr((s_i (x) I) rho), beta_j = tr((I (x) s_j) rho),
+    gamma_ij = tr((s_i (x) s_j) rho).
+    """
+    rho = require_hermitian(rho, tol.herm, "two-qubit state")
+    if rho.shape != (4, 4):
+        raise DimensionError(f"expected a 4x4 matrix, got {rho.shape}")
+    blocks = _pauli_blocks(rho)
+    return TwoQubitParams(alpha=blocks[:, 0], beta=blocks[:, 1], gamma=blocks[:, 2:])
+
+
+def sample_two_qubit_params(rng: np.random.Generator, scale: float = 1.0) -> TwoQubitParams:
+    """Uniform draw of all fifteen coefficients from [-scale, scale].
+
+    No positivity guarantee; downstream assembly rejects bad draws.
+    """
+    if not 0 < scale <= 1.0:
+        raise InputError(f"scale must lie in (0, 1], got {scale}")
+    return TwoQubitParams(
+        alpha=rng.uniform(-scale, scale, size=3),
+        beta=rng.uniform(-scale, scale, size=3),
+        gamma=rng.uniform(-scale, scale, size=(3, 3)),
+    )
+
+
+@dataclass(frozen=True)
+class RejectedSample:
+    """Why one draw was dropped while building a constrained family."""
+
+    index: int
+    reason: str  # "range" or "positivity"
+    gamma11: float
+    gamma21: float
+    min_eigenvalue: float | None = None
+
+
+def constrained_two_qubit_family(
+    a11: float,
+    a21: float,
+    b11,
+    b21,
+    samples,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[StateFamily, tuple[RejectedSample, ...]]:
+    """Two-qubit family whose correlations are affine functions of alpha.
+
+    Each sample's gamma_11 and gamma_21 entries are overwritten with
+    a11 + b11 . alpha and a21 + b21 . alpha.  Samples whose overwritten
+    coefficients leave [-1, 1] or break positivity are rejected one by one;
+    the rejects come back alongside the family.  Raises EmptyFamilyError when
+    nothing survives.
+    """
+    b11 = np.asarray(b11, dtype=float)
+    b21 = np.asarray(b21, dtype=float)
+    if b11.shape != (3,) or b21.shape != (3,):
+        raise DimensionError(f"b11 and b21 must be 3-vectors, got {b11.shape}, {b21.shape}")
+    for name, value in (("a11", a11), ("a21", a21), ("b11", b11), ("b21", b21)):
+        if not np.isfinite(value).all():
+            raise InputError(f"{name} must be finite, got {value}")
+    members = []
+    rejected = []
+    for idx, p in enumerate(samples):
+        g11 = float(a11 + b11 @ p.alpha)
+        g21 = float(a21 + b21 @ p.alpha)
+        if max(abs(g11), abs(g21)) > 1.0 + _RANGE_SLACK:
+            rejected.append(RejectedSample(idx, "range", g11, g21))
+            continue
+        gamma = np.array(p.gamma)
+        gamma[0, 0] = g11
+        gamma[1, 0] = g21
+        constrained = TwoQubitParams(alpha=p.alpha, beta=p.beta, gamma=gamma)
+        try:
+            members.append(assemble_two_qubit(constrained, tol))
+        except NotAStateError as err:
+            rejected.append(RejectedSample(idx, "positivity", g11, g21, err.min_eigenvalue))
+    if not members:
+        raise EmptyFamilyError(
+            f"all {len(rejected)} samples were rejected by the affine correlation constraint"
+        )
+    label = (
+        f"constrained two-qubit family, a11={a11:.6g}, a21={a21:.6g}, "
+        f"b11={np.array2string(b11, precision=6, separator=',')}, "
+        f"b21={np.array2string(b21, precision=6, separator=',')}"
+    )
+    family = StateFamily(BipartiteDims(2, 2), tuple(members), label=label, tol=tol)
+    return family, tuple(rejected)
+
+
+def full_two_qubit_family(eps: float = 0.2, tol: ToleranceConfig = DEFAULT_TOL) -> StateFamily:
+    """Sixteen deterministic states spanning the whole two-qubit operator space.
+
+    The maximally mixed state plus displacements of size ``eps`` along every
+    product-Pauli direction.  Valid states for eps <= 0.25.
+    """
+    eye4 = np.eye(4, dtype=complex) / 4.0
+    axes = _PRODUCT_PAULIS[1:].reshape(3, 5, 4, 4)
+    directions = np.concatenate([axes[:, 0], axes[:, 1], axes[:, 2:].reshape(9, 4, 4)])
+    return StateFamily(
+        dims=BipartiteDims(2, 2),
+        members=(eye4, *(eye4 + eps * directions)),
+        label=f"full-span two-qubit family, eps={eps:.6g}",
+        tol=tol,
+    )
 
 
 @dataclass(frozen=True)
@@ -115,13 +296,24 @@ def affine_law(subspace: Subspace) -> tuple[LinearityCoefficients, np.ndarray]:
             f"(rank {subspace.reduced_dim} at tolerance {subspace.tol_rank:.1e}); "
             "cannot fit the affine law"
         )
-    g = np.trace(_CORRELATIONS @ subspace.members[:, None], axis1=-2, axis2=-1).real
+    g = _pauli_blocks(subspace.members)[:, :2, 2]
     fitted = subspace.fit @ g
     law = fitted / np.sqrt(2.0)
     coeffs = LinearityCoefficients(
         a11=float(law[0, 0]), b11=frozen(law[1:, 0]), a21=float(law[0, 1]), b21=frozen(law[1:, 1])
     )
     return coeffs, g - subspace.marginals @ fitted
+
+
+def bloch_table(members: np.ndarray, angle: float) -> list[dict]:
+    """Report rows of a validated (n, 4, 4) stack: alpha, gamma11, gamma21 and the analytic step."""
+    rows = []
+    for blocks in _pauli_blocks(members):
+        alpha, gamma11, gamma21 = blocks[:, 0], blocks[0, 2], blocks[1, 2]
+        row = {"alpha": alpha.tolist(), "gamma11": float(gamma11), "gamma21": float(gamma21)}
+        row["alpha_out"] = analytic_bloch_step(alpha, gamma11, gamma21, angle).tolist()
+        rows.append(row)
+    return rows
 
 
 def pauli_eigenstates() -> tuple[np.ndarray, ...]:
