@@ -85,15 +85,15 @@ def _build_parser() -> _Parser:
 
     pt = sub.add_parser("two-qubit", parents=[common], help="constrained-family case study")
     pt.set_defaults(run=_cmd_two_qubit)
-    pt.add_argument("--seed", type=int, default=None, help="seed for the member draws")
+    pt.add_argument("--seed", type=int, help="seed for the member draws")
     pt.add_argument("--omega", type=float, default=1.0)
     pt.add_argument("--t", type=float, default=1.0)
-    pt.add_argument("--a11", type=float, default=0.0)
-    pt.add_argument("--a21", type=float, default=0.0)
-    pt.add_argument("--b11", default="0,0,0", metavar="X,Y,Z")
-    pt.add_argument("--b21", default="0,0,0", metavar="X,Y,Z")
-    pt.add_argument("--samples", type=int, default=12, help="number of coefficient draws")
-    pt.add_argument("--scale", type=float, default=0.35, help="coefficient sampling half-width")
+    pt.add_argument("--a11", type=float)
+    pt.add_argument("--a21", type=float)
+    pt.add_argument("--b11", metavar="X,Y,Z")
+    pt.add_argument("--b21", metavar="X,Y,Z")
+    pt.add_argument("--samples", type=int, help="number of coefficient draws (default 12)")
+    pt.add_argument("--scale", type=float, help="coefficient sampling half-width (default 0.35)")
     pt.add_argument("--members", default=None, metavar="FILE", help="use this family instead of sampling")
 
     ps = sub.add_parser("swap-demo", parents=[common], help="product family under the swap propagator")
@@ -101,6 +101,12 @@ def _build_parser() -> _Parser:
     ps.add_argument("--states", default=None, metavar="FILE", help="JSON list of system states")
     ps.add_argument("--omega-e", dest="omega_e", default=None, metavar="FILE", help="environment state JSON")
     return parser
+
+
+# The flags that shape sampled members, with the values sampling gives the absent ones.
+_SAMPLING_DEFAULTS = {
+    "seed": None, "samples": 12, "scale": 0.35, "a11": 0.0, "a21": 0.0, "b11": "0,0,0", "b21": "0,0,0"
+}
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -173,11 +179,17 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
     u = model_unitary(model)
     planted = None
     rejected_count = None
+    given = [f"--{name}" for name in _SAMPLING_DEFAULTS if getattr(args, name) is not None]
     if args.members is not None:
+        if given:
+            raise InputError(f"--members takes no sampling flags, got {', '.join(given)}")
         family = family_from_json(_load_json(args.members), tols)
         if (family.dims.d_s, family.dims.d_e) != (2, 2):
             raise InputError("--members must hold a 2x2 system-environment family")
     else:
+        for name, default in _SAMPLING_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
         if args.seed is None:
             raise InputError("sampling members requires --seed")
         if args.seed < 0:

@@ -1,4 +1,8 @@
-"""Families of joint system-environment states, validated once as one member stack."""
+"""Families of joint system-environment states, validated once as one member stack.
+
+Any split d_s x d_e; the two-qubit product-Pauli parametrization and the
+families built from it live in :mod:`rdl.two_qubit`.
+"""
 
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ inner products are tr(A^dag B).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,11 @@ class BipartiteDims:
     d_e: int
 
     def __post_init__(self):
-        for name in ("d_s", "d_e"):
+        for name in ("d_s", "d_e"):  # numpy integers are stored as int; bool is refused
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise DimensionError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.d_s < 2:
             raise DimensionError(f"system dimension must be at least 2, got {self.d_s}")
         if self.d_e < 1:

@@ -1,4 +1,10 @@
-"""Closed-form two-qubit model, its affine law read off the marginal fit, and the swap propagator.
+"""The two-qubit parametrization, closed-form model and affine law, and the swap propagator.
+
+This module owns the product-Pauli convention: which of the 15
+coefficients tr(P rho) are alpha, beta and gamma.  TwoQubitParams,
+assembly and extraction, the sampler and the constrained and full families
+use it, and one batched reader of a member stack serves extraction,
+:func:`affine_law` and the report's Bloch table.
 
 The model couples the system's third Pauli axis to the environment's first:
 H = (omega/2) s3 (x) s1, so the propagator is

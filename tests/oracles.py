@@ -237,6 +237,12 @@ def pauli_coefficients_by_kron(rho):
     return alpha, beta, gamma
 
 
+def pauli_coefficients_per_member(members):
+    """:func:`pauli_coefficients_by_kron` of each member in turn, stacked: (n, 3), (n, 3), (n, 3, 3)."""
+    alpha, beta, gamma = zip(*(pauli_coefficients_by_kron(rho) for rho in members))
+    return np.array(alpha), np.array(beta), np.array(gamma)
+
+
 def validate_members_one_by_one(members, dims, tol):
     """A state family's members validated one at a time, each fully before the next.
 

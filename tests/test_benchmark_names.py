@@ -1,12 +1,18 @@
-"""The benchmark's workloads call rdl by name; every name they use must still resolve."""
+"""The benchmark's workloads call rdl by name; every name they use must still resolve.
+
+The tracer's observers also read the wrapped calls' arguments by parameter
+name, so each name they read must still be a parameter of what they wrap.
+"""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
 def _dotted(node):
@@ -52,3 +58,62 @@ def test_workloads_use_the_names_this_test_expects():
 @pytest.mark.parametrize("dotted", workload_names())
 def test_benchmark_workload_name_resolves(dotted):
     resolve(dotted)
+
+
+def _assigned(tree, name):
+    """The value bound to the module-level name ``name``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"tracing.py binds no {name}")
+
+
+def _argument_keys(func):
+    """The constant keys ``func`` subscripts ``args.arguments`` with; ``.get`` reads may miss."""
+    return {
+        node.slice.value
+        for node in ast.walk(func)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "arguments"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def observed_parameters() -> list[tuple[str, str, str]]:
+    """(module, name, key) for every wrapped target whose observer reads argument ``key``.
+
+    Read from tracing.py without importing it: ``OBSERVERS`` maps a wrapped
+    name to its observer function, and ``IN_PROCESS_TARGETS`` and
+    ``CLI_TARGETS`` list (module, names) pairs.
+    """
+    tree = ast.parse(TRACING.read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    observers = _assigned(tree, "OBSERVERS")
+    keys = {
+        k.value: _argument_keys(functions[v.id]) for k, v in zip(observers.keys, observers.values)
+    }
+    out = []
+    for targets in ("IN_PROCESS_TARGETS", "CLI_TARGETS"):
+        for pair in _assigned(tree, targets).elts:
+            module_node, names = pair.elts
+            module = _dotted(module_node) or module_node.id
+            for name in (n.value for n in names.elts):
+                out += [(module, name, key) for key in sorted(keys.get(name, ()))]
+    return out
+
+
+def test_observers_read_the_arguments_this_test_expects():
+    found = observed_parameters()
+    assert ("rdl", "check_subspace_consistency", "subspace") in found
+    assert ("rdl.cli", "_load_json", "path") in found
+
+
+@pytest.mark.parametrize("module, name, key", observed_parameters())
+def test_observed_argument_is_a_parameter(module, name, key):
+    target = getattr(resolve(module), name, None)
+    if target is None:
+        pytest.skip(f"{module} no longer binds {name}; the tracer skips it too")
+    assert key in inspect.signature(target).parameters

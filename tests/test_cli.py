@@ -388,6 +388,44 @@ def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
     assert "independent" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--seed", "5"),
+        ("--samples", "99"),
+        ("--scale", "0.9"),
+        ("--a11", "0.3"),
+        ("--a21", "0.3"),
+        ("--b11", "1,0,0"),
+        ("--b21", "1,0,0"),
+    ],
+)
+def test_two_qubit_members_refuse_sampling_flags(capsys, full_family_file, flag, value):
+    """A flag that only shapes sampled members is an input error, not silently dropped."""
+    code, out, err = run(capsys, "two-qubit", "--members", full_family_file, flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"input error: --members takes no sampling flags, got {flag}\n"
+
+
+def test_two_qubit_sampling_defaults_apply_when_flags_are_absent(capsys):
+    spelled = (
+        "--samples", "12", "--scale", "0.35",
+        "--a11", "0", "--a21", "0", "--b11", "0,0,0", "--b21", "0,0,0",
+    )
+    bare = run(capsys, "two-qubit", "--seed", "3")
+    assert bare[0] == 0
+    assert run(capsys, "two-qubit", "--seed", "3", *spelled) == bare
+
+
+def test_two_qubit_members_name_every_sampling_flag_given(capsys, full_family_file):
+    code, _, err = run(
+        capsys, "two-qubit", "--members", full_family_file, "--scale", "0.9", "--seed", "5"
+    )
+    assert code == 1
+    assert err == "input error: --members takes no sampling flags, got --seed, --scale\n"
+
+
 def test_two_qubit_solved_law_does_not_depend_on_member_order(capsys, tmp_path, rng):
     """The law is fitted over every member at once, so permuting them leaves it in place."""
     members = [rdl.random_density_matrix(4, rng) for _ in range(10)]

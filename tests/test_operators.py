@@ -106,6 +106,12 @@ def test_bipartite_dims_validation():
     assert rdl.BipartiteDims(3, 4).joint == 12
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, np.float64(2.0), "2"])
+def test_bipartite_dims_refuse_what_is_no_integer(value):
+    with pytest.raises(DimensionError, match="^d_s must be an integer"):
+        rdl.BipartiteDims(value, 2)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_hermitian_basis_orthonormal(d):
     basis = rdl.hermitian_basis(d)

@@ -94,6 +94,18 @@ def test_family_from_json_rejects_boolean_dimension(field):
         serialize.family_from_json(obj)
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_dimensions_serialize_as_plain_ints(kind):
+    """Dimensions given as numpy integers are held as int, so the report writer takes them."""
+    dims = rdl.BipartiteDims(kind(2), kind(2))
+    assert type(dims.d_s) is int and type(dims.d_e) is int
+    assert dims == rdl.BipartiteDims(2, 2)
+    fam = rdl.StateFamily(dims, (np.eye(4, dtype=complex) / 4,))
+    obj = serialize.family_to_json(fam)
+    assert serialize.dumps_report(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert serialize.family_from_json(json.loads(serialize.dumps_report(obj))).dims == dims
+
+
 def test_dumps_report_is_canonical():
     a = serialize.dumps_report({"b": 1, "a": [1.5, None]})
     b = serialize.dumps_report({"a": [1.5, None], "b": 1})

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import rdl
+from rdl.two_qubit import bloch_table
 
-from oracles import bloch_by_entries, pauli_coefficients_by_kron
+from oracles import bloch_by_entries, pauli_coefficients_by_kron, pauli_coefficients_per_member
 from test_consistency import constrained_family
 
 
@@ -230,3 +233,55 @@ def test_analyze_runs_on_full_span():
     for probe in (np.eye(2) / 2, (np.eye(2) + 0.8 * rdl.SIGMA_X) / 2):
         probe = probe.astype(complex)
         assert rdl.max_norm(a.kraus.reconstruct(probe) - a.superoperator.apply(probe)) < 1e-12
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 16),
+    law=st.none() | st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+    angle=st.floats(-7.0, 7.0),
+)
+def test_batched_pauli_reads_match_per_member_traces(seed, n, law, angle):
+    """Extraction, the affine law and the Bloch table read each coefficient as one trace would.
+
+    The family is a constrained draw under a random planted law, or random
+    states when ``law`` is None.  Every value is compared bit for bit with
+    a trace per member and per Pauli; the law's outputs with the oracle's
+    (gamma11, gamma21) put through its own formulas, P g / sqrt(2) and
+    g - R (P g).
+    """
+    rng = np.random.default_rng(seed)
+    if law is None:
+        members = tuple(rdl.random_density_matrix(4, rng) for _ in range(n))
+        fam = rdl.StateFamily(rdl.BipartiteDims(2, 2), members)
+    else:
+        draws = [rdl.sample_two_qubit_params(rng, 0.3) for _ in range(n)]
+        fam, _ = rdl.constrained_two_qubit_family(law[0], law[1], law[2:5], law[5:], draws)
+    alpha, beta, gamma = pauli_coefficients_per_member(fam.members)
+
+    for i, member in enumerate(fam.members):
+        p = rdl.extract_two_qubit_params(member)
+        assert np.array_equal(bits(p.alpha), bits(alpha[i]))
+        assert np.array_equal(bits(p.beta), bits(beta[i]))
+        assert np.array_equal(bits(p.gamma), bits(gamma[i]))
+
+    g = gamma[:, :2, 0]  # (gamma11, gamma21) per member
+    sub = rdl.build_subspace(fam)
+    if sub.reduced_dim == 4:
+        coeffs, residuals = rdl.affine_law(sub)
+        fitted = sub.fit @ g
+        law_got = [[coeffs.a11, coeffs.a21], *np.column_stack([coeffs.b11, coeffs.b21])]
+        assert np.array_equal(bits(law_got), bits(fitted / np.sqrt(2.0)))
+        assert np.array_equal(bits(residuals), bits(g - sub.marginals @ fitted))
+
+    rows = bloch_table(fam.stack, angle)
+    assert len(rows) == len(fam)
+    for row, a, (g11, g21) in zip(rows, alpha, g):
+        step = rdl.analytic_bloch_step(a, g11, g21, angle)
+        got = [*row["alpha"], row["gamma11"], row["gamma21"], *row["alpha_out"]]
+        assert np.array_equal(bits(got), bits([*a, g11, g21, *step]))
