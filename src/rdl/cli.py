@@ -179,8 +179,8 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
     u = model_unitary(model)
     planted = None
     rejected_count = None
-    given = [f"--{name}" for name in _SAMPLING_DEFAULTS if getattr(args, name) is not None]
     if args.members is not None:
+        given = [f"--{name}" for name in _SAMPLING_DEFAULTS if getattr(args, name) is not None]
         if given:
             raise InputError(f"--members takes no sampling flags, got {', '.join(given)}")
         family = family_from_json(_load_json(args.members), tols)

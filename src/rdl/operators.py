@@ -39,7 +39,7 @@ class BipartiteDims:
     d_e: int
 
     def __post_init__(self):
-        for name in ("d_s", "d_e"):  # numpy integers are stored as int; bool is refused
+        for name in ("d_s", "d_e"):  # held as int: the report writer takes only int instances
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise DimensionError(f"{name} must be an integer, got {value!r}")

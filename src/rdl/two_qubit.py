@@ -69,9 +69,7 @@ class TwoQubitParams:
             worst = float(np.max(np.abs(arr)))
             if worst > 1.0 + _RANGE_SLACK:
                 raise InputError(f"{name} entries must lie in [-1, 1], worst is {worst:.6g}")
-        object.__setattr__(self, "alpha", frozen(alpha))
-        object.__setattr__(self, "beta", frozen(beta))
-        object.__setattr__(self, "gamma", frozen(gamma))
+            object.__setattr__(self, name, frozen(arr))
 
 
 def _product_paulis() -> np.ndarray:
@@ -196,7 +194,9 @@ def constrained_two_qubit_family(
         f"b11={np.array2string(b11, precision=6, separator=',')}, "
         f"b21={np.array2string(b21, precision=6, separator=',')}"
     )
-    family = StateFamily(BipartiteDims(2, 2), tuple(members), label=label, tol=tol)
+    family = StateFamily(
+        dims=BipartiteDims(2, 2), members=tuple(members), label=label, tol=tol
+    )
     return family, tuple(rejected)
 
 

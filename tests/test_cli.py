@@ -389,23 +389,24 @@ def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "flags, named",
     [
-        ("--seed", "5"),
-        ("--samples", "99"),
-        ("--scale", "0.9"),
-        ("--a11", "0.3"),
-        ("--a21", "0.3"),
-        ("--b11", "1,0,0"),
-        ("--b21", "1,0,0"),
+        (("--seed", "5"), "--seed"),
+        (("--samples", "99"), "--samples"),
+        (("--scale", "0.9"), "--scale"),
+        (("--a11", "0.3"), "--a11"),
+        (("--a21", "0.3"), "--a21"),
+        (("--b11", "1,0,0"), "--b11"),
+        (("--b21", "1,0,0"), "--b21"),
+        (("--scale", "0.9", "--seed", "5"), "--seed, --scale"),
     ],
 )
-def test_two_qubit_members_refuse_sampling_flags(capsys, full_family_file, flag, value):
+def test_two_qubit_members_refuse_sampling_flags(capsys, full_family_file, flags, named):
     """A flag that only shapes sampled members is an input error, not silently dropped."""
-    code, out, err = run(capsys, "two-qubit", "--members", full_family_file, flag, value)
+    code, out, err = run(capsys, "two-qubit", "--members", full_family_file, *flags)
     assert code == 1
     assert out == ""
-    assert err == f"input error: --members takes no sampling flags, got {flag}\n"
+    assert err == f"input error: --members takes no sampling flags, got {named}\n"
 
 
 def test_two_qubit_sampling_defaults_apply_when_flags_are_absent(capsys):
@@ -416,14 +417,6 @@ def test_two_qubit_sampling_defaults_apply_when_flags_are_absent(capsys):
     bare = run(capsys, "two-qubit", "--seed", "3")
     assert bare[0] == 0
     assert run(capsys, "two-qubit", "--seed", "3", *spelled) == bare
-
-
-def test_two_qubit_members_name_every_sampling_flag_given(capsys, full_family_file):
-    code, _, err = run(
-        capsys, "two-qubit", "--members", full_family_file, "--scale", "0.9", "--seed", "5"
-    )
-    assert code == 1
-    assert err == "input error: --members takes no sampling flags, got --seed, --scale\n"
 
 
 def test_two_qubit_solved_law_does_not_depend_on_member_order(capsys, tmp_path, rng):
