@@ -15,7 +15,8 @@ class ToleranceConfig:
 
     Every check reads its threshold from one of these fields, and passing a
     config is the one way to set them.  Every field must be finite and
-    positive; ``psd`` may also be 0, the exact positivity floor.
+    positive; ``psd`` may also be 0, the exact positivity floor.  ``trace``
+    must be below 1, so that every member's trace stays away from 0.
     """
 
     herm: float = 1e-9  # max-norm bound on X - X^dag
@@ -28,8 +29,11 @@ class ToleranceConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not (0 < value < math.inf or f.name == "psd" and value == 0):
-                raise InputError(f"tolerance {f.name} must be finite and positive, got {value!r}")
+            below, bound = (1.0, " and below 1") if f.name == "trace" else (math.inf, "")
+            if not (0 < value < below or f.name == "psd" and value == 0):
+                raise InputError(
+                    f"tolerance {f.name} must be finite and positive{bound}, got {value!r}"
+                )
 
 
 DEFAULT_TOL = ToleranceConfig()

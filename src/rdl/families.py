@@ -22,7 +22,10 @@ class StateFamily:
     """A finite set of joint density matrices on one system-environment split.
 
     The validated members are held once, as the read-only ``stack`` of shape
-    (n, d_j, d_j); ``members`` holds views of its rows.
+    (n, d_j, d_j); ``members`` holds views of its rows.  ``tol`` is what
+    they were validated with; the span certificate of
+    :func:`rdl.subspace.build_subspace` bounds their anti-Hermitian parts by
+    its ``herm`` and ``trace``.
     """
 
     dims: BipartiteDims

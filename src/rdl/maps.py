@@ -49,13 +49,15 @@ class AssignmentMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Lift a d_s x d_s operator, or a stack (..., d_s, d_s) of them, in one contraction.
 
-        Raises NotInSpanError, carrying the worst residual, when the lift's
-        marginal misses any operator by more than the subspace's rank
-        tolerance in max-norm.
+        Raises InputError on a non-finite entry, and NotInSpanError, carrying
+        the worst residual, when the lift's marginal misses any operator by
+        more than the subspace's rank tolerance in max-norm.
         """
         sub = self.subspace
         d_s, tol = sub.dims.d_s, sub.tol_rank
         x = np.asarray(x, dtype=complex)
+        if not np.isfinite(x).all():
+            raise InputError("operator to lift must be finite")
         weights = basis_coords(x, d_s) @ sub.fit
         worst = max_norm(x - from_basis_coords(weights @ sub.marginals, d_s))
         if worst > tol:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import RdlError
 from .families import StateFamily
 from .operators import (
@@ -111,50 +111,56 @@ def _unit_rows(ops: np.ndarray, d: int) -> np.ndarray:
     return rows / np.sqrt(np.vecdot(rows, rows))[:, None]  # bit for bit np.linalg.norm per row
 
 
-def _full_rank_certified(stack: np.ndarray, gram: np.ndarray, tol_rank: float) -> bool:
+def _full_rank_certified(gram: np.ndarray, d: int, tol_rank: float, tol: ToleranceConfig) -> bool:
     """True when a Cholesky factor proves every singular value of the unit rows above 2 tol_rank.
 
-    The rows of :func:`_unit_rows` are the coordinates of H_i / ||H_i||, H_i
-    the Hermitian part of x_i = H_i + A_i: members are Hermitian only within
-    the family's ``tol.herm``.  Their Gram matrix needs no coordinates.
-    ``gram`` is V V^T, V the stack's float view (n, m) with
-    m = 2 d^2 and rows v_i, so G_ij = Re tr(x_i^dag x_j) =
-    tr(H_i H_j) + Re tr(A_i^dag A_j): the cross terms are imaginary.  The
-    second term is the Gram matrix of the anti-Hermitian parts, and
-    2 ||A_i||^2 = G_ii - Re tr(x_i^2).  Scaled by D = diag(G_ii)^(1/2),
-    D^-1 G D^-1 exceeds D^-1 G_H D^-1 by a positive semidefinite term whose
-    trace, hence largest eigenvalue, is s_A = sum_i ||A_i||^2 / G_ii.  The
-    unit-row Gram matrix is T D^-1 G_H D^-1 T with
-    T = diag(G_ii^(1/2) / ||H_i||) >= 1, so
+    ``gram`` is the Gram matrix of n members of side d that passed validation
+    at ``tol``.  The rows of :func:`_unit_rows` are the coordinates of
+    H_i / ||H_i||, H_i the Hermitian part of x_i = H_i + A_i: members are
+    Hermitian only within ``tol.herm``.  ``gram`` is V V^T, V the stack's
+    float view (n, m) with m = 2 d^2 and rows v_i, so
+    G_ij = Re tr(x_i^dag x_j) = tr(H_i H_j) + Re tr(A_i^dag A_j): the cross
+    terms are imaginary.  The second term is the Gram matrix of the
+    anti-Hermitian parts.  Scaled by D = diag(G_ii)^(1/2), D^-1 G D^-1
+    exceeds D^-1 G_H D^-1 by a positive semidefinite term whose trace, hence
+    largest eigenvalue, is s_A = sum_i ||A_i||^2 / G_ii.  The unit-row Gram
+    matrix is T D^-1 G_H D^-1 T with T = diag(G_ii^(1/2) / ||H_i||) >= 1, so
     sigma_min^2 >= lambda_min(D^-1 G D^-1) - s_A.
 
+    Validation bounds s_A without a look at the members.  It passed
+    max |X - X^dag| <= herm, so every entry of A_i = (x_i - x_i^dag) / 2 is at
+    most herm / 2 and ||A_i||^2 <= d^2 herm^2 / 4.  It passed
+    |tr x_i - 1| <= trace < 1, so tr H_i = Re tr x_i >= 1 - trace and
+    G_ii >= ||H_i||^2 >= (tr H_i)^2 / d >= (1 - trace)^2 / d.  Hence
+    s_A <= s = n d^3 herm^2 / (4 (1 - trace)^2).
+
     Roundoff.  The Gram product errs entrywise by at most
-    m eps ||v_i|| ||v_j||, so by m eps n in norm once scaled, and each
-    ||A_i||^2 by m eps G_ii, so s_A by m eps n.  The bound takes n, not the
-    computed ||G||: the product's error follows |V||V|^T, which can exceed
-    V V^T in norm.  A Cholesky factorization of an n x n matrix of unit
-    diagonal that completes is exact for a perturbation of norm
-    (n + 1) n eps at most; the scaling, the shift and T's computed diagonal
-    add (2 n + m + 5) eps.  floor = (3 m + n + 8) n eps bounds the sum, and
-    twice that covers the higher-order terms.  So a factor of
-    D^-1 G D^-1 - (2 floor + s_A + 4 tol_rank^2) I proves
-    sigma_min > 2 tol_rank, and the SVD of the computed rows counts every
-    row while its own roundoff stays under tol_rank.  With tol_rank not
-    above ``floor``, which bounds the same kinds of error, the SVD's count
-    is itself roundoff, and the certificate is not tried.  A state's Gram
-    diagonal is tr(rho^2) >= 1/d, so neither it nor any entry, at most 1,
-    leaves the range of normal floats.  False means "not certified", not
-    "rank deficient".
+    m eps ||v_i|| ||v_j||, so by m eps n in norm once scaled.  The bound
+    takes n, not the computed ||G||: the product's error follows |V||V|^T,
+    which can exceed V V^T in norm.  A Cholesky factorization of an n x n
+    matrix of unit diagonal that completes is exact for a perturbation of
+    norm (n + 1) n eps at most; the scaling, the shift and T's computed
+    diagonal add (2 n + m + 5) eps <= (m + 7) n eps.
+    floor = (2 m + n + 8) n eps bounds the sum, and twice that covers the
+    higher-order terms and the few ulps of s, which is below 1 whenever the
+    shift is.  So a factor of D^-1 G D^-1 - (2 floor + s + 4 tol_rank^2) I
+    proves sigma_min > 2 tol_rank, and the SVD of the computed rows counts
+    every row while its own roundoff stays under tol_rank.  With tol_rank
+    not above ``floor``, which bounds the same kinds of error, the SVD's
+    count is itself roundoff, and the certificate is not tried.  A state's
+    Gram diagonal is at least (1 - trace)^2 / d and, within ``tol.psd`` of
+    positive, about 1 at most, so neither it nor any entry leaves the range
+    of normal floats.  False means "not certified", not "rank deficient": a
+    family validated at a loose ``herm`` just goes to the SVD.
     """
-    n, d = len(stack), stack.shape[-1]
+    n = len(gram)
     m = 2 * d * d
-    floor = (3 * m + n + 8) * n * np.finfo(float).eps
-    sq = np.diagonal(gram)
-    anti = np.maximum(sq - np.einsum("nab,nba->n", stack, stack).real, 0) / 2
-    shift = 2 * floor + np.sum(anti / sq) + 4 * tol_rank**2
+    floor = (2 * m + n + 8) * n * np.finfo(float).eps
+    s = n * d**3 * tol.herm**2 / (4 * (1 - tol.trace) ** 2)  # bounds s_A
+    shift = 2 * floor + s + 4 * tol_rank**2
     if not (floor < tol_rank and shift < 1):
         return False
-    inv = 1 / np.sqrt(sq)
+    inv = 1 / np.sqrt(np.diagonal(gram))
     try:
         np.linalg.cholesky(gram * inv * inv[:, None] - shift * np.eye(n))
     except np.linalg.LinAlgError:
@@ -162,16 +168,17 @@ def _full_rank_certified(stack: np.ndarray, gram: np.ndarray, tol_rank: float) -
     return True
 
 
-def _span_rank(stack: np.ndarray, d: int, tol_rank: float) -> int:
+def _span_rank(stack: np.ndarray, d: int, tol_rank: float, tol: ToleranceConfig) -> int:
     """Number of singular values of the unit coordinate rows above ``tol_rank``.
 
-    Up to d^2 members are first offered to :func:`_full_rank_certified`;
-    the SVD runs only when the certificate fails.
+    ``stack`` holds states validated at ``tol``.  Up to d^2 of them are first
+    offered to :func:`_full_rank_certified`, which reads ``tol.herm`` and
+    ``tol.trace``; the SVD runs only when the certificate fails.
     """
     n = len(stack)
     if n <= d * d:
         flat = stack.reshape(n, -1).view(float)
-        if _full_rank_certified(stack, flat @ flat.T, tol_rank):
+        if _full_rank_certified(flat @ flat.T, d, tol_rank, tol):
             return n
     return int(np.sum(np.linalg.svd(_unit_rows(stack, d), compute_uv=False) > tol_rank))
 
@@ -201,13 +208,14 @@ def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> S
     The span rank counts the singular values above ``tol_rank`` of the
     members' unit-normalized coordinates.  When n <= d_j^2, one Cholesky
     factorization of the members' scaled Gram matrix first tries to certify
-    all n of them (:func:`_full_rank_certified`), and the coordinates and
-    their SVD are built only when it fails.  The marginals' rank,
-    ``reduced_dim``, counts the singular values of their unit-normalized
-    coordinates above ``tol_rank`` (:func:`_marginal_fit`).
+    all n of them (:func:`_full_rank_certified`), with their anti-Hermitian
+    parts bounded by ``family.tol.herm`` and ``family.tol.trace``, and the
+    coordinates and their SVD are built only when it fails.  The marginals'
+    rank, ``reduced_dim``, counts the singular values of their
+    unit-normalized coordinates above ``tol_rank`` (:func:`_marginal_fit`).
     """
     stack, dims = family.stack, family.dims
-    span_dim = _span_rank(stack, dims.joint, tol_rank)
+    span_dim = _span_rank(stack, dims.joint, tol_rank, family.tol)
     marginals, fit, domain = _marginal_fit(stack, dims, tol_rank)
     if len(domain) > span_dim:
         raise RdlError(

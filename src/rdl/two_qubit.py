@@ -67,7 +67,7 @@ class TwoQubitParams:
             )
         for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             worst = float(np.max(np.abs(arr)))
-            if worst > 1.0 + _RANGE_SLACK:
+            if not worst <= 1.0 + _RANGE_SLACK:  # written so that NaN fails too
                 raise InputError(f"{name} entries must lie in [-1, 1], worst is {worst:.6g}")
             object.__setattr__(self, name, frozen(arr))
 

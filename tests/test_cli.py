@@ -383,9 +383,9 @@ def test_two_qubit_members_need_independent_bloch_vectors(capsys, tmp_path):
     omega = np.eye(2, dtype=complex) / 2
     fam = rdl.product_family([rho] * 4, omega)
     path = write_family(tmp_path / "flat.json", fam)
-    code, _, err = run(capsys, "two-qubit", "--members", path)
-    assert code == 1
-    assert "independent" in err
+    code, out, err = run(capsys, "two-qubit", "--members", path)
+    assert (code, out) == (1, "")
+    assert "fewer than 4 members with independent Bloch vectors (rank 1 at tolerance 1.0e-08)" in err
 
 
 @pytest.mark.parametrize(

@@ -87,10 +87,13 @@ def test_member_near_the_rank_cut_keeps_a_local_propagator_consistent():
 
 
 @pytest.mark.parametrize("field", ["herm", "trace", "unitary", "psd", "rank", "consistency"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3, 0.0])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1e-3, 0.0, 1.0, 1.5])
 def test_tolerances_must_be_finite_and_positive(field, value):
     if field == "psd" and value == 0.0:  # min eig >= 0: the exact positivity floor
         assert replace(DEFAULT_TOL, psd=0.0).psd == 0.0
+        return
+    if field != "trace" and 1 <= value < np.inf:  # only trace is bounded above
+        assert getattr(replace(DEFAULT_TOL, **{field: value}), field) == value
         return
     with pytest.raises(ValueError, match=f"^tolerance {field} must be finite and positive"):
         replace(DEFAULT_TOL, **{field: value})

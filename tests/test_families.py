@@ -82,6 +82,14 @@ def test_params_shape_and_range_validation():
         rdl.TwoQubitParams(alpha=np.array([1.5, 0, 0]), beta=np.zeros(3), gamma=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_params_refuse_nan(name):
+    coefficients = {"alpha": np.zeros(3), "beta": np.zeros(3), "gamma": np.zeros((3, 3))}
+    coefficients[name].flat[-1] = np.nan
+    with pytest.raises(rdl.InputError, match=rf"^{name} entries must lie in \[-1, 1\], worst is nan"):
+        rdl.TwoQubitParams(**coefficients)
+
+
 def test_assemble_rejects_nonpositive_coefficients():
     g = np.eye(3)  # gamma = I with zero Bloch vectors is not a state
     g[0, 0] = g[1, 1] = 1.0

@@ -1,10 +1,11 @@
 """Span, the fit of the members' marginals, and traceless-kernel construction."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rdl
@@ -84,6 +85,14 @@ def test_assignment_refuses_operators_outside_the_reduced_span():
     # diagonal operators lift cleanly, onto the members that carry them
     x = np.diag([0.25, 0.75]).astype(complex)
     assert np.abs(lam.apply(x) - rdl.tensor(x, omega)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_refuses_a_non_finite_operator(bad):
+    """Refused before any arithmetic: NaN would pass the residual test and inf warn first."""
+    lam = rdl.build_assignment(rdl.build_subspace(rdl.full_two_qubit_family()))
+    with pytest.raises(rdl.InputError, match="^operator to lift must be finite$"):
+        lam.apply(np.array([[bad, 0], [0, 0.5]]))
 
 
 def test_assignment_takes_stacks(rng):
@@ -229,29 +238,44 @@ def test_product_family_with_one_environment_state_has_empty_kernel(rng):
     assert sub.span_dim == sub.reduced_dim
 
 
-def _skew(shape, rng):
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return a - a.conj().swapaxes(-1, -2)
+def _anti_hermitian(ops, herm, rng):
+    """States mixed toward I/d, plus anti-Hermitian parts with max |X - X^dag| just under ``herm``.
+
+    Each added part is U - U^dag, U strictly upper triangular with entries at
+    most herm / 2, so traces do not move.  Validation reads positivity off
+    the lower triangle, the Hermitian matrix H - U - U^dag, whose shift is
+    under d herm / 2 in norm; mixing in q = d^2 herm / 2 of I/d keeps it a
+    state.
+    """
+    n, d = ops.shape[0], ops.shape[-1]
+    q = d * d * herm / 2
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    u = np.zeros(ops.shape, dtype=complex)
+    u[:, upper] = 0.999 * herm / 2 * rng.uniform(0, 1, size=(n, upper.sum())) * np.exp(
+        2j * np.pi * rng.uniform(size=(n, upper.sum()))
+    )
+    return (1 - q) * ops + q * np.eye(d) / d + u - u.conj().swapaxes(1, 2)
 
 
-def _operator_case(kind, d, n, tol_rank, rng):
-    """n joint operators of side d: random states, then bent as ``kind`` says."""
+def _state_case(kind, d, n, tol_rank, rng):
+    """n states of side d, bent as ``kind`` says, and the tolerances that admit them."""
     ops = np.array([rdl.random_density_matrix(d, rng) for _ in range(n)])
     k = int(rng.integers(1, n)) if n > 1 else 1
-    if kind == "dependent":
-        ops[k:] = np.tensordot(rng.normal(size=(n - k, k)), ops[:k], axes=1)
+    if kind in ("dependent", "dependent Hermitian parts"):
+        ops[k:] = np.tensordot(rng.dirichlet(np.ones(k), size=n - k), ops[:k], axes=1)
     elif kind == "near cut" and n > 1:
-        h = _skew((d, d), rng) * 1j
         step = tol_rank * 10 ** rng.uniform(-0.5, 1) * np.linalg.norm(ops[-2])
-        ops[-1] = ops[-2] + step * h / np.linalg.norm(h)
-    elif kind == "anti-Hermitian":
-        ops = ops + 10 ** rng.uniform(-8, 0) * _skew(ops.shape, rng)
-    elif kind == "dependent Hermitian parts":
-        ops[k:] = np.tensordot(rng.normal(size=(n - k, k)), ops[:k], axes=1)
-        ops = ops + 10 ** rng.uniform(-10, 0) * _skew(ops.shape, rng)
-    elif kind == "row scales":
-        ops = ops * 10 ** rng.uniform(-6, 6, size=(n, 1, 1))
-    return ops
+        away = rdl.random_density_matrix(d, rng) - ops[-2]
+        ops[-1] = ops[-2] + min(1.0, step / np.linalg.norm(away)) * away
+    elif kind == "purities":
+        p = rng.uniform(0, 1, size=(n, 1, 1))
+        v = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        ops = p * np.einsum("na,nb->nab", v, v.conj()) + (1 - p) * np.eye(d) / d
+    if kind in ("anti-Hermitian", "dependent Hermitian parts"):
+        herm = 10 ** rng.uniform(-12, -2)
+        return _anti_hermitian(ops, herm, rng), replace(rdl.DEFAULT_TOL, herm=herm)
+    return ops, rdl.DEFAULT_TOL
 
 
 @settings(max_examples=200)
@@ -261,19 +285,27 @@ def _operator_case(kind, d, n, tol_rank, rng):
     n=st.integers(1, 146),
     kind=st.sampled_from(
         ["generic", "dependent", "near cut", "anti-Hermitian", "dependent Hermitian parts",
-         "row scales"]
+         "purities"]
     ),
     log_tol=st.floats(-10, -2),
     seed=st.integers(0, 2**16),
 )
 def test_span_rank_matches_svd_oracle(d_s, d_e, n, kind, log_tol, seed):
-    """The certified or counted span rank equals the unit-row SVD count, up to and past d_j^2 operators."""
+    """The certified or counted span rank equals the unit-row SVD count, up to and past d_j^2 states.
+
+    Every case is a family that validation accepts at the tolerances the
+    certificate is then given.
+    """
     rng = np.random.default_rng(seed)
     d = d_s * d_e
     n = min(n, d * d + 2)
     tol_rank = 10.0**log_tol
-    ops = _operator_case(kind, d, n, tol_rank, rng)
-    assert subspace._span_rank(ops, d, tol_rank) == span_dim_by_svd(ops, d, tol_rank)
+    ops, tol = _state_case(kind, d, n, tol_rank, rng)
+    fam = rdl.StateFamily(dims=rdl.BipartiteDims(d_s, d_e), members=tuple(ops), tol=tol)
+    with mock.patch.object(subspace, "_unit_rows", wraps=subspace._unit_rows) as spy:
+        rank = subspace._span_rank(fam.stack, d, tol_rank, fam.tol)
+    event(f"{kind}: {'SVD' if spy.called else 'certified'}")
+    assert rank == span_dim_by_svd(fam.stack, d, tol_rank)
 
 
 def _spy_unit_rows(monkeypatch):
@@ -303,6 +335,38 @@ def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
     pair = rdl.StateFamily(dims=rdl.BipartiteDims(2, 2), members=(rho, rho + 1e-12 * h))
     assert rdl.build_subspace(pair).span_dim == 1
     assert sides == [4]  # not certified: the SVD counts
+
+
+def test_certificate_reads_the_family_tolerances(rng, monkeypatch):
+    """The anti-Hermitian parts are bounded by the family's ``herm``, not measured.
+
+    60 states at d_j = 8 with tol_rank 5e-12: the floor (2m + n + 8) n eps,
+    m = 2 d_j^2, is 4.3e-12, and would be 6.0e-12 with a measured third
+    m n eps term.  Ten states at d_j = 4 validated at herm 0.1 have their
+    anti-Hermitian share bounded by 10 * 4^3 * 0.1^2 / 4 = 1.6, and the SVD
+    counts.  Last, I/4 plus or minus an anti-Hermitian part at the full
+    herm: the Hermitian parts agree, and the bound exceeds the share by only
+    d / (d - 1), so the SVD counts one.
+    """
+    sides = _spy_unit_rows(monkeypatch)
+    fam = rdl.StateFamily(
+        dims=rdl.BipartiteDims(2, 4),
+        members=tuple(rdl.random_density_matrix(8, rng) for _ in range(60)),
+    )
+    assert rdl.build_subspace(fam, 5e-12).span_dim == 60 == span_dim_by_svd(fam.stack, 8, 5e-12)
+    assert sides == []
+
+    loose = replace(rdl.DEFAULT_TOL, herm=0.1)
+    states = tuple(rdl.random_density_matrix(4, rng) for _ in range(10))
+    fam = rdl.StateFamily(dims=rdl.BipartiteDims(2, 2), members=states, tol=loose)
+    assert rdl.build_subspace(fam).span_dim == 10 == span_dim_by_svd(fam.stack, 4, 1e-8)
+    assert sides == [4]
+
+    u = np.triu(np.full((4, 4), 0.999e-3 / 2), 1)
+    pair = (np.eye(4) / 4 + u - u.T, np.eye(4) / 4 - u + u.T)
+    fam = rdl.StateFamily(rdl.BipartiteDims(2, 2), pair, tol=replace(rdl.DEFAULT_TOL, herm=1e-3))
+    assert rdl.build_subspace(fam).span_dim == 1 == span_dim_by_svd(fam.stack, 4, 1e-8)
+    assert sides == [4, 4]
 
 
 def test_unit_rows_norms_match_the_row_loop_bit_for_bit(rng):
