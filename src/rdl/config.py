@@ -16,7 +16,10 @@ class ToleranceConfig:
     Every check reads its threshold from one of these fields, and passing a
     config is the one way to set them.  Every field must be finite and
     positive; ``psd`` may also be 0, the exact positivity floor.  ``trace``
-    must be below 1, so that every member's trace stays away from 0.
+    must be below 1, so that every member's trace stays away from 0, and so
+    must ``psd``: a state's eigenvalues lie in [0, 1], and a cut above -1
+    keeps every member's eigenvalues, and so its entries, below about
+    1 + (d - 1) psd.
     """
 
     herm: float = 1e-9  # max-norm bound on X - X^dag
@@ -29,7 +32,7 @@ class ToleranceConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            below, bound = (1.0, " and below 1") if f.name == "trace" else (math.inf, "")
+            below, bound = (1.0, " and below 1") if f.name in ("trace", "psd") else (math.inf, "")
             if not (0 < value < below or f.name == "psd" and value == 0):
                 raise InputError(
                     f"tolerance {f.name} must be finite and positive{bound}, got {value!r}"

@@ -63,57 +63,89 @@ class StateFamily:
 def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Indices, in order, of the matrices in ``stack`` that :func:`require_density` rejects.
 
-    The members are read in blocks of ``_BLOCK_ENTRIES // d^2``, up to the
-    block holding the first non-Hermitian one; no later member can be the
-    first rejected.  Each block gets the Hermiticity test on the whole of
-    |X - X^dag| and the trace test.  Positivity is tested on the members
-    before the first non-Hermitian one, so it never sees a NaN (which fails
-    Hermiticity first): by a Cholesky certificate per block, or when one
-    fails, by one ``eigvalsh`` of them all.
+    The trace test runs once over the whole stack.  The Hermiticity test then
+    reads the members in blocks of ``_BLOCK_ENTRIES // d^2``, up to the block
+    holding the first non-Hermitian one; no later member can be the first
+    rejected.  Positivity is tested on the members before that one, so it
+    never sees a NaN (which fails Hermiticity first), in three steps:
+
+    1. each block is Cholesky-factored as given;
+    2. from the first block whose factorization fails (a singular member,
+       such as a pure state), that block and every later one are factored
+       as rho + (psd / 2) I instead;
+    3. when that fails too, or when psd / 2 does not clear the roundoff
+       floor 64 d eps (then nothing is factored), one ``eigvalsh`` of all
+       those members decides.
     """
     n, d = stack.shape[0], stack.shape[-1]
+    with np.errstate(invalid="ignore"):  # +inf and -inf on one diagonal sum to NaN
+        bad = ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
     block = max(1, _BLOCK_ENTRIES // (d * d))
     scratch = np.empty((min(block, n), d, d), dtype=complex)  # reused by every block
-    bad = np.zeros(n, dtype=bool)
-    checked, certified = n, True
+    # The shift the next factorization uses; None once positivity is left to eigvalsh.
+    shift = 0.0 if tol.psd / 2 > 64 * d * np.finfo(float).eps else None
+    checked = n
     for lo in range(0, n, block):
         part = stack[lo : lo + block]
-        diff = np.conjugate(part.swapaxes(1, 2), out=scratch[: len(part)])
-        with np.errstate(invalid="ignore"):  # an infinite diagonal gives inf - inf = NaN
-            herm_dev = np.abs(np.subtract(part, diff, out=diff)).max(axis=(1, 2))
-        non_hermitian = ~(herm_dev <= tol.herm)  # written so that NaN fails too
-        trace_dev = np.abs(np.trace(part, axis1=1, axis2=2) - 1.0)
-        bad[lo : lo + len(part)] = non_hermitian | ~(trace_dev <= tol.trace)
+        non_hermitian = _non_hermitian(part, tol.herm, scratch)
+        bad[lo : lo + len(part)] |= non_hermitian
         if non_hermitian.any():
             checked = lo + int(np.argmax(non_hermitian))
-        certified = certified and _positivity_certified(part[: checked - lo], tol.psd, scratch)
+        hermitian = part[: checked - lo]
+        if shift == 0.0 and not _positivity_certified(hermitian, 0.0, scratch):
+            shift = tol.psd / 2  # a singular member: this block and every later one are shifted
+        if shift and not _positivity_certified(hermitian, shift, scratch):
+            shift = None
         if checked < n:
             break
-    if not certified:
+    if shift is None:
         bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
     return np.flatnonzero(bad)
 
 
-def _positivity_certified(stack: np.ndarray, psd: float, out: np.ndarray) -> bool:
-    """True when a finite Cholesky factor of every rho + (psd / 2) I exists.
+def _non_hermitian(stack: np.ndarray, herm: float, out: np.ndarray) -> np.ndarray:
+    """Whether max |X - X^dag| > ``herm`` for each matrix in ``stack``, NaN counted as above.
 
-    The factor exists only if each min eigenvalue is at least -psd / 2 less
-    the factorization's roundoff, so every member then passes the ``eigvalsh``
-    cut at -psd.  A factorization can also finish without error and leave
-    NaN in the factor (an entry near the largest float overflows it); that
-    certifies nothing.  Only the diagonal needs the test: a non-finite L_ik,
-    k < i, enters L_ii = sqrt(a_ii - sum_k |L_ik|^2), and numpy zeroes the
-    upper triangle.  The roundoff grows with the side d; below a shift of
-    64 d eps it could reach psd / 2, and the certificate is not tried.  The
-    shifted matrices are written into ``out``, at least as long as ``stack``.
+    X - X^dag is written into ``out``.  Where neither its real nor its
+    imaginary parts exceed herm / 2, its modulus is at most herm / sqrt(2);
+    only the matrices that miss this bound, NaN among them, get the modulus
+    itself, the same one :func:`require_hermitian` takes.
+    """
+    k = len(stack)
+    diff = np.conjugate(stack.swapaxes(1, 2), out=out[:k])
+    with np.errstate(invalid="ignore"):  # an infinite diagonal gives inf - inf = NaN
+        np.subtract(stack, diff, out=diff)
+        parts = diff.view(float).reshape(k, -1)
+        outside = ~(np.maximum(parts.max(axis=1), -parts.min(axis=1)) <= herm / 2)
+        if outside.any():
+            near = np.flatnonzero(outside)
+            outside[near] = ~(np.abs(diff[near]).max(axis=(1, 2)) <= herm)
+    return outside
+
+
+def _positivity_certified(stack: np.ndarray, shift: float, out: np.ndarray) -> bool:
+    """True when every rho + shift I of the matrices in ``stack`` has a finite Cholesky factor.
+
+    With ``shift`` 0 the members are factored as given, without a copy;
+    otherwise the shifted matrices are written into ``out``, at least as long
+    as ``stack``, by one copy and an add on the diagonals.  The factor exists
+    only if each min eigenvalue is at least -shift less the factorization's
+    roundoff.  :func:`_invalid_members` shifts by 0 or psd / 2 and factors
+    nothing unless psd / 2 clears that roundoff (64 d eps), so every member
+    then passes the ``eigvalsh`` cut at -psd.  A factorization can also
+    finish without error and leave NaN in the factor (an entry near the
+    largest float overflows it); that certifies nothing.  Only the diagonal
+    needs the test: a non-finite L_ik, k < i, enters
+    L_ii = sqrt(a_ii - sum_k |L_ik|^2), and numpy zeroes the upper triangle.
     False means "not certified", not "some member fails".
     """
-    d = stack.shape[-1]
-    shift = psd / 2
-    if not shift > 64 * d * np.finfo(float).eps:
-        return False
+    if shift:
+        shifted = out[: len(stack)]
+        np.copyto(shifted, stack)
+        shifted.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] += shift  # the diagonals
+        stack = shifted
     try:
-        factor = np.linalg.cholesky(np.add(stack, shift * np.eye(d), out=out[: len(stack)]))
+        factor = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return False
     return bool(np.isfinite(np.diagonal(factor, axis1=1, axis2=2)).all())

@@ -92,11 +92,23 @@ def test_tolerances_must_be_finite_and_positive(field, value):
     if field == "psd" and value == 0.0:  # min eig >= 0: the exact positivity floor
         assert replace(DEFAULT_TOL, psd=0.0).psd == 0.0
         return
-    if field != "trace" and 1 <= value < np.inf:  # only trace is bounded above
+    if field not in ("trace", "psd") and 1 <= value < np.inf:  # only these are bounded above
         assert getattr(replace(DEFAULT_TOL, **{field: value}), field) == value
         return
-    with pytest.raises(ValueError, match=f"^tolerance {field} must be finite and positive"):
+    bound = " and below 1" if field in ("trace", "psd") else ""
+    with pytest.raises(ValueError, match=f"^tolerance {field} must be finite and positive{bound},"):
         replace(DEFAULT_TOL, **{field: value})
+
+
+def test_a_huge_psd_tolerance_is_refused_before_it_admits_huge_members():
+    """At psd = 1e300 validation would accept entries of 1e200, whose Gram product overflows."""
+    huge = np.array([[0.5, 1e200], [1e200, 0.5]])
+    with pytest.raises(rdl.InputError, match="^tolerance psd must be .* and below 1, got 1e"):
+        rdl.StateFamily(
+            dims=rdl.BipartiteDims(2, 1),
+            members=(huge, np.eye(2) / 2),
+            tol=rdl.ToleranceConfig(psd=1e300),
+        )
 
 
 def test_identity_propagator_is_always_consistent():

@@ -114,6 +114,9 @@ def test_state_family_validation():
     # An infinite diagonal entry gives inf - inf = NaN, without a RuntimeWarning
     with pytest.raises(HermiticityError, match="^member 1 is not Hermitian: .* = nan"):
         rdl.StateFamily(dims=dims, members=(np.eye(4) / 4, np.diag([np.inf, 0.5, 0.25, 0.25])))
+    # +inf and -inf on one diagonal also sum to a NaN trace, again without a RuntimeWarning
+    with pytest.raises(HermiticityError, match="^member 0 is not Hermitian: .* = nan"):
+        rdl.StateFamily(dims=dims, members=(np.diag([np.inf, -np.inf, 0.5, 0.5]),))
     fam = rdl.StateFamily(dims=dims, members=(np.eye(4) / 4,), label="one")
     assert len(fam) == 1
     assert np.abs(fam.reduced()[0] - np.eye(2) / 2).max() < 1e-15
@@ -126,6 +129,10 @@ def _member(kind, d, rng):
         return np.eye(d + 1) / (d + 1)
     if kind == "hermitian":
         rho[0, 1] += 1e-3
+    elif kind == "herm-inside":  # real and imaginary parts above herm / 2, modulus 0.99 herm
+        rho[0, 1] += 0.7 * rdl.DEFAULT_TOL.herm * (1 + 1j)
+    elif kind == "herm-outside":  # real and imaginary parts 0.72 herm, modulus 1.02 herm
+        rho[0, 1] += 0.72 * rdl.DEFAULT_TOL.herm * (1 + 1j)
     elif kind == "trace":
         rho = 1.1 * rho
     elif kind == "psd":
@@ -146,7 +153,10 @@ def _member(kind, d, rng):
     d_s=st.sampled_from([2, 3]),
     d_e=st.sampled_from([1, 2, 3]),
     kinds=st.lists(
-        st.sampled_from(["valid", "real", "shape", "hermitian", "trace", "psd", "nan", "huge"]),
+        st.sampled_from(
+            ["valid", "real", "shape", "hermitian", "herm-inside", "herm-outside"]
+            + ["trace", "psd", "nan", "huge"]
+        ),
         min_size=1,
         max_size=6,
     ),
@@ -397,8 +407,19 @@ def test_a_cholesky_factor_with_nan_certifies_nothing():
         (("valid",) * 5 + ("psd", "valid", "valid"), 5),
         (("valid",) * 5 + ("near", "valid", "valid"), None),
         (("valid",) * 5 + ("huge", "valid", "valid"), 5),
+        (("valid",) * 5 + ("herm-inside", "valid", "valid"), None),
+        (("valid",) * 3 + ("herm-inside", "herm-outside", "valid", "trace", "psd"), 4),
     ],
-    ids=["hermitian", "psd-then-hermitian", "trace-last", "psd", "cholesky-only", "nan-factor"],
+    ids=[
+        "hermitian",
+        "psd-then-hermitian",
+        "trace-last",
+        "psd",
+        "cholesky-only",
+        "nan-factor",
+        "hermitian-inside",
+        "hermitian-just-outside",
+    ],
 )
 def test_validation_across_blocks_matches_member_loop(kinds, first_bad, per_block, monkeypatch):
     """Eight members in blocks of one or two: the first failure sits in a later block.
@@ -417,15 +438,37 @@ def test_validation_across_blocks_matches_member_loop(kinds, first_bad, per_bloc
             rdl.StateFamily(dims=dims, members=members)
 
 
-def test_valid_members_are_certified_block_by_block(rng, monkeypatch):
-    """Seven valid members in blocks of two: one Cholesky per block, no eigvalsh."""
-    dims = rdl.BipartiteDims(2, 3)
-    monkeypatch.setattr(families, "_BLOCK_ENTRIES", 2 * dims.joint**2)
-    members = tuple(rdl.random_density_matrix(dims.joint, rng) for _ in range(7))
-    with (
-        mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as factor,
-        mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy,
-    ):
-        rdl.StateFamily(dims=dims, members=members)
+@pytest.mark.parametrize("d_s, d_e", [(2, 3), (3, 4)])
+@pytest.mark.parametrize(
+    "pure_at, expected",
+    [(None, [(2, 0), (2, 0), (2, 0), (1, 0)]), (2, [(2, 0), (2, 0), (2, 1), (2, 1), (1, 1)])],
+    ids=["full-rank", "pure-in-block-2"],
+)
+def test_valid_members_are_certified_block_by_block(d_s, d_e, pure_at, expected, rng, monkeypatch):
+    """Seven valid members in blocks of two: one Cholesky per block, as given, and no eigvalsh.
+
+    A pure state in block 2 fails its factorization as given; that block is
+    factored again shifted by psd / 2, and so is every later block.  Each
+    factorization is expected as (block length, shift in units of psd / 2).
+    """
+    dims = rdl.BipartiteDims(d_s, d_e)
+    d, half = dims.joint, rdl.DEFAULT_TOL.psd / 2
+    monkeypatch.setattr(families, "_BLOCK_ENTRIES", 2 * d**2)
+    members = [rdl.random_density_matrix(d, rng) for _ in range(7)]
+    if pure_at is not None:
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        v[0] = 0  # rho[0, 0] = 0: the factorization as given meets a zero pivot at once
+        members[pure_at] = np.outer(v, v.conj()) / np.vdot(v, v).real
+    calls, cholesky = [], np.linalg.cholesky
+
+    def factor(a):  # read at the call: a shifted block lives in a reused buffer
+        shift = (np.trace(a, axis1=1, axis2=2).real - 1) / d  # the traces are 1 to roundoff
+        assert np.ptp(shift) < half / 100
+        calls.append((len(a), round(shift[0] / half)))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", factor)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        rdl.StateFamily(dims=dims, members=tuple(members))
     assert spy.call_count == 0
-    assert [len(c.args[0]) for c in factor.call_args_list] == [2, 2, 2, 1]
+    assert calls == expected
