@@ -140,9 +140,10 @@ def _positivity_certified(stack: np.ndarray, shift: float, out: np.ndarray) -> b
     False means "not certified", not "some member fails".
     """
     if shift:
+        d = stack.shape[-1]
         shifted = out[: len(stack)]
         np.copyto(shifted, stack)
-        shifted.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] += shift  # the diagonals
+        shifted.reshape(-1, d * d)[:, :: d + 1] += shift  # the diagonals; the stack may be empty
         stack = shifted
     try:
         factor = np.linalg.cholesky(stack)

@@ -145,6 +145,8 @@ def _member(kind, d, rng):
         rho = _with_lowest_eigenvalue(d, -rdl.DEFAULT_TOL.psd * (1 - 1e-3), rng)
     elif kind == "real":
         rho = np.eye(d) / d
+    elif kind == "pure":  # singular: its factorization as given fails, the shifted one holds
+        rho = np.diag([1.0] + [0.0] * (d - 1))
     return rho
 
 
@@ -154,7 +156,7 @@ def _member(kind, d, rng):
     d_e=st.sampled_from([1, 2, 3]),
     kinds=st.lists(
         st.sampled_from(
-            ["valid", "real", "shape", "hermitian", "herm-inside", "herm-outside"]
+            ["valid", "real", "pure", "shape", "hermitian", "herm-inside", "herm-outside"]
             + ["trace", "psd", "nan", "huge"]
         ),
         min_size=1,
@@ -409,6 +411,8 @@ def test_a_cholesky_factor_with_nan_certifies_nothing():
         (("valid",) * 5 + ("huge", "valid", "valid"), 5),
         (("valid",) * 5 + ("herm-inside", "valid", "valid"), None),
         (("valid",) * 3 + ("herm-inside", "herm-outside", "valid", "trace", "psd"), 4),
+        (("pure",) + ("valid",) * 3 + ("hermitian",) + ("valid",) * 3, 4),
+        (("pure",) + ("valid",) * 7, None),
     ],
     ids=[
         "hermitian",
@@ -419,13 +423,17 @@ def test_a_cholesky_factor_with_nan_certifies_nothing():
         "nan-factor",
         "hermitian-inside",
         "hermitian-just-outside",
+        "pure-then-hermitian-block",
+        "pure",
     ],
 )
 def test_validation_across_blocks_matches_member_loop(kinds, first_bad, per_block, monkeypatch):
     """Eight members in blocks of one or two: the first failure sits in a later block.
 
     "near" members pass the eigvalsh cut but fail the Cholesky certificate,
-    so the family is accepted through the fallback.
+    so the family is accepted through the fallback.  A "pure" member in the
+    first block switches every later block to the shifted factorization; a
+    later block that opens with a non-Hermitian member leaves it nothing to factor.
     """
     dims = rdl.BipartiteDims(2, 3)
     monkeypatch.setattr(families, "_BLOCK_ENTRIES", per_block * dims.joint**2)
