@@ -168,7 +168,7 @@ def _cmd_analyze(args, tols: ToleranceConfig):
     family = family_from_json(_load_json(args.family), tols)
     u, source = _resolve_unitary(args, family)
     report = analysis_to_json(
-        analyze(family, u, tols, hull=args.hull), "analyze", dump_subspace=args.dump_subspace
+        analyze(family, u, hull=args.hull), "analyze", dump_subspace=args.dump_subspace
     )
     report["unitary_source"] = source
     return report
@@ -206,7 +206,7 @@ def _cmd_two_qubit(args, tols: ToleranceConfig):
         rejected_count = len(rejected)
         planted = LinearityCoefficients(a11=args.a11, b11=b11, a21=args.a21, b21=b21)
 
-    analysis = analyze(family, u, tols, hull=args.hull)
+    analysis = analyze(family, u, hull=args.hull)
     coeffs, residuals = affine_law(analysis.subspace)
 
     report = analysis_to_json(analysis, "two-qubit")
@@ -236,7 +236,7 @@ def _cmd_swap_demo(args, tols: ToleranceConfig):
     d_s, d_e = family.dims.d_s, family.dims.d_e
     if d_s != d_e:
         raise DimensionError(f"swap needs equal factor dimensions, got {d_s} and {d_e}")
-    analysis = analyze(family, swap_unitary(d_s), tols, hull=args.hull)
+    analysis = analyze(family, swap_unitary(d_s), hull=args.hull)
 
     # With one environment state the kernel is empty and the map sends every
     # reduced state to omega_e: a constant, completely positive map.
@@ -248,7 +248,7 @@ def _cmd_swap_demo(args, tols: ToleranceConfig):
         for j in range(i + 1, len(reduced)):
             before = trace_distance(reduced[i], reduced[j])
             after = trace_distance(images[i], images[j])
-            increased = after > before + tols.psd
+            increased = after > before + family.tol.psd
             pairs.append({"before": before, "after": after, "increased": increased})
     report = analysis_to_json(analysis, "swap-demo")
     report["pairs"] = pairs

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .families import StateFamily
 from .operators import (
     _evolved_marginal,
@@ -72,11 +71,7 @@ def _report(violations, tol, witness_of=None, pairs_tested=None) -> ConsistencyR
     )
 
 
-def check_subspace_consistency(
-    subspace: Subspace,
-    u: np.ndarray,
-    tols: ToleranceConfig = DEFAULT_TOL,
-) -> ConsistencyReport:
+def check_subspace_consistency(subspace: Subspace, u: np.ndarray) -> ConsistencyReport:
     """Kernel test: does conjugation by ``u`` preserve vanishing marginals?
 
     With R the members' marginals and E their evolved marginals, as real
@@ -84,22 +79,23 @@ def check_subspace_consistency(
     Member i's prediction error E_i - R_i P E, P the subspace's fit, is the
     evolved marginal of g_i = rho_i - (R_i P) M, M the members, whose own
     marginal vanishes.  Its max-norm as a matrix is reported against
-    ``tols.consistency``; the first worst g_i is the witness.
+    ``subspace.tol.consistency``; the first worst g_i is the witness.
     """
-    return _kernel_test(subspace, u, tols)[0]
+    return _kernel_test(subspace, u)[0]
 
 
 def _kernel_test(
-    subspace: Subspace, u: np.ndarray, tols: ToleranceConfig, hull: bool = False
+    subspace: Subspace, u: np.ndarray, hull: bool = False
 ) -> tuple[ConsistencyReport, ConsistencyReport | None]:
     """:func:`check_subspace_consistency`, and with ``hull`` the bound it puts on the hull.
 
     Convex weights a and b with equal marginals have (b - a) R = 0, so
     (b - a) M = sum_i (b - a)_i g_i, and its evolved marginal has max-norm at
     most |b - a|_1 r <= 2 r, r the kernel test's violation.  The hull report
-    judges 2 r against ``tols.consistency`` with the witness 2 g_k, k the
+    judges 2 r against the same threshold with the witness 2 g_k, k the
     first worst member; it samples no pairs.  Both reports read one E.
     """
+    tols = subspace.tol
     u = _require_propagator(u, subspace.dims, tols)
     d_s = subspace.dims.d_s
     members, marginals, fit = subspace.members, subspace.marginals, subspace.fit
@@ -116,23 +112,20 @@ def _kernel_test(
     return report, _report(2 * viol, tols.consistency, lambda k: 2 * residual(k))
 
 
-def check_pairwise_consistency(
-    family: StateFamily,
-    u: np.ndarray,
-    tols: ToleranceConfig = DEFAULT_TOL,
-) -> ConsistencyReport:
+def check_pairwise_consistency(family: StateFamily, u: np.ndarray) -> ConsistencyReport:
     """Compare evolved marginals across member pairs that share a marginal.
 
-    Pairs whose reduced states agree within ``tols.rank`` are evolved and
-    compared within ``tols.consistency``.  With no matching pairs the verdict
-    is vacuous: consistent with pairs_tested = 0.
+    Pairs whose reduced states agree within ``family.tol.rank`` are evolved
+    and compared within ``family.tol.consistency``.  With no matching pairs
+    the verdict is vacuous: consistent with pairs_tested = 0.
 
     The members are sorted on the key Re(Tr_E rho)_00, a stored entry, so a
     key difference never exceeds the max-norm distance: only pairs whose keys
-    lie within 2 ``tols.rank`` are candidates, and those are checked exactly,
-    in blocks.  The matches come back in (i, j) row-major order, and only
-    members in a match are evolved.
+    lie within 2 ``family.tol.rank`` are candidates, and those are checked
+    exactly, in blocks.  The matches come back in (i, j) row-major order,
+    and only members in a match are evolved.
     """
+    tols = family.tol
     u = _require_propagator(u, family.dims, tols)
     members = family.stack
     n = len(members)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import DimensionError, EmptyFamilyError
+from .errors import DimensionError, EmptyFamilyError, InputError
 from .operators import BipartiteDims, partial_trace_env, require_density, tensor
 
 _BLOCK_ENTRIES = 2**13  # caps members x d_j^2 per validation block (128 KB complex)
@@ -22,10 +22,10 @@ class StateFamily:
     """A finite set of joint density matrices on one system-environment split.
 
     The validated members are held once, as the read-only ``stack`` of shape
-    (n, d_j, d_j); ``members`` holds views of its rows.  ``tol`` is what
-    they were validated with; the span certificate of
-    :func:`rdl.subspace.build_subspace` bounds their anti-Hermitian parts by
-    its ``herm`` and ``trace``.
+    (n, d_j, d_j); ``members`` holds views of its rows.  ``tol``, a
+    ToleranceConfig, is what they were validated with, and the one source of
+    every later threshold: the subspace, the consistency checks, the map and
+    its verdicts all read it.
     """
 
     dims: BipartiteDims
@@ -35,6 +35,8 @@ class StateFamily:
     stack: np.ndarray = field(init=False, repr=False)  # read-only (n, d_j, d_j); members view it
 
     def __post_init__(self):
+        if not isinstance(self.tol, ToleranceConfig):
+            raise InputError(f"tol must be a ToleranceConfig, got {type(self.tol).__name__}")
         if len(self.members) == 0:
             raise EmptyFamilyError("a state family needs at least one member")
         side = (self.dims.joint, self.dims.joint)
@@ -74,15 +76,15 @@ def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
        such as a pure state), that block and every later one are factored
        as rho + (psd / 2) I instead;
     3. when that fails too, or when psd / 2 does not clear the roundoff
-       floor 64 d eps (then nothing is factored), one ``eigvalsh`` of all
-       those members decides.
+       floor 64 d eps (then nothing is factored), one ``eigvalsh`` of that
+       block's members decides; later blocks are still factored shifted.
     """
     n, d = stack.shape[0], stack.shape[-1]
     with np.errstate(invalid="ignore"):  # +inf and -inf on one diagonal sum to NaN
         bad = ~(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= tol.trace)
     block = max(1, _BLOCK_ENTRIES // (d * d))
     scratch = np.empty((min(block, n), d, d), dtype=complex)  # reused by every block
-    # The shift the next factorization uses; None once positivity is left to eigvalsh.
+    # The shift the next factorization uses; None when positivity is left to eigvalsh.
     shift = 0.0 if tol.psd / 2 > 64 * d * np.finfo(float).eps else None
     checked = n
     for lo in range(0, n, block):
@@ -94,12 +96,10 @@ def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
         hermitian = part[: checked - lo]
         if shift == 0.0 and not _positivity_certified(hermitian, 0.0, scratch):
             shift = tol.psd / 2  # a singular member: this block and every later one are shifted
-        if shift and not _positivity_certified(hermitian, shift, scratch):
-            shift = None
+        if shift is None or (shift and not _positivity_certified(hermitian, shift, scratch)):
+            bad[lo : lo + len(hermitian)] |= ~(np.linalg.eigvalsh(hermitian)[:, 0] >= -tol.psd)
         if checked < n:
             break
-    if shift is None:
-        bad[:checked] |= ~(np.linalg.eigvalsh(stack[:checked])[:, 0] >= -tol.psd)
     return np.flatnonzero(bad)
 
 

@@ -51,10 +51,10 @@ class AssignmentMap:
 
         Raises InputError on a non-finite entry, and NotInSpanError, carrying
         the worst residual, when the lift's marginal misses any operator by
-        more than the subspace's rank tolerance in max-norm.
+        more than the subspace's ``tol.rank`` in max-norm.
         """
         sub = self.subspace
-        d_s, tol = sub.dims.d_s, sub.tol_rank
+        d_s, tol = sub.dims.d_s, sub.tol.rank
         x = np.asarray(x, dtype=complex)
         if not np.isfinite(x).all():
             raise InputError("operator to lift must be finite")
@@ -83,14 +83,19 @@ class Superoperator:
     from it once.  The map is fixed only on the reduced span and sends its
     orthogonal complement to zero.  ``consistency_certified`` is True only
     when the caller supplied a passing consistency report at build time.
+    The signed Kraus form and the verdicts read their thresholds from
+    ``tol``, the family's when the map is built from a subspace.
     """
 
     d_s: int
     matrix: np.ndarray  # read-only float (d_s^2, d_s^2)
     consistency_certified: bool
+    tol: ToleranceConfig = field(default=DEFAULT_TOL, repr=False)
     choi: np.ndarray = field(init=False, repr=False)  # read-only (d_s^2, d_s^2), exactly Hermitian
 
     def __post_init__(self):
+        if not isinstance(self.tol, ToleranceConfig):
+            raise InputError(f"tol must be a ToleranceConfig, got {type(self.tol).__name__}")
         matrix, side = np.asarray(self.matrix), self.d_s * self.d_s
         if matrix.shape != (side, side):
             raise DimensionError(f"map matrix has shape {matrix.shape}, expected ({side}, {side})")
@@ -124,20 +129,21 @@ def build_dynamical_map(
     assignment: AssignmentMap,
     u: np.ndarray,
     consistency: ConsistencyReport | None = None,
-    tols: ToleranceConfig = DEFAULT_TOL,
 ) -> Superoperator:
     """Superoperator of reduce after conjugate after assign.
 
     The members' evolved marginals E, as real coordinate rows, give the
     whole matrix at once: its transpose is P E, P the subspace's fit.  The
-    orthogonal complement of the reduced span maps to zero.
+    orthogonal complement of the reduced span maps to zero.  The map keeps
+    the subspace's ``tol``, which also checks ``u``.
     """
     sub = assignment.subspace
-    u = _require_propagator(u, sub.dims, tols)
+    u = _require_propagator(u, sub.dims, sub.tol)
     return Superoperator(
         d_s=sub.dims.d_s,
         matrix=(sub.fit @ sub.evolved_marginals(u)).T,
         consistency_certified=bool(consistency is not None and consistency.consistent),
+        tol=sub.tol,
     )
 
 
@@ -195,16 +201,18 @@ def _pinned_clusters(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.nda
     return evecs
 
 
-def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm) -> SignedKraus:
+def decompose_signed_kraus(superop: Superoperator) -> SignedKraus:
     """Signed Kraus operators from the Choi eigendecomposition.
 
-    Eigenvalues within ``tol`` of zero are dropped; each kept eigenvector v
-    becomes sqrt(|lambda|) unvec(v) with column-major unvec, carrying the
-    sign of its eigenvalue.  Eigenvalues closer than ``tol`` form a cluster
-    whose vectors are pinned to a basis of their common eigenspace
-    (:func:`_pinned_clusters`); a global phase fix per vector, making its
-    first entry above ``tol`` in modulus real positive, does the rest.
+    With ``tol`` the map's ``tol.herm``, eigenvalues within ``tol`` of zero
+    are dropped; each kept eigenvector v becomes sqrt(|lambda|) unvec(v)
+    with column-major unvec, carrying the sign of its eigenvalue.
+    Eigenvalues closer than ``tol`` form a cluster whose vectors are pinned
+    to a basis of their common eigenspace (:func:`_pinned_clusters`); a
+    global phase fix per vector, making its first entry above ``tol`` in
+    modulus real positive, does the rest.
     """
+    tol = superop.tol.herm
     evals, evecs = np.linalg.eigh(superop.choi)
     evecs = _pinned_clusters(evals, evecs, tol)
     d = superop.d_s
@@ -217,14 +225,15 @@ def decompose_signed_kraus(superop: Superoperator, tol: float = DEFAULT_TOL.herm
     return SignedKraus(terms=tuple(terms))
 
 
-def verdicts(superop: Superoperator, tol: float = DEFAULT_TOL.psd) -> MapVerdicts:
+def verdicts(superop: Superoperator) -> MapVerdicts:
     """Hermiticity preservation, trace preservation, and complete positivity.
 
     A real map matrix preserves Hermiticity by construction.  The other two
-    are read off the Choi matrix: its partial trace over the output factor
-    against the identity, and its minimum eigenvalue against -tol.
+    are read off the Choi matrix, each against the map's ``tol.psd``: its
+    partial trace over the output factor against the identity, and its
+    minimum eigenvalue against -tol.psd.
     """
-    d_s = superop.d_s
+    d_s, tol = superop.d_s, superop.tol.psd
     tp = max_norm(partial_trace_env(superop.choi, BipartiteDims(d_s, d_s)) - np.eye(d_s)) <= tol
     lo = float(np.linalg.eigvalsh(superop.choi)[0])
     return MapVerdicts(

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyReport, _kernel_test
 from .families import StateFamily
 from .maps import (
@@ -44,28 +43,24 @@ class Analysis:
         return bool(self.consistency.consistent and (self.hull is None or self.hull.consistent))
 
 
-def analyze(
-    family: StateFamily,
-    u: np.ndarray,
-    tols: ToleranceConfig = DEFAULT_TOL,
-    *,
-    hull: bool = False,
-) -> Analysis:
+def analyze(family: StateFamily, u: np.ndarray, *, hull: bool = False) -> Analysis:
     """Run the whole decision for ``family`` under the propagator ``u``.
 
-    The Subspace is built once.  With ``hull``, the Analysis also carries the
-    bound, twice the kernel test's violation, on every equal-marginal pair of
-    the members' convex hull, read off the same evolved marginals.
+    Every stage reads its thresholds from ``family.tol``, which the
+    Superoperator keeps.  The Subspace is built once.  With ``hull``, the
+    Analysis also carries the bound, twice the kernel test's violation, on
+    every equal-marginal pair of the members' convex hull, read off the same
+    evolved marginals.
     """
-    sub = build_subspace(family, tols.rank)
-    report, hull_report = _kernel_test(sub, u, tols, hull)
-    superop = build_dynamical_map(build_assignment(sub), u, consistency=report, tols=tols)
+    sub = build_subspace(family)
+    report, hull_report = _kernel_test(sub, u, hull)
+    superop = build_dynamical_map(build_assignment(sub), u, consistency=report)
     return Analysis(
         family=family,
         subspace=sub,
         consistency=report,
         hull=hull_report,
         superoperator=superop,
-        kraus=decompose_signed_kraus(superop, tols.herm),
-        verdicts=verdicts(superop, tols.psd),
+        kraus=decompose_signed_kraus(superop),
+        verdicts=verdicts(superop),
     )

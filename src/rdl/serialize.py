@@ -139,7 +139,7 @@ def subspace_to_json(sub: Subspace) -> dict:
     return {
         "d_s": sub.dims.d_s,
         "d_e": sub.dims.d_e,
-        "tol_rank": sub.tol_rank,
+        "tol_rank": sub.tol.rank,
         "span_basis": [matrix_to_json(e) for e in sub.span_basis],
         "kernel_basis": [matrix_to_json(e) for e in sub.kernel_basis],
     }
@@ -188,7 +188,7 @@ def analysis_to_json(a: Analysis, command: str, dump_subspace: bool = False) -> 
             "completely_positive": a.verdicts.completely_positive,
             "choi_min_eigenvalue": a.verdicts.choi_min_eigenvalue,
         },
-        "tolerances": {"rank": sub.tol_rank, "consistency": a.consistency.tolerance},
+        "tolerances": {"rank": sub.tol.rank, "consistency": a.consistency.tolerance},
     }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import ToleranceConfig
 from .errors import RdlError
 from .families import StateFamily
 from .operators import (
@@ -34,13 +34,14 @@ class Subspace:
     ``marginals`` holds R, the real coordinates of Tr_E rho_i, one row per
     member.  ``fit`` is P = (D R)^+_r D, D = diag(1 / ||R_i||) and ^+_r the
     pseudo-inverse truncated to the ``reduced_dim`` singular values above
-    ``tol_rank``; ``domain`` holds their right singular vectors, orthonormal
+    ``tol.rank``; ``domain`` holds their right singular vectors, orthonormal
     rows spanning the reduced side.  For a system operator with coordinates
     c in that span, the weights w = c P combine the members into an
     operator with marginal c, with the least sum_i (w_i ||R_i||)^2.  A
-    member whose marginal is within ``tol_rank`` of its own norm has
-    D_i = 0.  Residuals and orthonormal bases are built on use, each as one
-    read-only stack.
+    member whose marginal is within ``tol.rank`` of its own norm has
+    D_i = 0.  ``tol`` is the family's, and every later stage reads its
+    thresholds from it.  Residuals and orthonormal bases are built on use,
+    each as one read-only stack.
     """
 
     dims: BipartiteDims
@@ -49,7 +50,7 @@ class Subspace:
     fit: np.ndarray
     domain: np.ndarray
     span_dim: int
-    tol_rank: float
+    tol: ToleranceConfig = field(repr=False)
     _evolved: tuple | None = field(init=False, default=None, repr=False)  # (U, E) of the last call
 
     @property
@@ -111,8 +112,8 @@ def _unit_rows(ops: np.ndarray, d: int) -> np.ndarray:
     return rows / np.sqrt(np.vecdot(rows, rows))[:, None]  # bit for bit np.linalg.norm per row
 
 
-def _full_rank_certified(gram: np.ndarray, d: int, tol_rank: float, tol: ToleranceConfig) -> bool:
-    """True when a Cholesky factor proves every singular value of the unit rows above 2 tol_rank.
+def _full_rank_certified(gram: np.ndarray, d: int, tol: ToleranceConfig) -> bool:
+    """True when a Cholesky factor proves every singular value of the unit rows above 2 tol.rank.
 
     ``gram`` is the Gram matrix of n members of side d that passed validation
     at ``tol``.  The rows of :func:`_unit_rows` are the coordinates of
@@ -143,9 +144,9 @@ def _full_rank_certified(gram: np.ndarray, d: int, tol_rank: float, tol: Toleran
     diagonal add (2 n + m + 5) eps <= (m + 7) n eps.
     floor = (2 m + n + 8) n eps bounds the sum, and twice that covers the
     higher-order terms and the few ulps of s, which is below 1 whenever the
-    shift is.  So a factor of D^-1 G D^-1 - (2 floor + s + 4 tol_rank^2) I
-    proves sigma_min > 2 tol_rank, and the SVD of the computed rows counts
-    every row while its own roundoff stays under tol_rank.  With tol_rank
+    shift is.  So a factor of D^-1 G D^-1 - (2 floor + s + 4 tol.rank^2) I
+    proves sigma_min > 2 tol.rank, and the SVD of the computed rows counts
+    every row while its own roundoff stays under tol.rank.  With tol.rank
     not above ``floor``, which bounds the same kinds of error, the SVD's
     count is itself roundoff, and the certificate is not tried.  A state's
     Gram diagonal is at least (1 - trace)^2 / d and, within ``tol.psd`` of
@@ -157,8 +158,8 @@ def _full_rank_certified(gram: np.ndarray, d: int, tol_rank: float, tol: Toleran
     m = 2 * d * d
     floor = (2 * m + n + 8) * n * np.finfo(float).eps
     s = n * d**3 * tol.herm**2 / (4 * (1 - tol.trace) ** 2)  # bounds s_A
-    shift = 2 * floor + s + 4 * tol_rank**2
-    if not (floor < tol_rank and shift < 1):
+    shift = 2 * floor + s + 4 * tol.rank**2
+    if not (floor < tol.rank and shift < 1):
         return False
     inv = 1 / np.sqrt(np.diagonal(gram))
     try:
@@ -168,19 +169,19 @@ def _full_rank_certified(gram: np.ndarray, d: int, tol_rank: float, tol: Toleran
     return True
 
 
-def _span_rank(stack: np.ndarray, d: int, tol_rank: float, tol: ToleranceConfig) -> int:
-    """Number of singular values of the unit coordinate rows above ``tol_rank``.
+def _span_rank(stack: np.ndarray, d: int, tol: ToleranceConfig) -> int:
+    """Number of singular values of the unit coordinate rows above ``tol.rank``.
 
     ``stack`` holds states validated at ``tol``.  Up to d^2 of them are first
-    offered to :func:`_full_rank_certified`, which reads ``tol.herm`` and
-    ``tol.trace``; the SVD runs only when the certificate fails.
+    offered to :func:`_full_rank_certified`, which also reads ``tol.herm``
+    and ``tol.trace``; the SVD runs only when the certificate fails.
     """
     n = len(stack)
     if n <= d * d:
         flat = stack.reshape(n, -1).view(float)
-        if _full_rank_certified(flat @ flat.T, d, tol_rank, tol):
+        if _full_rank_certified(flat @ flat.T, d, tol):
             return n
-    return int(np.sum(np.linalg.svd(_unit_rows(stack, d), compute_uv=False) > tol_rank))
+    return int(np.sum(np.linalg.svd(_unit_rows(stack, d), compute_uv=False) > tol.rank))
 
 
 def _marginal_fit(stack: np.ndarray, dims: BipartiteDims, tol_rank: float):
@@ -202,25 +203,27 @@ def _marginal_fit(stack: np.ndarray, dims: BipartiteDims, tol_rank: float):
     return frozen(marginals), frozen(fit), frozen(vt[:r])
 
 
-def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> Subspace:
+def build_subspace(family: StateFamily) -> Subspace:
     """Span rank of the family and the fit of its marginals, read from ``family.stack`` in place.
 
-    The span rank counts the singular values above ``tol_rank`` of the
-    members' unit-normalized coordinates.  When n <= d_j^2, one Cholesky
-    factorization of the members' scaled Gram matrix first tries to certify
-    all n of them (:func:`_full_rank_certified`), with their anti-Hermitian
-    parts bounded by ``family.tol.herm`` and ``family.tol.trace``, and the
-    coordinates and their SVD are built only when it fails.  The marginals'
-    rank, ``reduced_dim``, counts the singular values of their
-    unit-normalized coordinates above ``tol_rank`` (:func:`_marginal_fit`).
+    Every threshold is the family's own ``family.tol``, which the Subspace
+    keeps as ``tol``.  The span rank counts the singular values above
+    ``tol.rank`` of the members' unit-normalized coordinates.  When
+    n <= d_j^2, one Cholesky factorization of the members' scaled Gram
+    matrix first tries to certify all n of them
+    (:func:`_full_rank_certified`), with their anti-Hermitian parts
+    bounded by ``tol.herm`` and ``tol.trace``, and the coordinates and
+    their SVD are built only when it fails.  The marginals' rank,
+    ``reduced_dim``, counts the singular values of their unit-normalized
+    coordinates above ``tol.rank`` (:func:`_marginal_fit`).
     """
-    stack, dims = family.stack, family.dims
-    span_dim = _span_rank(stack, dims.joint, tol_rank, family.tol)
-    marginals, fit, domain = _marginal_fit(stack, dims, tol_rank)
+    stack, dims, tol = family.stack, family.dims, family.tol
+    span_dim = _span_rank(stack, dims.joint, tol)
+    marginals, fit, domain = _marginal_fit(stack, dims, tol.rank)
     if len(domain) > span_dim:
         raise RdlError(
             f"the marginals have rank {len(domain)} in a span of rank {span_dim}; "
-            f"the input sits too close to the rank tolerance {tol_rank:.1e}"
+            f"the input sits too close to the rank tolerance {tol.rank:.1e}"
         )
     return Subspace(
         dims=dims,
@@ -229,5 +232,5 @@ def build_subspace(family: StateFamily, tol_rank: float = DEFAULT_TOL.rank) -> S
         fit=fit,
         domain=domain,
         span_dim=span_dim,
-        tol_rank=tol_rank,
+        tol=tol,
     )

@@ -289,7 +289,7 @@ def affine_law(subspace: Subspace) -> tuple[LinearityCoefficients, np.ndarray]:
     In hermitian_basis(2) = (I, s1, s2, s3) / sqrt(2) a member's marginal
     row is R_i = (1, alpha_i) / sqrt(2), so the subspace's fit P, taken on
     the unit rows of R, is the least-squares fit on the unit rows of
-    (1, alpha), ranked against ``tol_rank`` the same way.  With g the
+    (1, alpha), ranked against ``tol.rank`` the same way.  With g the
     members' (gamma11, gamma21), one row each, the law is P g / sqrt(2) and
     the residuals are g - R (P g), shape (n, 2).  A family that is not 2x2
     raises DimensionError; a reduced rank below 4 raises InputError.
@@ -299,7 +299,7 @@ def affine_law(subspace: Subspace) -> tuple[LinearityCoefficients, np.ndarray]:
     if subspace.reduced_dim < 4:
         raise InputError(
             "fewer than 4 members with independent Bloch vectors "
-            f"(rank {subspace.reduced_dim} at tolerance {subspace.tol_rank:.1e}); "
+            f"(rank {subspace.reduced_dim} at tolerance {subspace.tol.rank:.1e}); "
             "cannot fit the affine law"
         )
     g = _pauli_blocks(subspace.members)[:, :2, 2]

@@ -167,7 +167,7 @@ def test_criterion_4_hull_sampling_agrees_with_kernel_test():
             mismatches.append((k, kernel.consistent, hull.consistent, expect))
         if hull.max_violation != 2 * kernel.max_violation:
             mismatches.append((k, "bound", hull.max_violation, kernel.max_violation))
-        sampled, _ = hull_by_trials(fam.members, u, fam.dims, 1000 + k, 100, a.subspace.tol_rank)
+        sampled, _ = hull_by_trials(fam.members, u, fam.dims, 1000 + k, 100, a.subspace.tol.rank)
         worst = max(worst, sampled.max() - hull.max_violation)
     elapsed = time.perf_counter() - t0
     _criterion(

@@ -1,7 +1,10 @@
 """The benchmark's workloads call rdl by name; every name they use must still resolve.
 
-The tracer's observers also read the wrapped calls' arguments by parameter
-name, so each name they read must still be a parameter of what they wrap.
+Every ``rdl.*(...)`` call in the workloads and the ladder must also bind to
+its callee's signature, so a changed signature fails here before it breaks
+the benchmark.  The tracer's observers also read the wrapped calls'
+arguments by parameter name, so each name they read must still be a
+parameter of what they wrap.
 """
 
 import ast
@@ -13,6 +16,7 @@ import pytest
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+LADDER = Path(__file__).parent.parent / "perfbench" / "ladder.py"
 
 
 def _dotted(node):
@@ -58,6 +62,45 @@ def test_workloads_use_the_names_this_test_expects():
 @pytest.mark.parametrize("dotted", workload_names())
 def test_benchmark_workload_name_resolves(dotted):
     resolve(dotted)
+
+
+def rdl_calls(source: str) -> list[tuple[int, str, int, tuple[str, ...]]]:
+    """(line, callee, positional count, keyword names) of each ``rdl.*(...)`` call in ``source``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (name := _dotted(node.func)):
+            keywords = tuple(k.arg for k in node.keywords)
+            assert not any(isinstance(a, ast.Starred) for a in node.args) and None not in keywords
+            calls.append((node.lineno, name, len(node.args), keywords))
+    return sorted(calls)
+
+
+def unbound_calls(source: str) -> list[str]:
+    """Each ``rdl.*(...)`` call in ``source`` that its callee's signature cannot bind, with why."""
+    unbound = []
+    for line, name, positional, keywords in rdl_calls(source):
+        try:
+            inspect.signature(resolve(name)).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as err:
+            unbound.append(f"line {line}: {name}: {err}")
+    return unbound
+
+
+@pytest.mark.parametrize("path", [WORKLOADS, LADDER], ids=lambda p: p.name)
+def test_benchmark_calls_bind_to_their_signatures(path):
+    source = path.read_text()
+    stages = {"rdl.build_subspace", "rdl.check_subspace_consistency", "rdl.build_dynamical_map"}
+    assert stages <= {name for _, name, _, _ in rdl_calls(source)}
+    assert unbound_calls(source) == []
+
+
+def test_a_stray_keyword_does_not_bind():
+    source = "superop = rdl.build_dynamical_map(rdl.build_assignment(sub), u, tols=tols)\n"
+    [message] = unbound_calls(source)
+    assert message.startswith("line 1: rdl.build_dynamical_map: ")
+    assert "tols" in message
+    assert unbound_calls(source.replace(", tols=tols", ", consistency=rep")) == []
+    assert len(unbound_calls("rdl.verdicts(superop, 1e-9)\nrdl.build_subspace()\n")) == 2
 
 
 def _assigned(tree, name):

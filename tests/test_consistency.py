@@ -55,15 +55,18 @@ def test_full_family_is_inconsistent_at_quarter_period():
 
 
 def test_marginal_flag_tracks_tolerance_band():
-    fam = rdl.full_two_qubit_family()
-    sub = rdl.build_subspace(fam)
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    v = rdl.check_subspace_consistency(sub, u).max_violation
-    in_band = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=v / 5))
+
+    def check(consistency=DEFAULT_TOL.consistency):
+        fam = rdl.full_two_qubit_family(tol=replace(DEFAULT_TOL, consistency=consistency))
+        return rdl.check_subspace_consistency(rdl.build_subspace(fam), u)
+
+    v = check().max_violation
+    in_band = check(v / 5)
     assert not in_band.consistent and in_band.marginal
-    far_out = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=v / 50))
+    far_out = check(v / 50)
     assert not far_out.consistent and not far_out.marginal
-    passed = rdl.check_subspace_consistency(sub, u, tols=replace(DEFAULT_TOL, consistency=2 * v))
+    passed = check(2 * v)
     assert passed.consistent and not passed.marginal
 
 
@@ -400,7 +403,7 @@ def test_residual_test_agrees_with_kernel_basis_route(
     tol = DEFAULT_TOL.consistency
     sub = rdl.build_subspace(fam)
     rep = rdl.check_subspace_consistency(sub, u)
-    viol, kernel = kernel_test_by_basis(fam.members, u, fam.dims, sub.tol_rank)
+    viol, kernel = kernel_test_by_basis(fam.members, u, fam.dims, sub.tol.rank)
     assert len(kernel) == sub.kernel_dim
 
     by_basis = viol.max(initial=0.0)
@@ -441,7 +444,7 @@ def test_hull_violation_is_at_most_twice_the_kernel_test(
     a = rdl.analyze(fam, u, hull=True)
     kernel, hull = a.consistency, a.hull
     assert hull.max_violation == 2 * kernel.max_violation
-    trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 10, a.subspace.tol_rank)
+    trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 10, a.subspace.tol.rank)
     assert trials.max() <= hull.max_violation + 1e-12
     tol = DEFAULT_TOL.consistency
     if not tol / 10 <= kernel.max_violation <= 10 * tol:
@@ -458,7 +461,7 @@ def test_hull_oracle_takes_zero_steps_without_a_kernel():
     u = np.eye(2, dtype=complex)
     a = rdl.analyze(fam, u, hull=True)
     assert a.subspace.kernel_dim == 0
-    trials, steps = hull_by_trials(fam.members, u, fam.dims, 0, 10, a.subspace.tol_rank)
+    trials, steps = hull_by_trials(fam.members, u, fam.dims, 0, 10, a.subspace.tol.rank)
     assert not trials.any()
     assert not np.any(steps)
     assert a.hull.consistent

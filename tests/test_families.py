@@ -460,14 +460,23 @@ def test_valid_members_are_certified_block_by_block(d_s, d_e, pure_at, expected,
     factorization is expected as (block length, shift in units of psd / 2).
     """
     dims = rdl.BipartiteDims(d_s, d_e)
-    d, half = dims.joint, rdl.DEFAULT_TOL.psd / 2
+    d = dims.joint
     monkeypatch.setattr(families, "_BLOCK_ENTRIES", 2 * d**2)
     members = [rdl.random_density_matrix(d, rng) for _ in range(7)]
     if pure_at is not None:
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         v[0] = 0  # rho[0, 0] = 0: the factorization as given meets a zero pivot at once
         members[pure_at] = np.outer(v, v.conj()) / np.vdot(v, v).real
-    calls, cholesky = [], np.linalg.cholesky
+    calls = _record_factorizations(monkeypatch, d)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        rdl.StateFamily(dims=dims, members=tuple(members))
+    assert spy.call_count == 0
+    assert calls == expected
+
+
+def _record_factorizations(monkeypatch, d):
+    """Each Cholesky call of validation, as (block length, shift in units of psd / 2)."""
+    calls, cholesky, half = [], np.linalg.cholesky, rdl.DEFAULT_TOL.psd / 2
 
     def factor(a):  # read at the call: a shifted block lives in a reused buffer
         shift = (np.trace(a, axis1=1, axis2=2).real - 1) / d  # the traces are 1 to roundoff
@@ -476,7 +485,33 @@ def test_valid_members_are_certified_block_by_block(d_s, d_e, pure_at, expected,
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", factor)
+    return calls
+
+
+@pytest.mark.parametrize("lowest, accepted", [(-0.9, True), (-3.0, False)], ids=["near", "past"])
+def test_only_the_block_that_fails_its_factorizations_goes_to_eigvalsh(
+    lowest, accepted, rng, monkeypatch
+):
+    """Eight members in blocks of two; member 3, in block 1, has lowest eigenvalue ``lowest`` psd.
+
+    Block 1 fails its factorization as given and shifted by psd / 2, so one
+    eigvalsh of its two members decides; blocks 2 and 3 are still factored
+    shifted, and no other member is eigendecomposed.  A rejected member is
+    then eigendecomposed once more, alone, for its error.
+    """
+    dims = rdl.BipartiteDims(2, 3)
+    d = dims.joint
+    monkeypatch.setattr(families, "_BLOCK_ENTRIES", 2 * d**2)
+    members = [rdl.random_density_matrix(d, rng) for _ in range(8)]
+    members[3] = _with_lowest_eigenvalue(d, lowest * rdl.DEFAULT_TOL.psd, rng)
+    calls = _record_factorizations(monkeypatch, d)
     with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
-        rdl.StateFamily(dims=dims, members=tuple(members))
-    assert spy.call_count == 0
-    assert calls == expected
+        if accepted:
+            rdl.StateFamily(dims=dims, members=tuple(members))
+        else:
+            with pytest.raises(NotAStateError, match="^member 3 "):
+                rdl.StateFamily(dims=dims, members=tuple(members))
+    sizes = [np.shape(c.args[0])[:-2] for c in spy.call_args_list]
+    assert sizes == ([(2,)] if accepted else [(2,), ()])
+    assert np.array_equal(spy.call_args_list[0].args[0], members[2:4])
+    assert calls == [(2, 0), (2, 0), (2, 1), (2, 1), (2, 1)]

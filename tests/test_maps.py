@@ -21,10 +21,10 @@ from oracles import (
 from test_consistency import constrained_family, product_and_joint_family, random_propagator
 
 
-def pipeline(family, u, **kw):
+def pipeline(family, u):
     sub = rdl.build_subspace(family)
     rep = rdl.check_subspace_consistency(sub, u)
-    sop = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep, **kw)
+    sop = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
     return sub, rep, sop
 
 
@@ -166,7 +166,9 @@ def test_kraus_phase_pivot_is_the_first_entry_above_tol():
     tol = rdl.DEFAULT_TOL.herm
     v = np.array([1e-10, 0.6 + 0.3j, 0.5j, 0.4])
     v /= np.linalg.norm(v)
-    k = rdl.decompose_signed_kraus(choi_superoperator(np.outer(v, v.conj())), tol)
+    sop = choi_superoperator(np.outer(v, v.conj()))
+    assert sop.tol.herm == tol
+    k = rdl.decompose_signed_kraus(sop)
     [(sign, op)] = k.terms
     vec = op.ravel(order="F")
     lead = vec[np.flatnonzero(np.abs(vec) > tol)[0]]

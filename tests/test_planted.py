@@ -139,7 +139,7 @@ def test_planted_violation_matches_its_closed_form(d_s, d_e, extra, seed):
     a = rdl.analyze(fam, u, hull=True)
     assert abs(a.consistency.max_violation - 1e-9 * slope) < 1e-13
     assert a.hull.max_violation == 2 * a.consistency.max_violation
-    trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 5, a.subspace.tol_rank)
+    trials, _ = hull_by_trials(fam.members, u, fam.dims, seed, 5, a.subspace.tol.rank)
     assert trials.max() <= a.hull.max_violation + 1e-12
 
     cut = DEFAULT_TOL.consistency / slope

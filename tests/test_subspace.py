@@ -153,7 +153,7 @@ def test_kernel_basis_matches_accumulation_oracle(d_s, d_e, n_sys, n_env, n_join
     span = np.array(sub.span_basis)
     t = rdl.basis_coords(rdl.partial_trace_env(span, dims), d_s).real
     u_t, svals_t, _ = np.linalg.svd(t, full_matrices=True)
-    rank_t = int(np.sum(svals_t > sub.tol_rank))
+    rank_t = int(np.sum(svals_t > sub.tol.rank))
     oracle = kernel_by_accumulation(span, u_t, rank_t, sub.span_dim)
     kernel = np.array(sub.kernel_basis).reshape(oracle.shape)
     k_coords = rdl.basis_coords(kernel, dims.joint).real
@@ -215,7 +215,7 @@ def test_more_pairs_than_span_rank_is_refused(rank_split_family):
     dimensions exists.
     """
     with pytest.raises(RdlError, match="the marginals have rank 2 in a span of rank 1;"):
-        rdl.build_subspace(rank_split_family, 0.06)
+        rdl.build_subspace(replace(rank_split_family, tol=replace(rdl.DEFAULT_TOL, rank=0.06)))
 
 
 def test_subspace_reads_the_family_stack_and_copies_a_writable_one(rng):
@@ -301,9 +301,10 @@ def test_span_rank_matches_svd_oracle(d_s, d_e, n, kind, log_tol, seed):
     n = min(n, d * d + 2)
     tol_rank = 10.0**log_tol
     ops, tol = _state_case(kind, d, n, tol_rank, rng)
+    tol = replace(tol, rank=tol_rank)
     fam = rdl.StateFamily(dims=rdl.BipartiteDims(d_s, d_e), members=tuple(ops), tol=tol)
     with mock.patch.object(subspace, "_unit_rows", wraps=subspace._unit_rows) as spy:
-        rank = subspace._span_rank(fam.stack, d, tol_rank, fam.tol)
+        rank = subspace._span_rank(fam.stack, d, fam.tol)
     event(f"{kind}: {'SVD' if spy.called else 'certified'}")
     assert rank == span_dim_by_svd(fam.stack, d, tol_rank)
 
@@ -328,7 +329,7 @@ def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
     )
     sides = _spy_unit_rows(monkeypatch)
     sub = rdl.build_subspace(fam)
-    assert sub.span_dim == 120 == span_dim_by_svd(fam.stack, 32, sub.tol_rank)
+    assert sub.span_dim == 120 == span_dim_by_svd(fam.stack, 32, sub.tol.rank)
     assert sides == []
 
     rho, h = np.eye(4) / 4, rdl.tensor(rdl.SIGMA_Z, np.eye(2))
@@ -352,8 +353,9 @@ def test_certificate_reads_the_family_tolerances(rng, monkeypatch):
     fam = rdl.StateFamily(
         dims=rdl.BipartiteDims(2, 4),
         members=tuple(rdl.random_density_matrix(8, rng) for _ in range(60)),
+        tol=replace(rdl.DEFAULT_TOL, rank=5e-12),
     )
-    assert rdl.build_subspace(fam, 5e-12).span_dim == 60 == span_dim_by_svd(fam.stack, 8, 5e-12)
+    assert rdl.build_subspace(fam).span_dim == 60 == span_dim_by_svd(fam.stack, 8, 5e-12)
     assert sides == []
 
     loose = replace(rdl.DEFAULT_TOL, herm=0.1)
