@@ -246,8 +246,8 @@ def _cmd_swap_demo(args, tols: ToleranceConfig):
     pairs = []
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
-            before = trace_distance(reduced[i], reduced[j])
-            after = trace_distance(images[i], images[j])
+            before = trace_distance(reduced[i], reduced[j], family.tol)
+            after = trace_distance(images[i], images[j], family.tol)
             increased = after > before + family.tol.psd
             pairs.append({"before": before, "after": after, "increased": increased})
     report = analysis_to_json(analysis, "swap-demo")

@@ -10,7 +10,7 @@ violations also bound every equal-marginal pair of the members' convex hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .families import StateFamily
 from .operators import (
     _evolved_marginal,
     _require_propagator,
+    basis_coords,
     from_basis_coords,
     frozen,
     partial_trace_env,
@@ -39,6 +40,10 @@ class ConsistencyReport:
     trace realizes max_violation; it is None for clean passes.
     ``pairs_tested`` counts probed state pairs where that notion applies;
     zero means the check was vacuous.
+    A kernel-test report also keeps what it tested and fitted: the
+    ``subspace``, a read-only copy of the ``propagator``, and ``fitted``, the
+    read-only P E whose transpose is the map.  All three are None for
+    pairwise and hull reports, which certify no map.
     """
 
     consistent: bool
@@ -47,6 +52,9 @@ class ConsistencyReport:
     witness: np.ndarray | None = None
     pairs_tested: int | None = None
     marginal: bool = False
+    subspace: Subspace | None = field(default=None, repr=False)
+    propagator: np.ndarray | None = field(default=None, repr=False)
+    fitted: np.ndarray | None = field(default=None, repr=False)
 
 
 def _report(violations, tol, witness_of=None, pairs_tested=None) -> ConsistencyReport:
@@ -93,20 +101,22 @@ def _kernel_test(
     (b - a) M = sum_i (b - a)_i g_i, and its evolved marginal has max-norm at
     most |b - a|_1 r <= 2 r, r the kernel test's violation.  The hull report
     judges 2 r against the same threshold with the witness 2 g_k, k the
-    first worst member; it samples no pairs.  Both reports read one E.
+    first worst member; it samples no pairs.  Both read the one E formed
+    here, and the kernel-test report keeps P E for the map.
     """
-    tols = subspace.tol
-    u = _require_propagator(u, subspace.dims, tols)
-    d_s = subspace.dims.d_s
+    tols, dims = subspace.tol, subspace.dims
+    u = frozen(_require_propagator(u, dims, tols))
     members, marginals, fit = subspace.members, subspace.marginals, subspace.fit
-    evolved = subspace.evolved_marginals(u)
-    error = from_basis_coords(evolved - marginals @ (fit @ evolved), d_s)
+    evolved = basis_coords(_evolved_marginal(u, members, dims), dims.d_s).real
+    fitted = frozen(fit @ evolved)
+    error = from_basis_coords(evolved - marginals @ fitted, dims.d_s)
     viol = np.abs(error).max(axis=(1, 2))
 
     def residual(k):
         return members[k] - np.tensordot(marginals[k] @ fit, members, axes=1)
 
     report = _report(viol, tols.consistency, residual)
+    report = replace(report, subspace=subspace, propagator=u, fitted=fitted)
     if not hull:
         return report, None
     return report, _report(2 * viol, tols.consistency, lambda k: 2 * residual(k))

@@ -22,11 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import ConsistencyReport
+from .consistency import ConsistencyReport, check_subspace_consistency
 from .errors import DimensionError, InputError, NotInSpanError
 from .operators import (
     BipartiteDims,
-    _require_propagator,
     basis_coords,
     from_basis_coords,
     frozen,
@@ -81,8 +80,8 @@ class Superoperator:
 
     The map preserves Hermiticity, so ``matrix`` is real; ``choi`` is derived
     from it once.  The map is fixed only on the reduced span and sends its
-    orthogonal complement to zero.  ``consistency_certified`` is True only
-    when the caller supplied a passing consistency report at build time.
+    orthogonal complement to zero.  ``consistency_certified`` is the verdict
+    of the kernel test that :func:`build_dynamical_map` read the matrix from.
     The signed Kraus form and the verdicts read their thresholds from
     ``tol``, the family's when the map is built from a subspace.
     """
@@ -130,19 +129,24 @@ def build_dynamical_map(
     u: np.ndarray,
     consistency: ConsistencyReport | None = None,
 ) -> Superoperator:
-    """Superoperator of reduce after conjugate after assign.
+    """Superoperator of reduce after conjugate after assign, read off a kernel test.
 
     The members' evolved marginals E, as real coordinate rows, give the
-    whole matrix at once: its transpose is P E, P the subspace's fit.  The
-    orthogonal complement of the reduced span maps to zero.  The map keeps
-    the subspace's ``tol``, which also checks ``u``.
+    whole matrix at once: its transpose is P E, P the subspace's fit, as the
+    kernel test formed it.  ``consistency`` must be that test's report on
+    the assignment's own subspace and a propagator equal to ``u``, else
+    InputError; without one, the test runs here.  The map is certified
+    exactly when it passed, and keeps the subspace's ``tol``.
     """
     sub = assignment.subspace
-    u = _require_propagator(u, sub.dims, sub.tol)
+    if consistency is None:
+        consistency = check_subspace_consistency(sub, u)
+    elif consistency.subspace is not sub or not np.array_equal(consistency.propagator, u):
+        raise InputError("the report is not the kernel test of this subspace and u")
     return Superoperator(
         d_s=sub.dims.d_s,
-        matrix=(sub.fit @ sub.evolved_marginals(u)).T,
-        consistency_certified=bool(consistency is not None and consistency.consistent),
+        matrix=consistency.fitted.T,
+        consistency_certified=consistency.consistent,
         tol=sub.tol,
     )
 

@@ -67,26 +67,26 @@ def _require_square(x: np.ndarray, what: str = "matrix") -> np.ndarray:
     return x
 
 
-def require_hermitian(x: np.ndarray, tol: float = DEFAULT_TOL.herm, what: str = "matrix") -> np.ndarray:
+def require_hermitian(x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     x = _require_square(x, what)
     with np.errstate(invalid="ignore"):  # an infinite diagonal gives inf - inf = NaN
         dev = max_norm(x - x.conj().T)
-    if not dev <= tol:  # written so that a NaN deviation fails too
-        raise HermiticityError(f"{what} is not Hermitian: max |X - X^dag| = {dev:.3e} > {tol:.3e}")
+    if not dev <= tol.herm:  # written so that a NaN deviation fails too
+        raise HermiticityError(f"{what} is not Hermitian: max |X - X^dag| = {dev:.3e} > {tol.herm:.3e}")
     return x
 
 
-def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL.unitary, what: str = "matrix") -> np.ndarray:
+def require_unitary(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     u = _require_square(u, what)
     dev = max_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    if not dev <= tol:  # written so that a NaN deviation fails too
-        raise UnitarityError(f"{what} is not unitary: max |U^dag U - I| = {dev:.3e} > {tol:.3e}")
+    if not dev <= tol.unitary:  # written so that a NaN deviation fails too
+        raise UnitarityError(f"{what} is not unitary: max |U^dag U - I| = {dev:.3e} > {tol.unitary:.3e}")
     return u
 
 
 def _require_propagator(u: np.ndarray, dims: BipartiteDims, tols: ToleranceConfig) -> np.ndarray:
     """``u`` validated once as a unitary on the joint space of ``dims``."""
-    u = require_unitary(u, tols.unitary, "propagator")
+    u = require_unitary(u, tols, "propagator")
     if u.shape[0] != dims.joint:
         raise DimensionError(
             f"propagator side {u.shape[0]} does not match joint dimension {dims.joint}"
@@ -107,7 +107,7 @@ def require_density(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: s
     written so that NaN fails it.  Returns the validated array as complex
     ndarray.
     """
-    rho = require_hermitian(rho, tol.herm, what)
+    rho = require_hermitian(rho, tol, what)
     tr_dev = abs(np.trace(rho) - 1.0)
     if not tr_dev <= tol.trace:
         raise NotAStateError(f"{what} has trace {complex(np.trace(rho)):.6g}, expected 1")
@@ -269,8 +269,8 @@ def from_basis_coords(c: np.ndarray, d: int) -> np.ndarray:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Trace distance (1/2) sum_i |lambda_i(rho - sigma)| between Hermitian operators."""
-    rho = require_hermitian(rho, tol.herm, "first argument")
-    sigma = require_hermitian(sigma, tol.herm, "second argument")
+    rho = require_hermitian(rho, tol, "first argument")
+    sigma = require_hermitian(sigma, tol, "second argument")
     if rho.shape != sigma.shape:
         raise DimensionError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))

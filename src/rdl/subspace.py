@@ -19,7 +19,6 @@ from .errors import RdlError
 from .families import StateFamily
 from .operators import (
     BipartiteDims,
-    _evolved_marginal,
     basis_coords,
     from_basis_coords,
     frozen,
@@ -41,7 +40,8 @@ class Subspace:
     member whose marginal is within ``tol.rank`` of its own norm has
     D_i = 0.  ``tol`` is the family's, and every later stage reads its
     thresholds from it.  Residuals and orthonormal bases are built on use,
-    each as one read-only stack.
+    each as one read-only stack.  It meets no propagator: the kernel test
+    evolves the members, and its report keeps the fit of that evolution.
     """
 
     dims: BipartiteDims
@@ -51,7 +51,6 @@ class Subspace:
     domain: np.ndarray
     span_dim: int
     tol: ToleranceConfig = field(repr=False)
-    _evolved: tuple | None = field(init=False, default=None, repr=False)  # (U, E) of the last call
 
     @property
     def reduced_dim(self) -> int:
@@ -60,21 +59,6 @@ class Subspace:
     @property
     def kernel_dim(self) -> int:
         return self.span_dim - self.reduced_dim
-
-    def evolved_marginals(self, u: np.ndarray) -> np.ndarray:
-        """E, the real coordinates of Tr_E(U rho_i U^dag), one row per member, read-only.
-
-        ``u`` is taken as already validated.  E is kept for the last
-        propagator, with a copy of it: a call with equal entries reads it
-        back, so a propagator changed in place gets a fresh E.
-        """
-        memo = self._evolved
-        if memo is None or not np.array_equal(memo[0], u):
-            evolved = basis_coords(_evolved_marginal(u, self.members, self.dims), self.dims.d_s).real
-            evolved.setflags(write=False)
-            memo = (frozen(u), evolved)
-            object.__setattr__(self, "_evolved", memo)
-        return memo[1]
 
     @functools.cached_property
     def residuals(self) -> np.ndarray:

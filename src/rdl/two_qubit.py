@@ -114,7 +114,7 @@ def extract_two_qubit_params(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
     alpha_i = tr((s_i (x) I) rho), beta_j = tr((I (x) s_j) rho),
     gamma_ij = tr((s_i (x) s_j) rho).
     """
-    rho = require_hermitian(rho, tol.herm, "two-qubit state")
+    rho = require_hermitian(rho, tol, "two-qubit state")
     if rho.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 matrix, got {rho.shape}")
     blocks = _pauli_blocks(rho)

@@ -464,7 +464,7 @@ def planted_run(monkeypatch, error, family_file):
     def fail(*args):
         raise error("planted failure")
 
-    monkeypatch.setattr(rdl.Subspace, "evolved_marginals", fail)
+    monkeypatch.setattr(rdl.operators, "_reduced_propagator", fail)
     return [
         "analyze", "--family", family_file, "--model", "swap", "--hull", "--trials", "3"
     ]

@@ -331,3 +331,84 @@ def test_cp_map_never_grows_trace_distance(rng):
                 a.superoperator.apply(probes[i]), a.superoperator.apply(probes[j])
             )
             assert after <= before + 1e-10
+
+
+def model_propagator():
+    """U(t = 1) of the model at omega = pi/2, under which the full two-qubit family fails."""
+    return rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
+
+
+def _other_subspace(fam, sub, u):
+    return rdl.check_subspace_consistency(rdl.build_subspace(fam), u)
+
+
+def _other_propagator(fam, sub, u):
+    return rdl.check_subspace_consistency(sub, np.eye(4, dtype=complex))
+
+
+def _changed_in_place(fam, sub, u):
+    rep = rdl.check_subspace_consistency(sub, u)
+    u[...] = np.eye(4)
+    return rep
+
+
+def _pairwise(fam, sub, u):
+    return rdl.check_pairwise_consistency(fam, u)
+
+
+@pytest.mark.parametrize(
+    "foreign",
+    [_other_subspace, _other_propagator, _changed_in_place, _pairwise],
+    ids=["other-subspace", "other-propagator", "changed-in-place", "pairwise"],
+)
+def test_a_report_that_is_not_the_maps_own_kernel_test_is_refused(foreign):
+    fam = rdl.full_two_qubit_family()
+    sub, u = rdl.build_subspace(fam), model_propagator()
+    rep = foreign(fam, sub, u)
+    with pytest.raises(InputError, match="not the kernel test of this subspace and u"):
+        rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
+
+
+def test_the_hull_report_of_analyze_is_refused():
+    """Same subspace and propagator as the analysis's own report, which is accepted."""
+    fam = rdl.full_two_qubit_family()
+    u = model_propagator()
+    a = rdl.analyze(fam, u, hull=True)
+    assert a.hull is not None
+    with pytest.raises(InputError, match="not the kernel test"):
+        rdl.build_dynamical_map(rdl.build_assignment(a.subspace), u, consistency=a.hull)
+    own = rdl.build_dynamical_map(rdl.build_assignment(a.subspace), u, consistency=a.consistency)
+    assert np.array_equal(own.matrix, a.superoperator.matrix)
+
+
+def test_a_passing_report_cannot_certify_a_failing_map():
+    """The full two-qubit family fails under the model; passing reports from elsewhere do not help.
+
+    Before the map read its certification off its own kernel test, either
+    report below certified this map.
+    """
+    fam = rdl.full_two_qubit_family()
+    sub, u = rdl.build_subspace(fam), model_propagator()
+    assert not rdl.check_subspace_consistency(sub, u).consistent
+    product = rdl.product_family(rdl.pauli_eigenstates(), np.eye(2, dtype=complex) / 2)
+    passing = [
+        rdl.check_subspace_consistency(sub, np.eye(4, dtype=complex)),
+        rdl.check_subspace_consistency(rdl.build_subspace(product), u),
+    ]
+    for rep in passing:
+        assert rep.consistent
+        with pytest.raises(InputError, match="not the kernel test"):
+            rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["local-consistent", "model-inconsistent"])
+def test_a_map_built_without_a_report_is_certified_by_its_kernel_test(local, rng):
+    fam = rdl.full_two_qubit_family()
+    sub = rdl.build_subspace(fam)
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng)) if local else model_propagator()
+    rep = rdl.check_subspace_consistency(sub, u)
+    assert rep.consistent is local
+    bare = rdl.build_dynamical_map(rdl.build_assignment(sub), u)
+    given_rep = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
+    assert bare.consistency_certified is given_rep.consistency_certified is rep.consistent
+    assert np.array_equal(bare.matrix.view(np.int64), given_rep.matrix.view(np.int64))

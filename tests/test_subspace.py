@@ -391,23 +391,26 @@ def _map_matrix(sub, u):
 
 
 def test_analyze_with_the_hull_evolves_the_members_once():
-    """The kernel test, the hull bound and the map build share one E."""
+    """The kernel test, the hull bound and the map build share one E and one check of U."""
     u = rdl.model_unitary(rdl.ModelParams(omega=np.pi / 2, t=1.0))
-    with _spy_reduced_propagator() as spy:
+    unitary = mock.patch.object(operators, "require_unitary", wraps=operators.require_unitary)
+    with _spy_reduced_propagator() as spy, unitary as checks:
         a = rdl.analyze(rdl.full_two_qubit_family(), u, hull=True)
     assert a.hull is not None and a.hull.max_violation == 2 * a.consistency.max_violation
     assert spy.call_count == 1
+    assert checks.call_count == 1
 
 
-def test_evolved_marginals_are_kept_for_the_last_propagator(rng):
+def test_the_map_build_reads_the_kernel_tests_evolution(rng):
+    """The two-call path, kernel test then map build with its report, forms one E."""
     fam = rdl.full_two_qubit_family()
     sub = rdl.build_subspace(fam)
     u = random_unitary(4, rng)
     with _spy_reduced_propagator() as spy:
-        rdl.check_subspace_consistency(sub, u)
-        matrix = _map_matrix(sub, u)
+        rep = rdl.check_subspace_consistency(sub, u)
+        matrix = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep).matrix
     assert spy.call_count == 1
-    assert not sub.evolved_marginals(u).flags.writeable
+    assert not rep.fitted.flags.writeable
     assert np.array_equal(matrix, _map_matrix(rdl.build_subspace(fam), u))
 
 

@@ -1,12 +1,14 @@
 """Every threshold is set once, on the family, and each later stage reads it from there."""
 
 import inspect
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rdl
-from rdl.errors import InputError
+from rdl.errors import HermiticityError, InputError, UnitarityError
 from rdl.maps import Superoperator
 from rdl.serialize import analysis_to_json, subspace_to_json
 
@@ -84,3 +86,27 @@ def test_a_tolerance_that_is_not_a_config_is_refused(tol):
         rdl.StateFamily(rdl.BipartiteDims(2, 2), (np.eye(4) / 4,), tol=tol)
     with pytest.raises(InputError, match=f"^tol must be a ToleranceConfig, got {kind}$"):
         Superoperator(d_s=2, matrix=np.eye(4), consistency_certified=False, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "check, name, x, error",
+    [
+        (rdl.require_hermitian, "herm", np.array([[1, 0.01], [0, 1]]), HermiticityError),
+        (rdl.require_unitary, "unitary", 1.01 * np.eye(2), UnitarityError),
+    ],
+    ids=["hermitian", "unitary"],
+)
+def test_validators_read_their_threshold_from_a_config(check, name, x, error):
+    """Off by 0.01 or 0.0201: refused at the default 1e-9, accepted at 0.1.
+
+    The config is the only way in, and it refuses an infinite or NaN
+    threshold, which as a bare float accepted 2 I as unitary and refused
+    the identity as Hermitian.
+    """
+    assert inspect.signature(check).parameters["tol"].default is rdl.DEFAULT_TOL
+    with pytest.raises(error):
+        check(x)
+    assert np.array_equal(check(x, replace(rdl.DEFAULT_TOL, **{name: 0.1})), x)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InputError, match=f"^tolerance {name} must be finite and positive"):
+            replace(rdl.DEFAULT_TOL, **{name: bad})
