@@ -42,7 +42,6 @@ from .operators import (
     from_basis_coords,
     hermitian_basis,
     max_norm,
-    min_eigenvalue,
     partial_trace_env,
     require_density,
     require_hermitian,
@@ -116,7 +115,6 @@ __all__ = [
     "full_two_qubit_family",
     "hermitian_basis",
     "max_norm",
-    "min_eigenvalue",
     "model_unitary",
     "partial_trace_env",
     "pauli_eigenstates",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import ConsistencyReport, check_subspace_consistency
+from .consistency import ConsistencyReport
 from .errors import DimensionError, InputError, NotInSpanError
 from .operators import (
     BipartiteDims,
@@ -111,7 +111,6 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class MapVerdicts:
-    hermitian_preserving: bool
     trace_preserving: bool
     completely_positive: bool
     choi_min_eigenvalue: float
@@ -127,7 +126,7 @@ def _choi_from_matrix(matrix: np.ndarray, d_s: int) -> np.ndarray:
 def build_dynamical_map(
     assignment: AssignmentMap,
     u: np.ndarray,
-    consistency: ConsistencyReport | None = None,
+    consistency: ConsistencyReport,
 ) -> Superoperator:
     """Superoperator of reduce after conjugate after assign, read off a kernel test.
 
@@ -135,13 +134,11 @@ def build_dynamical_map(
     whole matrix at once: its transpose is P E, P the subspace's fit, as the
     kernel test formed it.  ``consistency`` must be that test's report on
     the assignment's own subspace and a propagator equal to ``u``, else
-    InputError; without one, the test runs here.  The map is certified
-    exactly when it passed, and keeps the subspace's ``tol``.
+    InputError.  The map is certified exactly when it passed, and keeps the
+    subspace's ``tol``.
     """
     sub = assignment.subspace
-    if consistency is None:
-        consistency = check_subspace_consistency(sub, u)
-    elif consistency.subspace is not sub or not np.array_equal(consistency.propagator, u):
+    if consistency.subspace is not sub or not np.array_equal(consistency.propagator, u):
         raise InputError("the report is not the kernel test of this subspace and u")
     return Superoperator(
         d_s=sub.dims.d_s,
@@ -230,18 +227,17 @@ def decompose_signed_kraus(superop: Superoperator) -> SignedKraus:
 
 
 def verdicts(superop: Superoperator) -> MapVerdicts:
-    """Hermiticity preservation, trace preservation, and complete positivity.
+    """Trace preservation and complete positivity.
 
-    A real map matrix preserves Hermiticity by construction.  The other two
-    are read off the Choi matrix, each against the map's ``tol.psd``: its
-    partial trace over the output factor against the identity, and its
-    minimum eigenvalue against -tol.psd.
+    Hermiticity preservation needs no verdict: a real map matrix has it by
+    construction.  Both are read off the Choi matrix, each against the map's
+    ``tol.psd``: its partial trace over the output factor against the
+    identity, and its minimum eigenvalue against -tol.psd.
     """
     d_s, tol = superop.d_s, superop.tol.psd
     tp = max_norm(partial_trace_env(superop.choi, BipartiteDims(d_s, d_s)) - np.eye(d_s)) <= tol
     lo = float(np.linalg.eigvalsh(superop.choi)[0])
     return MapVerdicts(
-        hermitian_preserving=True,
         trace_preserving=tp,
         completely_positive=lo >= -tol,
         choi_min_eigenvalue=lo,

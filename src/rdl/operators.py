@@ -94,11 +94,6 @@ def _require_propagator(u: np.ndarray, dims: BipartiteDims, tols: ToleranceConfi
     return u
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(h)[0])
-
-
 def require_density(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: str = "state") -> np.ndarray:
     """Validate that ``rho`` is a density matrix within tolerance.
 
@@ -111,7 +106,7 @@ def require_density(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: s
     tr_dev = abs(np.trace(rho) - 1.0)
     if not tr_dev <= tol.trace:
         raise NotAStateError(f"{what} has trace {complex(np.trace(rho)):.6g}, expected 1")
-    lo = min_eigenvalue(rho)
+    lo = float(np.linalg.eigvalsh(rho)[0])
     if not lo >= -tol.psd:
         raise NotAStateError(
             f"{what} is not positive semidefinite: min eigenvalue {lo:.3e}",

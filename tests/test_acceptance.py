@@ -214,7 +214,8 @@ def test_criterion_6_signed_kraus_reconstructs_every_map():
     worst_defect = 0.0
     for name, family, u in cases:
         sub = rdl.build_subspace(family)
-        sop = rdl.build_dynamical_map(rdl.build_assignment(sub), u)
+        rep = rdl.check_subspace_consistency(sub, u)
+        sop = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
         k = rdl.decompose_signed_kraus(sop)
         worst_defect = max(worst_defect, k.completeness_defect())
         for rho in probes:

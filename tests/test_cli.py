@@ -122,6 +122,35 @@ def test_swap_demo_defaults(capsys):
     assert not any(p["increased"] for p in rep["pairs"])
 
 
+def test_swap_demo_pairs_are_the_trace_distances_of_each_pair(capsys, tmp_path, rng):
+    """One batched eigvalsh gives, bit for bit, what trace_distance gives pair by pair."""
+    states = [rdl.random_density_matrix(3, rng) for _ in range(5)]
+    omega = rdl.random_density_matrix(3, rng)
+    (tmp_path / "states.json").write_text(json.dumps([matrix_to_json(s) for s in states]))
+    (tmp_path / "omega.json").write_text(json.dumps(matrix_to_json(omega)))
+    code, out, _ = run(
+        capsys, "swap-demo", "--states", str(tmp_path / "states.json"),
+        "--omega-e", str(tmp_path / "omega.json"),
+    )
+    assert code == 0
+    rep = json.loads(out)
+    a = rdl.analyze(rdl.product_family(states, omega), rdl.swap_unitary(3))
+    reduced = a.family.reduced()
+    images = [a.superoperator.apply(r) for r in reduced]
+    want = [
+        {
+            "before": rdl.trace_distance(reduced[i], reduced[j]),
+            "after": rdl.trace_distance(images[i], images[j]),
+        }
+        for i in range(5)
+        for j in range(i + 1, 5)
+    ]
+    for w in want:
+        w["increased"] = w["after"] > w["before"] + rdl.DEFAULT_TOL.psd
+    assert rep["pairs"] == want
+    assert rep["constant_output_deviation"] == max(rdl.max_norm(im - omega) for im in images)
+
+
 def test_hull_run_builds_the_subspace_once(capsys, monkeypatch):
     """The hull bound reads the pipeline's Subspace instead of building its own."""
     build = rdl.pipeline.build_subspace
@@ -586,3 +615,42 @@ def test_exit_table_covers_every_exported_error():
         assert error.exit_code == (1 if is_input else 2)
         assert error.kind == ("input error" if is_input else "numerical failure")
     assert issubclass(rdl.InputError, ValueError)
+
+
+@pytest.fixture
+def family_3x2_file(tmp_path):
+    fam = rdl.product_family([np.eye(3, dtype=complex) / 3], np.eye(2, dtype=complex) / 2)
+    return write_family(tmp_path / "family-3x2.json", fam)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("two-qubit", "--seed", "1", "--b11", "1,2"), "--b11 needs three comma-separated numbers, got '1,2'"),
+        (("two-qubit", "--seed", "1", "--b11", "a,b,c"), "--b11 needs numeric entries, got 'a,b,c'"),
+        (("two-qubit", "--seed", "1", "--samples", "0"), "--samples must be at least 1, got 0"),
+        (
+            ("analyze", "--family", "{3x2}", "--model", "two-qubit", "--omega", "1", "--t", "1"),
+            "--model two-qubit needs a 2x2 system-environment family",
+        ),
+        (
+            ("analyze", "--family", "{3x2}", "--model", "swap"),
+            "--model swap needs equal dimensions, family has d_s=3, d_e=2",
+        ),
+        (("two-qubit", "--members", "{3x2}"), "--members must hold a 2x2 system-environment family"),
+    ],
+    ids=["b11-two-entries", "b11-not-numeric", "no-samples", "two-qubit-model-3x2", "swap-model-3x2",
+         "members-3x2"],
+)
+def test_cli_refuses_malformed_flags_and_misshapen_families(capsys, family_3x2_file, argv, message):
+    argv = [family_3x2_file if a == "{3x2}" else a for a in argv]
+    assert run(capsys, *argv) == (1, "", f"input error: {message}\n")
+
+
+@pytest.mark.parametrize("states", [[], {"rows": 2, "cols": 2, "data": []}], ids=["empty", "object"])
+def test_swap_demo_states_must_be_a_non_empty_list(capsys, tmp_path, states):
+    path = tmp_path / "states.json"
+    path.write_text(json.dumps(states))
+    code, out, err = run(capsys, "swap-demo", "--states", str(path))
+    assert (code, out) == (1, "")
+    assert err == "input error: --states must hold a non-empty JSON list of matrices\n"

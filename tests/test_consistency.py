@@ -121,13 +121,16 @@ def test_identity_propagator_is_always_consistent():
     assert rep.max_violation < 1e-12
 
 
+def _map_with_its_report(sub, u):
+    rep = rdl.check_subspace_consistency(sub, u)
+    return rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
+
+
 ENTRIES = {
     "kernel": lambda fam, u: rdl.check_subspace_consistency(rdl.build_subspace(fam), u),
     "pairwise": lambda fam, u: rdl.check_pairwise_consistency(fam, u),
     "hull": lambda fam, u: rdl.analyze(fam, u, hull=True),
-    "map": lambda fam, u: rdl.build_dynamical_map(
-        rdl.build_assignment(rdl.build_subspace(fam)), u
-    ),
+    "map": lambda fam, u: _map_with_its_report(rdl.build_subspace(fam), u),
 }
 
 

@@ -300,6 +300,11 @@ def test_product_family_rejects_misshapen_system_states(states, message):
         rdl.product_family(states, np.eye(2) / 2)
 
 
+def test_product_family_needs_a_system_state():
+    with pytest.raises(EmptyFamilyError, match="^no system states supplied$"):
+        rdl.product_family([], np.eye(2) / 2)
+
+
 def test_full_two_qubit_family_shape():
     fam = rdl.full_two_qubit_family()
     assert len(fam) == 16

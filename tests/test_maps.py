@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import rdl
 from rdl.errors import DimensionError, InputError
 from rdl.maps import Superoperator
+from rdl.serialize import analysis_to_json
 
 from oracles import (
     choi_by_application,
@@ -71,7 +72,7 @@ def test_map_matches_application_oracle(d_s, d_e, n, rng):
     u = random_unitary(dims.joint, rng)
     sub = rdl.build_subspace(fam)
     lam = rdl.build_assignment(sub)
-    sop = rdl.build_dynamical_map(lam, u)
+    sop = rdl.build_dynamical_map(lam, u, consistency=rdl.check_subspace_consistency(sub, u))
     assert sub.reduced_dim == min(n, d_s * d_s)
     projector = sub.domain.T @ sub.domain
 
@@ -184,7 +185,7 @@ def test_constrained_family_map_is_linear_but_not_cp(rng):
     assert rep.consistent
     assert sop.consistency_certified
     v = rdl.verdicts(sop)
-    assert v.hermitian_preserving
+    assert analysis_to_json(rdl.analyze(fam, u), "analyze")["verdicts"]["hermitian_preserving"]
     assert v.trace_preserving
     assert not v.completely_positive
     assert v.choi_min_eigenvalue < -1e-3
@@ -267,8 +268,11 @@ def test_member_order_leaves_the_decision_unchanged(
 
 def test_map_dimension_mismatch():
     sub = rdl.build_subspace(rdl.full_two_qubit_family())
+    u = np.eye(6, dtype=complex)
     with pytest.raises(DimensionError):
-        rdl.build_dynamical_map(rdl.build_assignment(sub), np.eye(6, dtype=complex))
+        rdl.build_dynamical_map(
+            rdl.build_assignment(sub), u, consistency=rdl.check_subspace_consistency(sub, u)
+        )
 
 
 @pytest.mark.parametrize(
@@ -314,7 +318,7 @@ def test_pipeline_map_is_real_with_an_exactly_hermitian_choi(
     sop = a.superoperator
     assert sop.matrix.dtype == np.float64
     assert np.array_equal(sop.choi, sop.choi.conj().T)
-    assert a.verdicts.hermitian_preserving
+    assert analysis_to_json(a, "analyze")["verdicts"]["hermitian_preserving"]
 
 
 def test_cp_map_never_grows_trace_distance(rng):
@@ -401,14 +405,16 @@ def test_a_passing_report_cannot_certify_a_failing_map():
             rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
 
 
-@pytest.mark.parametrize("local", [True, False], ids=["local-consistent", "model-inconsistent"])
-def test_a_map_built_without_a_report_is_certified_by_its_kernel_test(local, rng):
-    fam = rdl.full_two_qubit_family()
+def test_a_subspace_whose_marginals_fall_below_the_rank_cut_has_nothing_to_lift():
+    """A rank cut above every singular value leaves no reduced state to lift."""
+    tol = rdl.ToleranceConfig(rank=10.0)
+    fam = rdl.product_family(rdl.pauli_eigenstates(), np.eye(2) / 2, tol=tol)
     sub = rdl.build_subspace(fam)
-    u = np.kron(random_unitary(2, rng), random_unitary(2, rng)) if local else model_propagator()
-    rep = rdl.check_subspace_consistency(sub, u)
-    assert rep.consistent is local
-    bare = rdl.build_dynamical_map(rdl.build_assignment(sub), u)
-    given_rep = rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep)
-    assert bare.consistency_certified is given_rep.consistency_certified is rep.consistent
-    assert np.array_equal(bare.matrix.view(np.int64), given_rep.matrix.view(np.int64))
+    assert sub.reduced_dim == 0
+    with pytest.raises(DimensionError, match="^subspace has no independent reduced states to lift$"):
+        rdl.build_assignment(sub)
+
+
+def test_an_empty_signed_kraus_form_misses_completeness_by_one():
+    """No terms sum to the zero map, which misses the identity by 1 in max-norm."""
+    assert rdl.SignedKraus(()).completeness_defect() == 1.0

@@ -218,6 +218,16 @@ def test_trace_distance_rejects_nonhermitian():
         rdl.trace_distance(np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2))
 
 
+def test_trace_distance_refuses_mismatched_shapes():
+    with pytest.raises(DimensionError, match=r"^shape mismatch: \(2, 2\) vs \(3, 3\)$"):
+        rdl.trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+
+
+def test_hermitian_basis_needs_a_positive_dimension():
+    with pytest.raises(DimensionError, match="^basis dimension must be positive, got 0$"):
+        rdl.hermitian_basis(0)
+
+
 def test_require_density_rejects_bad_inputs():
     with pytest.raises(HermiticityError):
         rdl.require_density(np.array([[1, 1], [0, 0]], dtype=complex))

@@ -9,6 +9,13 @@ import rdl
 from rdl import serialize
 
 
+def _report_text(report) -> str:
+    """The canonical text of ``report``: the pieces ``write_report`` sends, joined."""
+    out = []
+    serialize.write_report(report, out.append)
+    return "".join(out)
+
+
 def test_matrix_roundtrip(rng):
     a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
     a.real[0, 0], a.imag[0, 1], a.real[1, 0], a.imag[1, 1] = -0.0, np.inf, -np.inf, 5e-324
@@ -94,6 +101,29 @@ def test_family_from_json_rejects_boolean_dimension(field):
         serialize.family_from_json(obj)
 
 
+_MEMBER = serialize.matrix_to_json(np.eye(2) / 2)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "family: expected an object, got list"),
+        ({"d_s": 2, "d_e": 1}, "family: missing key 'members'"),
+        ({"d_s": 2, "d_e": 1, "members": _MEMBER}, "family: members must be a list"),
+        ({"d_s": 2, "d_e": 1, "members": [_MEMBER], "label": 7}, "family: label must be a string"),
+    ],
+    ids=["not-an-object", "missing-key", "members-not-a-list", "label-not-a-string"],
+)
+def test_family_from_json_refuses_a_malformed_family(obj, message):
+    with pytest.raises(rdl.InputError, match=f"^{message}$"):
+        serialize.family_from_json(obj)
+
+
+def test_matrix_to_json_refuses_a_vector():
+    with pytest.raises(rdl.InputError, match="^can only serialize 2-d arrays, got ndim 1$"):
+        serialize.matrix_to_json(np.ones(3))
+
+
 @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
 def test_numpy_integer_dimensions_serialize_as_plain_ints(kind):
     """Dimensions given as numpy integers are held as int, so the report writer takes them."""
@@ -102,13 +132,13 @@ def test_numpy_integer_dimensions_serialize_as_plain_ints(kind):
     assert dims == rdl.BipartiteDims(2, 2)
     fam = rdl.StateFamily(dims, (np.eye(4, dtype=complex) / 4,))
     obj = serialize.family_to_json(fam)
-    assert serialize.dumps_report(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    assert serialize.family_from_json(json.loads(serialize.dumps_report(obj))).dims == dims
+    assert _report_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert serialize.family_from_json(json.loads(_report_text(obj))).dims == dims
 
 
 def test_dumps_report_is_canonical():
-    a = serialize.dumps_report({"b": 1, "a": [1.5, None]})
-    b = serialize.dumps_report({"a": [1.5, None], "b": 1})
+    a = _report_text({"b": 1, "a": [1.5, None]})
+    b = _report_text({"a": [1.5, None], "b": 1})
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
@@ -144,7 +174,7 @@ _JSON = st.recursive(
 @settings(max_examples=50)
 @given(_JSON)
 def test_dumps_report_matches_json_dumps(x):
-    assert serialize.dumps_report(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+    assert _report_text(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -160,13 +190,19 @@ _NAN, _INF = float("nan"), float("inf")
     ],
 )
 def test_dumps_report_matches_json_dumps_on_edge_cases(x):
-    assert serialize.dumps_report(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+    assert _report_text(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("x", [_NAN, _INF, -_INF], ids=["nan", "inf", "-inf"])
+def test_a_scalar_non_finite_float_is_written_as_json_dumps_writes_it(x):
+    for report in (x, {"x": x}, [x, None]):
+        assert _report_text(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("bad", [{1: 2}, {"a": {None: 1}}, {"a": [{(1, 2): 0}]}, {"a": {1j}}])
 def test_dumps_report_rejects_what_no_report_holds(bad):
     with pytest.raises(TypeError):
-        serialize.dumps_report(bad)
+        _report_text(bad)
 
 
 def test_report_schema_loads_and_is_draft07():

@@ -387,7 +387,8 @@ def _spy_reduced_propagator():
 
 
 def _map_matrix(sub, u):
-    return rdl.build_dynamical_map(rdl.build_assignment(sub), u).matrix
+    rep = rdl.check_subspace_consistency(sub, u)
+    return rdl.build_dynamical_map(rdl.build_assignment(sub), u, consistency=rep).matrix
 
 
 def test_analyze_with_the_hull_evolves_the_members_once():

@@ -285,3 +285,14 @@ def test_batched_pauli_reads_match_per_member_traces(seed, n, law, angle):
         step = rdl.analytic_bloch_step(a, g11, g21, angle)
         got = [*row["alpha"], row["gamma11"], row["gamma21"], *row["alpha_out"]]
         assert np.array_equal(bits(got), bits([*a, g11, g21, *step]))
+
+
+def test_two_qubit_helpers_refuse_misshapen_input():
+    with pytest.raises(rdl.DimensionError, match=r"^expected a 4x4 matrix, got \(2, 2\)$"):
+        rdl.extract_two_qubit_params(np.eye(2) / 2)
+    with pytest.raises(rdl.DimensionError, match=r"^b11 and b21 must be 3-vectors, got \(2,\), \(3,\)$"):
+        rdl.constrained_two_qubit_family(0.0, 0.0, [0.0, 0.0], [0.0, 0.0, 0.0], [])
+    with pytest.raises(rdl.DimensionError, match="^swap needs factor dimension at least 2, got 1$"):
+        rdl.swap_unitary(1)
+    with pytest.raises(rdl.DimensionError, match=r"^alpha must be a 3-vector, got shape \(2,\)$"):
+        rdl.analytic_bloch_step([0.0, 0.0], 0.0, 0.0, 1.0)
