@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DimensionError, InputError, RdlError
 from .families import StateFamily, product_family
-from .operators import max_norm, partial_trace_env
+from .operators import max_norm
 from .pipeline import analyze
 from .serialize import (
     analysis_to_json,
@@ -242,7 +242,7 @@ def _cmd_swap_demo(args, tols: ToleranceConfig):
     # reduced state to omega_e: a constant, completely positive map.  The
     # trace distance of each pair i < j, before and after the map, is half the
     # 1-norm of the difference's spectrum; one eigvalsh takes them all.
-    reduced = partial_trace_env(family.stack, family.dims)
+    reduced = family.reduced_stack
     images = analysis.superoperator.apply(reduced)
     i, j = np.triu_indices(len(reduced), 1)
     spectra = np.linalg.eigvalsh(np.concatenate([reduced[i] - reduced[j], images[i] - images[j]]))

@@ -21,7 +21,6 @@ from .operators import (
     basis_coords,
     from_basis_coords,
     frozen,
-    partial_trace_env,
 )
 from .subspace import Subspace
 
@@ -139,7 +138,7 @@ def check_pairwise_consistency(family: StateFamily, u: np.ndarray) -> Consistenc
     u = _require_propagator(u, family.dims, tols)
     members = family.stack
     n = len(members)
-    reduced = partial_trace_env(members, family.dims)
+    reduced = family.reduced_stack
     keys = reduced[:, 0, 0].real
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

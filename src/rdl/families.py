@@ -6,6 +6,7 @@ families built from it live in :mod:`rdl.two_qubit`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +23,11 @@ class StateFamily:
     """A finite set of joint density matrices on one system-environment split.
 
     The validated members are held once, as the read-only ``stack`` of shape
-    (n, d_j, d_j); ``members`` holds views of its rows.  ``tol``, a
-    ToleranceConfig, is what they were validated with, and the one source of
-    every later threshold: the subspace, the consistency checks, the map and
-    its verdicts all read it.
+    (n, d_j, d_j); ``members`` holds views of its rows.  Their marginals are
+    traced once, on first use, into the read-only ``reduced_stack``.
+    ``tol``, a ToleranceConfig, is what they were validated with, and the
+    one source of every later threshold: the subspace, the consistency
+    checks, the map and its verdicts all read it.
     """
 
     dims: BipartiteDims
@@ -57,9 +59,16 @@ class StateFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    @functools.cached_property
+    def reduced_stack(self) -> np.ndarray:
+        """Read-only (n, d_s, d_s) stack of the members' partial traces over the environment."""
+        reduced = partial_trace_env(self.stack, self.dims)
+        reduced.setflags(write=False)
+        return reduced
+
     def reduced(self) -> tuple[np.ndarray, ...]:
-        """Partial trace of every member over the environment."""
-        return tuple(partial_trace_env(self.stack, self.dims))
+        """Partial trace of every member over the environment, views of ``reduced_stack``."""
+        return tuple(self.reduced_stack)
 
 
 def _invalid_members(stack: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

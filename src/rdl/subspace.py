@@ -4,7 +4,8 @@ The family members are Hermitian, so their coordinates in a Hermitian operator
 basis are real and the whole construction runs on real coordinate matrices.
 That keeps every basis element of the span, and of the kernel, exactly
 Hermitian by construction.  The span rank is first certified from the
-members' Gram matrix, which needs no coordinates.
+Gram matrix of the top half of the members' rows, which needs no
+coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .operators import (
     basis_coords,
     from_basis_coords,
     frozen,
-    partial_trace_env,
 )
 
 
@@ -96,90 +96,131 @@ def _unit_rows(ops: np.ndarray, d: int) -> np.ndarray:
     return rows / np.sqrt(np.vecdot(rows, rows))[:, None]  # bit for bit np.linalg.norm per row
 
 
-def _full_rank_certified(gram: np.ndarray, d: int, tol: ToleranceConfig) -> bool:
+def _full_rank_certified(stack: np.ndarray, squares: np.ndarray, tol: ToleranceConfig) -> bool:
     """True when a Cholesky factor proves every singular value of the unit rows above 2 tol.rank.
 
-    ``gram`` is the Gram matrix of n members of side d that passed validation
-    at ``tol``.  The rows of :func:`_unit_rows` are the coordinates of
-    H_i / ||H_i||, H_i the Hermitian part of x_i = H_i + A_i: members are
-    Hermitian only within ``tol.herm``.  ``gram`` is V V^T, V the stack's
-    float view (n, m) with m = 2 d^2 and rows v_i, so
-    G_ij = Re tr(x_i^dag x_j) = tr(H_i H_j) + Re tr(A_i^dag A_j): the cross
-    terms are imaginary.  The second term is the Gram matrix of the
-    anti-Hermitian parts.  Scaled by D = diag(G_ii)^(1/2), D^-1 G D^-1
-    exceeds D^-1 G_H D^-1 by a positive semidefinite term whose trace, hence
-    largest eigenvalue, is s_A = sum_i ||A_i||^2 / G_ii.  The unit-row Gram
-    matrix is T D^-1 G_H D^-1 T with T = diag(G_ii^(1/2) / ||H_i||) >= 1, so
-    sigma_min^2 >= lambda_min(D^-1 G D^-1) - s_A.
+    ``stack`` holds n members of side d that passed validation at ``tol``, and
+    ``squares`` their squared norms.  The rows of :func:`_unit_rows` are the
+    coordinates of H_i / ||H_i||, H_i the Hermitian part of x_i = H_i + A_i:
+    members are Hermitian only within ``tol.herm``.  Let V be the stack's
+    float view (n, m), m = 2 d^2, with rows v_i, V_H and V_A the float views
+    of the H_i and the A_i, and D = diag(||v_i||).  H_i and A_i are
+    orthogonal, so ||H_i|| <= ||v_i|| and the unit rows are T D^-1 V_H, up
+    to an isometry of the coordinates, with T >= I diagonal: sigma_min of
+    the unit rows is at least that of D^-1 V_H.  By Weyl's inequality, that
+    is at least sigma_min(D^-1 V) - ||D^-1 V_A||, and ||D^-1 V_A||^2 is at
+    most s_A = sum_i ||A_i||^2 / ||v_i||^2.
+
+    The slab.  Let V_T be the columns of V that hold rows [0, h) of each
+    member, h = d // 2, and V_B the rest.  V V^T = V_T V_T^T + V_B V_B^T, so
+    the Gram matrix of a subset of columns is below the full one in the
+    positive semidefinite order, and sigma_min(D^-1 V) >= sigma_min(D^-1 V_T).
+    So a Cholesky factor of D^-1 G D^-1 - ((2 tol.rank + sqrt(s_A))^2 +
+    roundoff) I, with G the Gram matrix of either V_T or V, proves
+    sigma_min > 2 tol.rank.  The slab
+    is factored first, at half the product's cost; only when that fails is
+    V_B's Gram matrix added and the sum factored.  On the whole of V the
+    cross terms Re tr(H_i A_j) cancel and s_A alone would do, but on a slab
+    they do not, hence the Weyl step.  The slabs of Hermitian matrices span
+    d^2 - (d - h)^2 dimensions, as only those supported on the last d - h
+    rows and columns vanish there.  With more members than that, the H_i's
+    slabs are dependent, sigma_min(D^-1 V_T) <= sqrt(s_A) and the slab
+    cannot certify, so it is not factored.
 
     Validation bounds s_A without a look at the members.  It passed
     max |X - X^dag| <= herm, so every entry of A_i = (x_i - x_i^dag) / 2 is at
     most herm / 2 and ||A_i||^2 <= d^2 herm^2 / 4.  It passed
     |tr x_i - 1| <= trace < 1, so tr H_i = Re tr x_i >= 1 - trace and
-    G_ii >= ||H_i||^2 >= (tr H_i)^2 / d >= (1 - trace)^2 / d.  Hence
+    ||v_i||^2 >= ||H_i||^2 >= (tr H_i)^2 / d >= (1 - trace)^2 / d.  Hence
     s_A <= s = n d^3 herm^2 / (4 (1 - trace)^2).
 
-    Roundoff.  The Gram product errs entrywise by at most
-    m eps ||v_i|| ||v_j||, so by m eps n in norm once scaled.  The bound
+    Roundoff.  The slab's product errs entrywise by at most
+    m eps ||v_i|| ||v_j||, so by m eps n in norm once scaled.  So does the
+    sum of the two slabs' products: with both non-empty, each sums at most
+    m - 2 d terms, and the addition rounds once more.  The bound
     takes n, not the computed ||G||: the product's error follows |V||V|^T,
     which can exceed V V^T in norm.  A Cholesky factorization of an n x n
-    matrix of unit diagonal that completes is exact for a perturbation of
-    norm (n + 1) n eps at most; the scaling, the shift and T's computed
-    diagonal add (2 n + m + 5) eps <= (m + 7) n eps.
-    floor = (2 m + n + 8) n eps bounds the sum, and twice that covers the
-    higher-order terms and the few ulps of s, which is below 1 whenever the
-    shift is.  So a factor of D^-1 G D^-1 - (2 floor + s + 4 tol.rank^2) I
-    proves sigma_min > 2 tol.rank, and the SVD of the computed rows counts
-    every row while its own roundoff stays under tol.rank.  With tol.rank
-    not above ``floor``, which bounds the same kinds of error, the SVD's
-    count is itself roundoff, and the certificate is not tried.  A state's
-    Gram diagonal is at least (1 - trace)^2 / d and, within ``tol.psd`` of
-    positive, about 1 at most, so neither it nor any entry leaves the range
-    of normal floats.  False means "not certified", not "rank deficient": a
-    family validated at a loose ``herm`` just goes to the SVD.
+    matrix of diagonal at most 1 that completes is exact for a perturbation
+    of norm (n + 1) n eps at most; the scaling by the computed ``squares``,
+    each a sum of m squares, the shift and T's computed diagonal add
+    (2 n + m + 5) eps <= (m + 7) n eps.  floor = (2 m + n + 8) n eps bounds
+    the sum, and twice that covers the higher-order terms and the few ulps of
+    the shift, which is below 1.  So both attempts factor
+    D^-1 G D^-1 - (2 floor + (2 tol.rank + sqrt(s))^2) I, and the SVD of the
+    computed rows counts every row while its own roundoff stays under
+    tol.rank.  With tol.rank not above ``floor``, which bounds the same kinds
+    of error, the SVD's count is itself roundoff, and the certificate is not
+    tried.  A state's squared norm is at least (1 - trace)^2 / d and, within
+    ``tol.psd`` of positive, about 1 at most, so neither it nor any Gram
+    entry leaves the range of normal floats.  False means "not certified",
+    not "rank deficient": a family validated at a loose ``herm`` just goes
+    to the SVD.
     """
-    n = len(gram)
+    n, d = len(stack), stack.shape[-1]
     m = 2 * d * d
     floor = (2 * m + n + 8) * n * np.finfo(float).eps
     s = n * d**3 * tol.herm**2 / (4 * (1 - tol.trace) ** 2)  # bounds s_A
-    shift = 2 * floor + s + 4 * tol.rank**2
+    shift = 2 * floor + (2 * tol.rank + np.sqrt(s)) ** 2
     if not (floor < tol.rank and shift < 1):
         return False
-    inv = 1 / np.sqrt(np.diagonal(gram))
+    inv = 1 / np.sqrt(squares)
+    h = d // 2
+    top = stack[:, :h].reshape(n, -1).view(float)
+    gram = top @ top.T
+    if n <= d * d - (d - h) ** 2 and _shifted_factor_exists(gram, inv, shift):
+        return True
+    bottom = stack[:, h:].reshape(n, -1).view(float)
+    gram += bottom @ bottom.T
+    return _shifted_factor_exists(gram, inv, shift)
+
+
+def _shifted_factor_exists(gram: np.ndarray, inv: np.ndarray, shift: float) -> bool:
+    """Whether the Cholesky factorization of diag(inv) gram diag(inv) - shift I completes."""
     try:
-        np.linalg.cholesky(gram * inv * inv[:, None] - shift * np.eye(n))
+        np.linalg.cholesky(gram * inv * inv[:, None] - shift * np.eye(len(gram)))
     except np.linalg.LinAlgError:
         return False
     return True
 
 
-def _span_rank(stack: np.ndarray, d: int, tol: ToleranceConfig) -> int:
+def _span_rank(
+    stack: np.ndarray, d: int, tol: ToleranceConfig, squares: np.ndarray | None = None
+) -> int:
     """Number of singular values of the unit coordinate rows above ``tol.rank``.
 
-    ``stack`` holds states validated at ``tol``.  Up to d^2 of them are first
-    offered to :func:`_full_rank_certified`, which also reads ``tol.herm``
-    and ``tol.trace``; the SVD runs only when the certificate fails.
+    ``stack`` holds states validated at ``tol``, and ``squares`` their
+    squared norms, computed here when not given.  Up to d^2 of them are
+    first offered to :func:`_full_rank_certified`, which also reads
+    ``tol.herm`` and ``tol.trace``; the SVD runs only when the certificate
+    fails.
     """
     n = len(stack)
     if n <= d * d:
-        flat = stack.reshape(n, -1).view(float)
-        if _full_rank_certified(flat @ flat.T, d, tol):
+        if squares is None:
+            squares = _squares(stack)
+        if _full_rank_certified(stack, squares, tol):
             return n
     return int(np.sum(np.linalg.svd(_unit_rows(stack, d), compute_uv=False) > tol.rank))
 
 
-def _marginal_fit(stack: np.ndarray, dims: BipartiteDims, tol_rank: float):
+def _squares(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in ``stack``, one pass over its float view."""
+    flat = stack.reshape(len(stack), -1).view(float)
+    return np.vecdot(flat, flat)
+
+
+def _marginal_fit(reduced: np.ndarray, sizes: np.ndarray, tol_rank: float):
     """R, P and the domain rows of :class:`Subspace`, from one SVD of D R.
 
-    A row of D R is zero, and its member counts as kernel, when the
+    ``reduced`` holds the members' marginals and ``sizes`` the members'
+    norms.  A row of D R is zero, and its member counts as kernel, when the
     member's marginal is within ``tol_rank`` of the member's own norm.  A
     state's marginal has at least 1/sqrt(d_s) of its norm, so only a rank
     tolerance near that reaches the cut.
     """
-    n, d_s = len(stack), dims.d_s
-    marginals = np.ascontiguousarray(basis_coords(partial_trace_env(stack, dims), d_s).real)
-    flat = stack.reshape(n, -1).view(float)
-    norms, sizes = np.sqrt(np.vecdot(marginals, marginals)), np.sqrt(np.vecdot(flat, flat))
+    n = len(reduced)
+    marginals = np.ascontiguousarray(basis_coords(reduced, reduced.shape[-1]).real)
+    norms = np.sqrt(np.vecdot(marginals, marginals))
     inv = np.divide(1.0, norms, out=np.zeros(n), where=norms > tol_rank * sizes)
     u, s, vt = np.linalg.svd(marginals * inv[:, None], full_matrices=False)
     r = int(np.sum(s > tol_rank))
@@ -193,17 +234,21 @@ def build_subspace(family: StateFamily) -> Subspace:
     Every threshold is the family's own ``family.tol``, which the Subspace
     keeps as ``tol``.  The span rank counts the singular values above
     ``tol.rank`` of the members' unit-normalized coordinates.  When
-    n <= d_j^2, one Cholesky factorization of the members' scaled Gram
-    matrix first tries to certify all n of them
-    (:func:`_full_rank_certified`), with their anti-Hermitian parts
-    bounded by ``tol.herm`` and ``tol.trace``, and the coordinates and
-    their SVD are built only when it fails.  The marginals' rank,
-    ``reduced_dim``, counts the singular values of their unit-normalized
-    coordinates above ``tol.rank`` (:func:`_marginal_fit`).
+    n <= d_j^2, a Cholesky factorization of the scaled Gram matrix of the
+    top half of each member's rows, and failing that of the whole members,
+    first tries to certify all n of them (:func:`_full_rank_certified`),
+    with their anti-Hermitian parts bounded by ``tol.herm`` and
+    ``tol.trace``, and the coordinates and their SVD are built only when
+    both fail.  The members' squared norms are taken once, for that
+    scaling and for the fit's cut.  The marginals' rank, ``reduced_dim``,
+    counts the singular values of their unit-normalized coordinates above
+    ``tol.rank`` (:func:`_marginal_fit`), read from
+    ``family.reduced_stack``.
     """
     stack, dims, tol = family.stack, family.dims, family.tol
-    span_dim = _span_rank(stack, dims.joint, tol)
-    marginals, fit, domain = _marginal_fit(stack, dims, tol.rank)
+    squares = _squares(stack)
+    span_dim = _span_rank(stack, dims.joint, tol, squares)
+    marginals, fit, domain = _marginal_fit(family.reduced_stack, np.sqrt(squares), tol.rank)
     if len(domain) > span_dim:
         raise RdlError(
             f"the marginals have rank {len(domain)} in a span of rank {span_dim}; "

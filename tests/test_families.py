@@ -192,7 +192,20 @@ def _assert_validates_like_member_loop(members, dims, tol):
         assert not m.flags.writeable
         assert np.array_equal(m, original) and np.array_equal(s, original)
     assert np.array_equal(fam.reduced(), [rdl.partial_trace_env(m, dims) for m in members])
+    assert not fam.reduced_stack.flags.writeable
     return True
+
+
+def test_the_marginals_are_traced_once_per_family(rng):
+    """The marginal fit, the pairwise check and ``reduced()`` all read ``reduced_stack``."""
+    dims = rdl.BipartiteDims(2, 3)
+    fam = rdl.StateFamily(dims, tuple(rdl.random_density_matrix(6, rng) for _ in range(5)))
+    with mock.patch.object(families, "partial_trace_env", wraps=families.partial_trace_env) as spy:
+        rdl.build_subspace(fam)
+        rdl.check_pairwise_consistency(fam, np.eye(6))
+        reduced = fam.reduced()
+    assert spy.call_count == 1
+    assert all(r.base is fam.reduced_stack for r in reduced)
 
 
 @pytest.mark.parametrize("entry", [(2, 2, 1e-3j), (3, 1, 1e-3)], ids=["diagonal", "below"])

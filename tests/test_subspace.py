@@ -321,21 +321,104 @@ def _spy_unit_rows(monkeypatch):
     return sides
 
 
+def _spy_cholesky(monkeypatch):
+    sides = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        sides.append(len(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return sides
+
+
 def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
-    """A generic 4x8 family of 120 states: the span rank needs no joint coordinate rows."""
+    """A generic 4x8 family of 120 states: one factorization, of the top halves; no coordinates."""
     dims = rdl.BipartiteDims(4, 8)
     fam = rdl.StateFamily(
         dims=dims, members=tuple(rdl.random_density_matrix(32, rng) for _ in range(120))
     )
-    sides = _spy_unit_rows(monkeypatch)
+    sides, factored = _spy_unit_rows(monkeypatch), _spy_cholesky(monkeypatch)
     sub = rdl.build_subspace(fam)
     assert sub.span_dim == 120 == span_dim_by_svd(fam.stack, 32, sub.tol.rank)
-    assert sides == []
+    assert sides == [] and factored == [120]
 
     rho, h = np.eye(4) / 4, rdl.tensor(rdl.SIGMA_Z, np.eye(2))
     pair = rdl.StateFamily(dims=rdl.BipartiteDims(2, 2), members=(rho, rho + 1e-12 * h))
     assert rdl.build_subspace(pair).span_dim == 1
     assert sides == [4]  # not certified: the SVD counts
+
+
+def test_dependent_top_halves_are_certified_on_the_whole_members(monkeypatch):
+    """Four independent qubit states times I/2: their top rows hold only rho_00 and rho_01.
+
+    The top halves span 3 dimensions, so the first factorization fails and
+    the whole members' Gram matrix certifies all four, without the SVD.  The
+    16 members of the full two-qubit family exceed the 16 - 2^2 dimensions
+    the top halves of Hermitian 4 x 4 matrices span: only the whole members
+    are factored.
+    """
+    plus, plus_i = np.full((2, 2), 0.5), np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    fam = rdl.product_family([z_eigenstate(+1), z_eigenstate(-1), plus, plus_i], np.eye(2) / 2)
+    full = rdl.full_two_qubit_family()
+    sides, factored = _spy_unit_rows(monkeypatch), _spy_cholesky(monkeypatch)
+    assert rdl.build_subspace(fam).span_dim == 4 == span_dim_by_svd(fam.stack, 4, 1e-8)
+    assert sides == [] and factored == [4, 4]
+    factored.clear()
+    assert rdl.build_subspace(full).span_dim == 16
+    assert sides == [] and factored == [16]
+
+
+def _top_right_anti_hermitian_family(delta, rng, herm):
+    """20 states at d_j = 8, the last within about ``delta`` of the others' span, plus U - U^dag.
+
+    U sits in the top-right 4 x 4 block, where the top halves of the rows
+    see it and not its mirror -U^dag, so on the top halves the cross terms
+    Re tr(H_i^dag A_j) do not cancel.  Each U_i is the weak direction's own
+    top-right block, signed along the least singular vector of the scaled
+    Hermitian parts and scaled to entries under herm / 2: the anti-Hermitian
+    parts lift that direction on the top halves as far as validation lets
+    them.
+    """
+    n, d, h = 20, 8, 4
+    herms = np.array([(rdl.random_density_matrix(d, rng) + np.eye(d) / d) / 2 for _ in range(n)])
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z = z + z.conj().T - 2 * np.trace(z).real / d * np.eye(d)
+    herms[-1] = herms[:-1].mean(axis=0) + delta * z / np.linalg.norm(z)
+    flat = herms.reshape(n, -1).view(float)
+    norms = np.sqrt(np.vecdot(flat, flat))
+    weights = np.linalg.svd(flat / norms[:, None])[0][:, -1]
+    weak = np.tensordot(weights / norms, herms, axes=1)[:h, h:]
+    u = np.zeros_like(herms)
+    u[:, :h, h:] = 0.999 * herm / 2 * np.sign(weights)[:, None, None] * weak / np.abs(weak).max()
+    members = herms + u - u.conj().swapaxes(1, 2)
+    tol = replace(rdl.DEFAULT_TOL, herm=herm)
+    return rdl.StateFamily(rdl.BipartiteDims(2, 4), tuple(members), tol=tol)
+
+
+@pytest.mark.parametrize("delta", [1e-10, 2e-9, 6e-9])
+def test_top_half_certificate_subtracts_the_anti_hermitian_share(delta, rng):
+    """Nearly dependent Hermitian parts whose anti-Hermitian parts the top halves see unmirrored.
+
+    The least singular value of the unit rows lies between tol.rank^2 /
+    sqrt(s) and 2 tol.rank, s the family's bound on its anti-Hermitian
+    share, below tol.rank for the first two deltas and above it for the
+    last.  The anti-Hermitian parts lift the top halves' least scaled
+    singular value above sqrt(2 floor + 4 tol.rank^2): a certificate that
+    did not subtract their share there would count all 20 members.
+    """
+    herm = 1e-6
+    fam = _top_right_anti_hermitian_family(delta, rng, herm)
+    n, d, r = len(fam), 8, fam.tol.rank
+    s = n * d**3 * herm**2 / (4 * (1 - fam.tol.trace) ** 2)
+    least = np.linalg.svd(unit_rows_one_by_one(fam.stack, d), compute_uv=False)[-1]
+    assert r * r / np.sqrt(s) < least < 2 * r
+    top = fam.stack[:, :4].reshape(n, -1).view(float)
+    inv = 1 / np.linalg.norm(fam.stack, axis=(1, 2))
+    floor = (4 * d * d + n + 8) * n * np.finfo(float).eps
+    assert np.linalg.eigvalsh(top @ top.T * inv * inv[:, None])[0] > 2 * floor + 4 * r * r
+    assert rdl.build_subspace(fam).span_dim == span_dim_by_svd(fam.stack, d, r)
 
 
 def test_certificate_reads_the_family_tolerances(rng, monkeypatch):
