@@ -140,12 +140,13 @@ def _full_rank_certified(stack: np.ndarray, squares: np.ndarray, tol: ToleranceC
     m - 2 d terms, and the addition rounds once more.  The bound
     takes n, not the computed ||G||: the product's error follows |V||V|^T,
     which can exceed V V^T in norm.  A Cholesky factorization of an n x n
-    matrix of diagonal at most 1 that completes is exact for a perturbation
-    of norm (n + 1) n eps at most; the scaling by the computed ``squares``,
-    each a sum of m squares, the shift and T's computed diagonal add
-    (2 n + m + 5) eps <= (m + 7) n eps.  floor = (2 m + n + 8) n eps bounds
-    the sum, and twice that covers the higher-order terms and the few ulps of
-    the shift, which is below 1.  So both attempts factor
+    matrix of diagonal at most about 1 that completes is exact for a
+    perturbation of norm (n + 1) n eps at most; the scaling by the computed
+    ``squares``, each a sum of m squares, the shift and T's computed
+    diagonal add (2 n + m + 5) eps <= (m + 7) n eps.
+    floor = (2 m + n + 8) n eps bounds the sum, and twice that covers the
+    higher-order terms and the few ulps of the shift, which is below 1.  So
+    both attempts factor
     D^-1 G D^-1 - (2 floor + (2 tol.rank + sqrt(s))^2) I, and the SVD of the
     computed rows counts every row while its own roundoff stays under
     tol.rank.  With tol.rank not above ``floor``, which bounds the same kinds
