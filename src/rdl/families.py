@@ -15,7 +15,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import DimensionError, EmptyFamilyError, InputError
 from .operators import BipartiteDims, partial_trace_env, require_density, tensor
 
-_BLOCK_ENTRIES = 2**13  # caps members x d_j^2 per validation block (128 KB complex)
+_BLOCK_ENTRIES = 2**14  # caps members x d_j^2 per validation block (256 KB complex)
 
 
 @dataclass(frozen=True, eq=False)

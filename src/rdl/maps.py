@@ -176,12 +176,20 @@ class SignedKraus:
         return max_norm(acc - np.eye(d))
 
 
-def _phase_fixed(vec: np.ndarray, tol: float) -> np.ndarray:
-    """Rotate the global phase so the first entry above ``tol`` in modulus is real positive."""
-    for entry in vec:
-        if abs(entry) > tol:
-            return vec * (entry.conjugate() / abs(entry))
-    return vec
+def _phase_fixed(vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Each column of ``vecs`` rotated so its first entry above ``tol`` in modulus is real positive.
+
+    A column with no entry above ``tol`` stays as it is.  The moduli are
+    ``np.hypot``'s, which ``abs`` of a complex scalar also returns; ``np.abs``
+    of a complex array may differ from it in the last bit.
+    """
+    moduli = np.hypot(vecs.real, vecs.imag)
+    above = moduli > tol
+    cols = np.flatnonzero(above.any(axis=0))
+    rows = above[:, cols].argmax(axis=0)
+    fixed = vecs.copy()
+    fixed[:, cols] *= vecs[rows, cols].conj() / moduli[rows, cols]
+    return fixed
 
 
 def _pinned_clusters(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.ndarray:
@@ -191,12 +199,17 @@ def _pinned_clusters(evals: np.ndarray, evecs: np.ndarray, tol: float) -> np.nda
     orthonormal basis V of a cluster's eigenspace is as good as another, so
     roundoff can rotate it freely; V Y, Y the eigenvectors of
     V^dag diag(0, 1, ..., N - 1) V, depends on the space alone, up to the
-    phase of each column.
+    phase of each column.  Only the clusters that hold an eigenvalue above
+    ``tol`` in modulus are pinned, as only their vectors become terms; with
+    every gap above ``tol``, ``evecs`` comes back as it is.
     """
+    starts = np.flatnonzero(np.diff(evals) > tol) + 1
+    if len(starts) == len(evals) - 1:
+        return evecs
     evecs = evecs.copy()
     probe = np.arange(len(evals))[:, None]
-    for idx in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
-        if len(idx) > 1:
+    for idx in np.split(np.arange(len(evals)), starts):
+        if len(idx) > 1 and (np.abs(evals[idx]) > tol).any():
             v = evecs[:, idx]
             evecs[:, idx] = v @ np.linalg.eigh(v.conj().T @ (probe * v))[1]
     return evecs
@@ -210,20 +223,19 @@ def decompose_signed_kraus(superop: Superoperator) -> SignedKraus:
     with column-major unvec, carrying the sign of its eigenvalue.
     Eigenvalues closer than ``tol`` form a cluster whose vectors are pinned
     to a basis of their common eigenspace (:func:`_pinned_clusters`); a
-    global phase fix per vector, making its first entry above ``tol`` in
-    modulus real positive, does the rest.
+    global phase fix per kept vector, making its first entry above ``tol``
+    in modulus real positive, does the rest.
     """
     tol = superop.tol.herm
     evals, evecs = np.linalg.eigh(superop.choi)
-    evecs = _pinned_clusters(evals, evecs, tol)
+    kept = np.abs(evals) > tol
+    vecs = _phase_fixed(_pinned_clusters(evals, evecs, tol)[:, kept], tol)
     d = superop.d_s
-    terms = []
-    for lam, vec in zip(evals, evecs.T):
-        if abs(lam) <= tol:
-            continue
-        op = np.sqrt(abs(lam)) * _phase_fixed(vec, tol).reshape(d, d, order="F")
-        terms.append((float(np.sign(lam)), frozen(op)))
-    return SignedKraus(terms=tuple(terms))
+    terms = tuple(
+        (float(np.sign(lam)), frozen(np.sqrt(abs(lam)) * vec.reshape(d, d, order="F")))
+        for lam, vec in zip(evals[kept], vecs.T)
+    )
+    return SignedKraus(terms=terms)
 
 
 def verdicts(superop: Superoperator) -> MapVerdicts:

@@ -105,7 +105,9 @@ def require_density(rho: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, what: s
     rho = require_hermitian(rho, tol, what)
     tr_dev = abs(np.trace(rho) - 1.0)
     if not tr_dev <= tol.trace:
-        raise NotAStateError(f"{what} has trace {complex(np.trace(rho)):.6g}, expected 1")
+        raise NotAStateError(
+            f"{what} does not have unit trace: |tr - 1| = {tr_dev:.3e} > {tol.trace:.3e}"
+        )
     lo = float(np.linalg.eigvalsh(rho)[0])
     if not lo >= -tol.psd:
         raise NotAStateError(

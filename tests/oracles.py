@@ -273,3 +273,30 @@ def span_dim_by_svd(ops, d, tol_rank):
     """Span rank counted from every singular value of the unit coordinate rows above ``tol_rank``."""
     rows = unit_rows_one_by_one(ops, d)
     return int(np.sum(np.linalg.svd(rows, compute_uv=False) > tol_rank))
+
+
+def signed_kraus_one_by_one(choi, d, tol):
+    """Signed Kraus terms with every cluster pinned and each kept vector's phase fixed in a loop.
+
+    Clusters of eigenvalues closer than ``tol`` are turned to the basis of
+    their eigenspace that diag(0, 1, ..., N - 1) fixes, whether or not any of
+    their eigenvalues is kept; each eigenvector whose eigenvalue exceeds
+    ``tol`` in modulus is rotated until its first entry above ``tol`` is
+    real positive.
+    """
+    evals, evecs = np.linalg.eigh(choi)
+    probe = np.arange(len(evals))[:, None]
+    for idx in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
+        if len(idx) > 1:
+            v = evecs[:, idx]
+            evecs[:, idx] = v @ np.linalg.eigh(v.conj().T @ (probe * v))[1]
+    terms = []
+    for lam, vec in zip(evals, evecs.T):
+        if abs(lam) <= tol:
+            continue
+        for entry in vec:
+            if abs(entry) > tol:
+                vec = vec * (entry.conjugate() / abs(entry))
+                break
+        terms.append((float(np.sign(lam)), np.sqrt(abs(lam)) * vec.reshape(d, d, order="F")))
+    return terms

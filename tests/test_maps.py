@@ -1,5 +1,6 @@
 """Assignment lift, superoperator assembly, signed operator-sum form, verdicts."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from oracles import (
     matrix_from_choi,
     ptrace_env_loops,
     random_unitary,
+    signed_kraus_one_by_one,
 )
 from test_consistency import constrained_family, product_and_joint_family, random_propagator
 
@@ -176,6 +178,49 @@ def test_kraus_phase_pivot_is_the_first_entry_above_tol():
     assert sign == 1.0
     assert np.abs(vec - v * (v[1].conjugate() / abs(v[1]))).max() < 1e-12
     assert lead.real > 0 and abs(lead.imag) <= 1e-15
+
+
+def _same_terms(kraus, terms):
+    return len(kraus.terms) == len(terms) and all(
+        e == f and a.tobytes() == b.tobytes() for (e, a), (f, b) in zip(kraus.terms, terms)
+    )
+
+
+def _conjugation_matrix(us):
+    """Hermitian-basis matrix of X -> mean of U X U^dag over the unitaries ``us``."""
+    d = len(us[0])
+    images = sum(u @ rdl.hermitian_basis(d) @ u.conj().T for u in us) / len(us)
+    return rdl.basis_coords(images, d).real.T
+
+
+@pytest.mark.parametrize("herm", [1e-9, 1e-3, 0.5])
+@pytest.mark.parametrize("kind", ["local", "identity", "mixed unitaries", "depolarizing", "random"])
+def test_signed_kraus_matches_the_loop_oracle_bit_for_bit(kind, herm, rng):
+    """Pinning only the kept clusters and one phase pass change no bit of any term.
+
+    At herm = 0.5 the identity channel's one kept eigenvector has entries of
+    modulus 0.5 at most, none above the cut: it keeps its phase, unscaled.
+    """
+    d_s = 4
+    matrix = {
+        "local": lambda: _conjugation_matrix([random_unitary(d_s, rng)]),
+        "identity": lambda: np.eye(d_s**2),
+        "mixed unitaries": lambda: _conjugation_matrix([random_unitary(d_s, rng) for _ in "ab"]),
+        "depolarizing": lambda: np.diag([1.0] + [0.0] * (d_s**2 - 1)),
+        "random": lambda: rng.normal(size=(d_s**2, d_s**2)) * 10.0 ** rng.uniform(-3, 0),
+    }[kind]()
+    sop = Superoperator(d_s, matrix, False, replace(rdl.DEFAULT_TOL, herm=herm))
+    terms = signed_kraus_one_by_one(sop.choi, d_s, herm)
+    assert _same_terms(rdl.decompose_signed_kraus(sop), terms)
+
+
+def test_a_local_unitary_pins_no_dropped_cluster(rng):
+    """A local U has a Choi matrix of rank 1: its 15 zero eigenvalues are dropped, never pinned."""
+    sop = Superoperator(4, _conjugation_matrix([random_unitary(4, rng)]), False)
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        [(sign, op)] = rdl.decompose_signed_kraus(sop).terms
+    assert eigh.call_count == 1
+    assert sign == 1.0 and np.abs(op.conj().T @ op - np.eye(4)).max() <= 1e-12
 
 
 def test_constrained_family_map_is_linear_but_not_cp(rng):

@@ -249,6 +249,19 @@ def test_require_density_rejects_bad_inputs():
             check(infinite)
 
 
+def test_trace_message_reports_the_deviation():
+    """Each factor is within the trace cut; their product's trace, 1 + 1.8e-9, is not.
+
+    The deviation is printed against the cut, as the Hermiticity message
+    prints its own: a trace printed to six digits would read 1.
+    """
+    rho = np.diag([0.5 + 9e-10, 0.5])
+    rdl.require_density(rho)
+    with pytest.raises(NotAStateError, match=r"^member 0 does not have unit trace: "
+                       r"\|tr - 1\| = 1\.800e-09 > 1\.000e-09$"):
+        rdl.product_family([rho], rho)
+
+
 def test_require_unitary_accepts_phase(rng):
     u = random_unitary(3, rng)
     rdl.require_unitary(u)

@@ -304,7 +304,7 @@ def test_span_rank_matches_svd_oracle(d_s, d_e, n, kind, log_tol, seed):
     tol = replace(tol, rank=tol_rank)
     fam = rdl.StateFamily(dims=rdl.BipartiteDims(d_s, d_e), members=tuple(ops), tol=tol)
     with mock.patch.object(subspace, "_unit_rows", wraps=subspace._unit_rows) as spy:
-        rank = subspace._span_rank(fam.stack, d, fam.tol)
+        rank = subspace._span_rank(fam.stack, fam.dims, fam.tol)
     event(f"{kind}: {'SVD' if spy.called else 'certified'}")
     assert rank == span_dim_by_svd(fam.stack, d, tol_rank)
 
@@ -334,7 +334,7 @@ def _spy_cholesky(monkeypatch):
 
 
 def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
-    """A generic 4x8 family of 120 states: one factorization, of the top halves; no coordinates."""
+    """A generic 4x8 family of 120 states: one factorization, of the slab; no coordinates."""
     dims = rdl.BipartiteDims(4, 8)
     fam = rdl.StateFamily(
         dims=dims, members=tuple(rdl.random_density_matrix(32, rng) for _ in range(120))
@@ -350,38 +350,52 @@ def test_full_rank_family_is_certified_without_coordinates(rng, monkeypatch):
     assert sides == [4]  # not certified: the SVD counts
 
 
-def test_dependent_top_halves_are_certified_on_the_whole_members(monkeypatch):
-    """Four independent qubit states times I/2: their top rows hold only rho_00 and rho_01.
+def test_a_singular_slab_is_certified_on_the_whole_members(rng, monkeypatch):
+    """Which Gram matrices the certificate factors, and that the SVD never runs.
 
-    The top halves span 3 dimensions, so the first factorization fails and
-    the whole members' Gram matrix certifies all four, without the SVD.  The
-    16 members of the full two-qubit family exceed the 16 - 2^2 dimensions
-    the top halves of Hermitian 4 x 4 matrices span: only the whole members
-    are factored.
+    Four independent qubit states times |1><1|: every slab row, environment
+    row 0 of a system block, is zero, so the slab's factorization fails and
+    the whole members' Gram matrix certifies all four.  The 16 members of
+    the full two-qubit family exceed the 16 - 2^2 dimensions the slabs of
+    Hermitian 4 x 4 matrices on 2 rows span: only the whole members are
+    factored.  48 products plus 72 random states at 4 x 8 certify on the
+    slab, one environment row per system block.
     """
     plus, plus_i = np.full((2, 2), 0.5), np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    fam = rdl.product_family([z_eigenstate(+1), z_eigenstate(-1), plus, plus_i], np.eye(2) / 2)
+    one = z_eigenstate(-1)
+    fam = rdl.product_family([z_eigenstate(+1), one, plus, plus_i], one)
     full = rdl.full_two_qubit_family()
+    systems = [rdl.random_density_matrix(4, rng) for _ in range(8)]
+    envs = [rdl.random_density_matrix(8, rng) for _ in range(6)]
+    mixed = rdl.StateFamily(
+        dims=rdl.BipartiteDims(4, 8),
+        members=tuple(rdl.tensor(r, w) for r in systems for w in envs)
+        + tuple(rdl.random_density_matrix(32, rng) for _ in range(72)),
+    )
     sides, factored = _spy_unit_rows(monkeypatch), _spy_cholesky(monkeypatch)
     assert rdl.build_subspace(fam).span_dim == 4 == span_dim_by_svd(fam.stack, 4, 1e-8)
     assert sides == [] and factored == [4, 4]
     factored.clear()
     assert rdl.build_subspace(full).span_dim == 16
     assert sides == [] and factored == [16]
+    factored.clear()
+    assert rdl.build_subspace(mixed).span_dim == 120 == span_dim_by_svd(mixed.stack, 32, 1e-8)
+    assert sides == [] and factored == [120]
 
 
-def _top_right_anti_hermitian_family(delta, rng, herm):
-    """20 states at d_j = 8, the last within about ``delta`` of the others' span, plus U - U^dag.
+def _slab_anti_hermitian_family(delta, rng, herm):
+    """20 states at 2 x 4, the last within about ``delta`` of the others' span, plus U - U^dag.
 
-    U sits in the top-right 4 x 4 block, where the top halves of the rows
-    see it and not its mirror -U^dag, so on the top halves the cross terms
-    Re tr(H_i^dag A_j) do not cancel.  Each U_i is the weak direction's own
-    top-right block, signed along the least singular vector of the scaled
+    The certificate's slab holds rows 0 and 4, environment row 0 of each
+    system block.  U sits at (slab row, other row), where the slab sees it
+    and not its mirror -U^dag, so on the slab the cross terms
+    Re tr(H_i^dag A_j) do not cancel.  Each U_i is that part of the weak
+    direction, signed along the least singular vector of the scaled
     Hermitian parts and scaled to entries under herm / 2: the anti-Hermitian
-    parts lift that direction on the top halves as far as validation lets
-    them.
+    parts lift that direction on the slab as far as validation lets them.
     """
-    n, d, h = 20, 8, 4
+    n, d = 20, 8
+    slab, rest = [0, 4], [1, 2, 3, 5, 6, 7]
     herms = np.array([(rdl.random_density_matrix(d, rng) + np.eye(d) / d) / 2 for _ in range(n)])
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     z = z + z.conj().T - 2 * np.trace(z).real / d * np.eye(d)
@@ -389,9 +403,11 @@ def _top_right_anti_hermitian_family(delta, rng, herm):
     flat = herms.reshape(n, -1).view(float)
     norms = np.sqrt(np.vecdot(flat, flat))
     weights = np.linalg.svd(flat / norms[:, None])[0][:, -1]
-    weak = np.tensordot(weights / norms, herms, axes=1)[:h, h:]
+    weak = np.tensordot(weights / norms, herms, axes=1)[np.ix_(slab, rest)]
     u = np.zeros_like(herms)
-    u[:, :h, h:] = 0.999 * herm / 2 * np.sign(weights)[:, None, None] * weak / np.abs(weak).max()
+    u[np.ix_(range(n), slab, rest)] = (
+        0.999 * herm / 2 * np.sign(weights)[:, None, None] * weak / np.abs(weak).max()
+    )
     members = herms + u - u.conj().swapaxes(1, 2)
     tol = replace(rdl.DEFAULT_TOL, herm=herm)
     return rdl.StateFamily(rdl.BipartiteDims(2, 4), tuple(members), tol=tol)
@@ -399,25 +415,26 @@ def _top_right_anti_hermitian_family(delta, rng, herm):
 
 @pytest.mark.parametrize("delta", [1e-10, 2e-9, 6e-9])
 def test_top_half_certificate_subtracts_the_anti_hermitian_share(delta, rng):
-    """Nearly dependent Hermitian parts whose anti-Hermitian parts the top halves see unmirrored.
+    """Nearly dependent Hermitian parts whose anti-Hermitian parts the slab sees unmirrored.
 
     The least singular value of the unit rows lies between tol.rank^2 /
     sqrt(s) and 2 tol.rank, s the family's bound on its anti-Hermitian
     share, below tol.rank for the first two deltas and above it for the
-    last.  The anti-Hermitian parts lift the top halves' least scaled
-    singular value above sqrt(2 floor + 4 tol.rank^2): a certificate that
-    did not subtract their share there would count all 20 members.
+    last.  The anti-Hermitian parts lift the slab's least scaled singular
+    value above sqrt(2 floor + 4 tol.rank^2): a certificate that did not
+    subtract their share there would count all 20 members.  (The name keeps
+    the certificate's former slab, the top half of each member's rows.)
     """
     herm = 1e-6
-    fam = _top_right_anti_hermitian_family(delta, rng, herm)
+    fam = _slab_anti_hermitian_family(delta, rng, herm)
     n, d, r = len(fam), 8, fam.tol.rank
     s = n * d**3 * herm**2 / (4 * (1 - fam.tol.trace) ** 2)
     least = np.linalg.svd(unit_rows_one_by_one(fam.stack, d), compute_uv=False)[-1]
     assert r * r / np.sqrt(s) < least < 2 * r
-    top = fam.stack[:, :4].reshape(n, -1).view(float)
+    slab = fam.stack.reshape(n, 2, 4, d)[:, :, :1].reshape(n, -1).view(float)
     inv = 1 / np.linalg.norm(fam.stack, axis=(1, 2))
     floor = (4 * d * d + n + 8) * n * np.finfo(float).eps
-    assert np.linalg.eigvalsh(top @ top.T * inv * inv[:, None])[0] > 2 * floor + 4 * r * r
+    assert np.linalg.eigvalsh(slab @ slab.T * inv * inv[:, None])[0] > 2 * floor + 4 * r * r
     assert rdl.build_subspace(fam).span_dim == span_dim_by_svd(fam.stack, d, r)
 
 
